@@ -6,10 +6,9 @@ from .errors import (ConfigError, InputError, NumericError, QAParseError,
 from .evalharness import (ConfusionMatrix, LabelSet, MetricReport,
                           build_confusion, compute_metrics, normalize_answer,
                           render_report, render_report_csv, sample_eval_set)
-from .lora import (LoraAdapter, QLoraLinear, count_trainable_params,
-                   load_adapters, lora_delta, lora_init, merge, qlora_forward,
-                   save_adapters)
-from .matrix import Matrix, as_matrix, make_matrix, matmul, softmax
+from .lora import (LoraAdapter, QLoraLinear, load_adapters, lora_delta,
+                   lora_init, merge, qlora_forward, save_adapters)
+from .matrix import Matrix, as_matrix, softmax
 from .model import (ModelParams, ToyModelSpec, base_fingerprint, forward,
                     init_adapters, init_model_params, loss_and_grads,
                     quantize_base)
@@ -18,9 +17,8 @@ from .qagen import (CATEGORIES, GenerationResult, LLMClientSpec,
                     MockLLMClient, QARecord, ScenarioAnnotation, build_prompt,
                     generate_dataset, parse_qa_response, split_dataset)
 from .quant import (Q4BlockMatrix, Q8Vector, dequantize_4bit, dequantize_8bit,
-                    footprint_report, memory_footprint, pack_nibbles,
-                    q4_from_bytes, q4_to_bytes, quantize_4bit, quantize_8bit,
-                    unpack_nibbles)
+                    footprint_report, pack_nibbles, q4_from_bytes, q4_to_bytes,
+                    quantize_4bit, quantize_8bit, unpack_nibbles)
 from .trainer import TrainResult, evaluate_accuracy, train
 
 __version__ = "0.1.0"
@@ -29,18 +27,17 @@ __all__ = [
     "CATEGORIES", "ConfigError", "ConfusionMatrix", "GenerationResult",
     "InputError", "LLMClientSpec", "LabelSet", "LoraAdapter", "Matrix",
     "MetricReport", "MockLLMClient", "ModelParams", "NumericError",
-    "OptimizerState", "Q4BlockMatrix", "Q8Vector", "QARecord", "QAParseError",
-    "QLoraLinear", "QlorakitError", "ScenarioAnnotation", "ShapeError",
-    "ToyModelSpec", "TrainConfig", "TrainResult", "TransportError",
-    "adamw_step", "as_matrix", "base_fingerprint", "build_confusion",
-    "build_prompt", "compute_metrics", "count_trainable_params",
+    "OptimizerState", "Q4BlockMatrix", "Q8Vector", "QARecord",
+    "QAParseError", "QLoraLinear", "QlorakitError", "ScenarioAnnotation",
+    "ShapeError", "ToyModelSpec", "TrainConfig", "TrainResult",
+    "TransportError", "adamw_step", "as_matrix", "base_fingerprint",
+    "build_confusion", "build_prompt", "compute_metrics",
     "dequantize_4bit", "dequantize_8bit", "evaluate_accuracy",
     "footprint_report", "forward", "generate_dataset", "init_adapters",
     "init_model_params", "load_adapters", "lora_delta", "lora_init",
-    "loss_and_grads", "lr_at", "make_matrix", "matmul", "memory_footprint",
-    "merge", "normalize_answer", "pack_nibbles", "parse_qa_response",
-    "q4_from_bytes", "q4_to_bytes", "qlora_forward", "quantize_4bit",
-    "quantize_8bit", "quantize_base", "render_report", "render_report_csv",
-    "sample_eval_set", "save_adapters", "softmax", "split_dataset", "train",
-    "unpack_nibbles",
+    "loss_and_grads", "lr_at", "merge", "normalize_answer", "pack_nibbles",
+    "parse_qa_response", "q4_from_bytes", "q4_to_bytes", "qlora_forward",
+    "quantize_4bit", "quantize_8bit", "quantize_base", "render_report",
+    "render_report_csv", "sample_eval_set", "save_adapters", "softmax",
+    "split_dataset", "train", "unpack_nibbles",
 ]

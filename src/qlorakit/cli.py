@@ -32,7 +32,8 @@ from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
 from .lora import load_adapters, save_adapters
 from .model import init_adapters, init_model_params, quantize_base
-from .quant import dequantize_4bit, footprint_report, quantize_4bit
+from .quant import (DEFAULT_BLOCK_SIZE, dequantize_4bit, footprint_report,
+                    quantize_4bit)
 from .trainer import evaluate_accuracy, train, write_trace_csv
 
 CORPUS_FILE = "corpus.jsonl"
@@ -322,39 +323,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _render_merged(cells: dict) -> tuple[str, str]:
-    """Rebuild combined text/CSV tables from per-model formatted cells."""
-    models = sorted(cells)
-    tasks_order = [ev.TASK_DISPLAY[c] for c in ev.CATEGORIES]
-    present = [t for t in tasks_order
-               if any(t in cells[m] for m in models)]
-    if not present:
-        raise InputError("metric CSVs contain no tasks")
-    rows = []
-    for task in present:
-        for metric in ev.METRIC_ROWS:
-            row_cells = [cells[m].get(task, {}).get(metric, "-") for m in models]
-            rows.append((task, metric, row_cells))
-    task_w = max(len("Task"), max(len(r[0]) for r in rows))
-    metric_w = max(len("Metric"), max(len(r[1]) for r in rows))
-    model_w = [max(len(m), 6) for m in models]
-    header = f"{'Task':<{task_w}}  {'Metric':<{metric_w}}"
-    for m, w in zip(models, model_w):
-        header += f"  {m:>{w}}"
-    text_lines = [header, "-" * len(header)]
-    csv_lines = [",".join(["task", "metric"] + models)]
-    last = None
-    for task, metric, row_cells in rows:
-        shown = task if task != last else ""
-        last = task
-        line = f"{shown:<{task_w}}  {metric:<{metric_w}}"
-        for cell, w in zip(row_cells, model_w):
-            line += f"  {cell:>{w}}"
-        text_lines.append(line)
-        csv_lines.append(",".join([task, metric] + row_cells))
-    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
-
-
 def cmd_report(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.in_dir, "metrics_*.csv")))
     if not paths:
@@ -367,7 +335,7 @@ def cmd_report(args) -> int:
             if model in merged:
                 raise InputError(f"duplicate model column {model!r} in {path}")
             merged[model] = per_task
-    text, csv_text = _render_merged(merged)
+    text, csv_text = ev.render_tables({m: merged[m] for m in sorted(merged)})
     with open(os.path.join(args.in_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     with open(os.path.join(args.in_dir, "report.csv"), "w", encoding="utf-8") as fh:
@@ -511,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect-quant", help="quantization stats for a weight matrix")
     p.add_argument("--weights", required=True, help=".npy or whitespace text matrix")
-    p.add_argument("--block", type=int, default=64)
+    p.add_argument("--block", type=int, default=DEFAULT_BLOCK_SIZE)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_inspect_quant)
 

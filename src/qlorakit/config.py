@@ -18,10 +18,14 @@ from .errors import ConfigError
 from .model import ToyModelSpec
 from .optim import TrainConfig
 from .qagen import LLMClientSpec
+from .quant import DEFAULT_BLOCK_SIZE
 
 
 @dataclass
 class RunConfig:
+    """Every pipeline knob. Optimizer, backend, quantization-block and
+    adapter-target defaults come from the component that owns them."""
+
     # model topology
     vocab_size: int = 64
     d_model: int = 32
@@ -30,34 +34,33 @@ class RunConfig:
     d_ff: int = 64
     n_classes: int = 4
     max_seq_len: int = 32
-    adapter_targets: str = "attn_q,attn_v"
+    adapter_targets: str = ",".join(ToyModelSpec.adapter_targets)
     init_profile: str = "adapter_friendly"
     # optimization
-    learning_rate: float = 2e-4
-    rank: int = 16
-    alpha: float = 16.0
-    batch_size: int = 2
-    grad_accum_steps: int = 4
-    warmup_steps: int = 5
-    weight_decay: float = 0.01
-    epochs: int = 1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    state_bits: int = 8
+    learning_rate: float = TrainConfig.learning_rate
+    rank: int = TrainConfig.rank
+    alpha: float = TrainConfig.alpha
+    batch_size: int = TrainConfig.batch_size
+    grad_accum_steps: int = TrainConfig.grad_accum_steps
+    warmup_steps: int = TrainConfig.warmup_steps
+    weight_decay: float = TrainConfig.weight_decay
+    epochs: int = TrainConfig.epochs
+    adam_beta1: float = TrainConfig.adam_beta1
+    adam_beta2: float = TrainConfig.adam_beta2
+    adam_epsilon: float = TrainConfig.adam_epsilon
+    state_bits: int = TrainConfig.state_bits
     qlora: bool = False
-    block_size: int = 64
+    block_size: int = DEFAULT_BLOCK_SIZE
     # generation backend
-    backend: str = "mock"
-    endpoint: str = ""
-    model_name: str = "mock-qa"
-    credential_env: str = "LLM_API_KEY"
-    max_retries: int = 2
-    timeout_s: float = 30.0
-    max_concurrency: int = 4
+    backend: str = LLMClientSpec.backend
+    endpoint: str = LLMClientSpec.endpoint
+    model_name: str = LLMClientSpec.model_name
+    credential_env: str = LLMClientSpec.credential_env
+    max_retries: int = LLMClientSpec.max_retries
+    timeout_s: float = LLMClientSpec.timeout_s
+    max_concurrency: int = LLMClientSpec.max_concurrency
     # data handling
     test_fraction: float = 0.2
-    eval_samples: int = 500
     seed: int = 0
 
 
@@ -75,6 +78,9 @@ def _coerce(key: str, value, target_type):
         if text in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"config key {key}: cannot read {value!r} as a boolean")
+    if target_type is int and (isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"config key {key}: cannot read {value!r} as int")
     try:
         return target_type(value)
     except (TypeError, ValueError) as exc:
@@ -139,31 +145,16 @@ def model_spec_from(cfg: RunConfig, n_classes: int | None = None) -> ToyModelSpe
     )
 
 
+def _copy_fields(cls, cfg: RunConfig, **given):
+    """Build a component config from the RunConfig fields of the same name."""
+    copied = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)
+              if f.name not in given}
+    return cls(**copied, **given)
+
+
 def train_config_from(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.learning_rate,
-        rank=cfg.rank,
-        alpha=cfg.alpha,
-        batch_size=cfg.batch_size,
-        grad_accum_steps=cfg.grad_accum_steps,
-        warmup_steps=cfg.warmup_steps,
-        weight_decay=cfg.weight_decay,
-        epochs=cfg.epochs,
-        seed=derive_seed(cfg.seed, "train"),
-        adam_beta1=cfg.adam_beta1,
-        adam_beta2=cfg.adam_beta2,
-        adam_epsilon=cfg.adam_epsilon,
-        state_bits=cfg.state_bits,
-    )
+    return _copy_fields(TrainConfig, cfg, seed=derive_seed(cfg.seed, "train"))
 
 
 def client_spec_from(cfg: RunConfig) -> LLMClientSpec:
-    return LLMClientSpec(
-        backend=cfg.backend,
-        endpoint=cfg.endpoint,
-        model_name=cfg.model_name,
-        credential_env=cfg.credential_env,
-        max_retries=cfg.max_retries,
-        timeout_s=cfg.timeout_s,
-        max_concurrency=cfg.max_concurrency,
-    )
+    return _copy_fields(LLMClientSpec, cfg)

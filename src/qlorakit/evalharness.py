@@ -193,52 +193,57 @@ def _cell(value: float) -> str:
     return f"{100.0 * value:.2f}"
 
 
-def _report_rows(results: Mapping[str, Mapping[str, MetricReport]]):
-    models = list(results)
+_METRIC_ATTRS = dict(zip(METRIC_ROWS, ("accuracy", "recall", "precision", "f1")))
+
+
+def _report_cells(results: Mapping[str, Mapping[str, MetricReport]]) -> dict:
+    """model -> task display name -> metric row -> formatted cell."""
+    return {
+        model: {TASK_DISPLAY[cat]: {metric: _cell(getattr(per_task[cat], attr))
+                                    for metric, attr in _METRIC_ATTRS.items()}
+                for cat in CATEGORIES if cat in per_task}
+        for model, per_task in results.items()
+    }
+
+
+def render_tables(cells: Mapping[str, Mapping]) -> tuple[str, str]:
+    """(text table, CSV) from formatted cells, model columns in mapping order;
+    a task missing for a model shows "-"."""
+    models = list(cells)
     if not models:
         raise InputError("no models to report")
-    categories = [c for c in CATEGORIES if any(c in results[m] for m in models)]
-    if not categories:
+    tasks = [TASK_DISPLAY[c] for c in CATEGORIES
+             if any(TASK_DISPLAY[c] in cells[m] for m in models)]
+    if not tasks:
         raise InputError("no task categories to report")
-    rows = []
-    for cat in categories:
-        for metric in METRIC_ROWS:
-            attr = {"Accuracy": "accuracy", "Recall": "recall",
-                    "Precision": "precision", "F1-score": "f1"}[metric]
-            cells = []
-            for m in models:
-                rep = results[m].get(cat)
-                cells.append(_cell(getattr(rep, attr)) if rep else "-")
-            rows.append((TASK_DISPLAY[cat], metric, cells))
-    return models, rows
-
-
-def render_report(results: Mapping[str, Mapping[str, MetricReport]]) -> str:
-    models, rows = _report_rows(results)
+    rows = [(task, metric, [cells[m].get(task, {}).get(metric, "-") for m in models])
+            for task in tasks for metric in METRIC_ROWS]
     task_w = max(len("Task"), max(len(r[0]) for r in rows))
     metric_w = max(len("Metric"), max(len(r[1]) for r in rows))
     model_w = [max(len(m), 6) for m in models]
     header = f"{'Task':<{task_w}}  {'Metric':<{metric_w}}"
     for m, w in zip(models, model_w):
         header += f"  {m:>{w}}"
-    lines = [header, "-" * len(header)]
+    text_lines = [header, "-" * len(header)]
+    csv_lines = [",".join(["task", "metric"] + models)]
     last_task = None
-    for task, metric, cells in rows:
+    for task, metric, row_cells in rows:
         shown = task if task != last_task else ""
         last_task = task
         line = f"{shown:<{task_w}}  {metric:<{metric_w}}"
-        for cell, w in zip(cells, model_w):
+        for cell, w in zip(row_cells, model_w):
             line += f"  {cell:>{w}}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        text_lines.append(line)
+        csv_lines.append(",".join([task, metric] + row_cells))
+    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
+
+
+def render_report(results: Mapping[str, Mapping[str, MetricReport]]) -> str:
+    return render_tables(_report_cells(results))[0]
 
 
 def render_report_csv(results: Mapping[str, Mapping[str, MetricReport]]) -> str:
-    models, rows = _report_rows(results)
-    lines = [",".join(["task", "metric"] + models)]
-    for task, metric, cells in rows:
-        lines.append(",".join([task, metric] + cells))
-    return "\n".join(lines) + "\n"
+    return render_tables(_report_cells(results))[1]
 
 
 def parse_report_csv(text: str) -> dict:

@@ -1,5 +1,5 @@
-"""Low-rank adapters: init, delta, merge, the quantized-base linear layer,
-trainable-parameter accounting, and the adapter checkpoint format.
+"""Low-rank adapters: init, delta, merge, the adapted linear layer over a
+dense or 4-bit base, and the adapter checkpoint format.
 
 Conventions, fixed across the package:
   - an adapter for a d_in x d_out base matrix holds b_factor (d_in x r,
@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from . import quant
 from .errors import ConfigError, InputError, ShapeError
 from .matrix import Matrix, as_matrix
-from .quant import Q4BlockMatrix, dequantize_4bit
+from .quant import Q4BlockMatrix
 
 LORA_MAGIC = b"LAD1"
 LORA_VERSION = 1
@@ -103,64 +104,63 @@ def merge(w: Matrix, adapter: LoraAdapter) -> Matrix:
     return w + lora_delta(adapter)
 
 
-@dataclass(frozen=True)
+@dataclass
 class QLoraLinear:
-    """Frozen 4-bit base plus a full-precision trainable adapter."""
+    """y = x @ W + scaling * (x @ B) @ A over a frozen base W.
 
-    base: Q4BlockMatrix
-    adapter: LoraAdapter
+    The base is a dense matrix (LoRA) or a Q4BlockMatrix (QLoRA); a 4-bit
+    base is dequantized once, when the layer is built, into `weight`.
+    Without an adapter the layer is the plain base product. The low-rank
+    branch stays factor-wise; the d_in x d_out delta is never materialized.
+    """
+
+    base: np.ndarray | Q4BlockMatrix
+    adapter: LoraAdapter | None = None
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.base.rows, self.base.cols) != (self.adapter.d_in, self.adapter.d_out):
+        w = (quant.dequantize_4bit(self.base) if isinstance(self.base, Q4BlockMatrix)
+             else self.base)
+        ad = self.adapter
+        if ad is not None and w.shape != (ad.d_in, ad.d_out):
             raise ShapeError(
-                f"quantized base {self.base.rows}x{self.base.cols} does not match "
-                f"adapter {self.adapter.d_in}x{self.adapter.d_out}"
+                f"base {w.shape[0]}x{w.shape[1]} does not match "
+                f"adapter {ad.d_in}x{ad.d_out}"
             )
+        self.weight = w
+
+    def forward(self, x):
+        """Returns (y, cache); cache feeds backward and is None without an adapter."""
+        y = x @ self.weight
+        ad = self.adapter
+        if ad is None:
+            return y, None
+        u = x @ ad.b_factor
+        return y + ad.scaling * (u @ ad.a_factor), (x, u)
+
+    def backward(self, dy, cache, grads, name: str):
+        """dx for upstream; adds the factor gradients into grads[name + "/a" | "/b"]."""
+        dx = dy @ self.weight.T
+        ad = self.adapter
+        if ad is not None:
+            x, u = cache
+            s = ad.scaling
+            grads[name + "/a"] += s * (u.T @ dy)
+            t = dy @ ad.a_factor.T
+            grads[name + "/b"] += s * (x.T @ t)
+            dx = dx + s * (t @ ad.b_factor.T)
+        return dx
 
 
 def qlora_forward(x: Matrix, layer: QLoraLinear) -> Matrix:
-    """y = x @ dequant(base) + scaling * (x @ B) @ A.
-
-    The low-rank branch stays factor-wise; the d_in x d_out delta is
-    never materialized.
-    """
+    """Shape-checked layer.forward for one input matrix."""
     x = as_matrix(x, "input")
-    if x.shape[1] != layer.adapter.d_in:
+    d_in, d_out = layer.weight.shape
+    if x.shape[1] != d_in:
         raise ShapeError(
-            f"input {x.shape[0]}x{x.shape[1]} does not feed a "
-            f"{layer.adapter.d_in}x{layer.adapter.d_out} layer"
+            f"input {x.shape[0]}x{x.shape[1]} does not feed a {d_in}x{d_out} layer"
         )
-    y = x @ dequantize_4bit(layer.base)
-    ad = layer.adapter
-    return y + ad.scaling * ((x @ ad.b_factor) @ ad.a_factor)
-
-
-@dataclass(frozen=True)
-class TrainableParamCount:
-    trainable: int
-    total: int
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.trainable / self.total if self.total else 0.0
-
-
-def count_trainable_params(spec, r: int) -> TrainableParamCount:
-    """Adapter parameter count: sum over adapted matrices of r*(d_in + d_out).
-
-    `spec` is a ToyModelSpec (duck-typed here to keep this module free of
-    model-graph imports).
-    """
-    if not spec.adapter_targets:
-        raise ConfigError("adapter_targets must be non-empty")
-    if r < 1:
-        raise ConfigError(f"rank must be >= 1, got {r}")
-    trainable = 0
-    for _layer in range(spec.n_layers):
-        for role in spec.adapter_targets:
-            d_in, d_out = spec.role_shape(role)
-            trainable += r * (d_in + d_out)
-    return TrainableParamCount(trainable=trainable, total=spec.total_params())
+    return layer.forward(x)[0]
 
 
 # ---- checkpoint io ----
@@ -187,6 +187,7 @@ def save_adapters(path, adapters: Mapping[str, LoraAdapter], meta: dict | None =
 
 
 def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
+    """Inverse of save_adapters; any malformed byte stream raises InputError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 16 or buf[:4] != LORA_MAGIC:
@@ -195,24 +196,30 @@ def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
     if version != LORA_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {version}")
     off = 16
-    meta = json.loads(buf[off:off + meta_len].decode("utf-8"))
-    off += meta_len
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if n > len(buf) - off:
+            raise InputError(f"truncated in {what} at byte {off}")
+        off += n
+        return buf[off - n:off]
+
     adapters: dict[str, LoraAdapter] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        name = buf[off:off + name_len].decode("utf-8")
-        off += name_len
-        d_in, d_out, rank, alpha = struct.unpack_from("<IIId", buf, off)
-        off += struct.calcsize("<IIId")
-        nb = d_in * rank
-        na = rank * d_out
-        b = np.frombuffer(buf, dtype="<f8", count=nb, offset=off).reshape(d_in, rank)
-        off += 8 * nb
-        a = np.frombuffer(buf, dtype="<f8", count=na, offset=off).reshape(rank, d_out)
-        off += 8 * na
-        adapters[name] = LoraAdapter(b_factor=b.copy(), a_factor=a.copy(),
-                                     rank=rank, alpha=alpha)
+    try:  # every decode failure is a ValueError: truncation, UTF-8, JSON, fields
+        meta = json.loads(take(meta_len, "meta").decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise InputError("meta is not a JSON object")
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "adapter name length"))
+            name = take(name_len, "adapter name").decode("utf-8")
+            d_in, d_out, rank, alpha = struct.unpack("<IIId", take(20, f"adapter {name!r}"))
+            b = np.frombuffer(take(8 * d_in * rank, f"{name!r} b_factor"), dtype="<f8")
+            a = np.frombuffer(take(8 * rank * d_out, f"{name!r} a_factor"), dtype="<f8")
+            adapters[name] = LoraAdapter(b_factor=b.reshape(d_in, rank).copy(),
+                                         a_factor=a.reshape(rank, d_out).copy(),
+                                         rank=rank, alpha=alpha)
+    except ValueError as exc:
+        raise InputError(f"{path}: bad adapter checkpoint: {exc}") from exc
     if off != len(buf):
         raise InputError(f"{path}: {len(buf) - off} trailing bytes")
     return adapters, meta

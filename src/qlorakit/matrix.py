@@ -1,33 +1,17 @@
 """Dense numeric core.
 
 Matrices are plain 2-D float64 C-contiguous numpy arrays throughout the
-package; the helpers here are the validated constructors and the few
-primitives whose behavior the rest of the code relies on.
+package; the helpers here are the validated constructor and the stable
+softmax the rest of the code relies on.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError
 
 Matrix = np.ndarray
-
-
-def make_matrix(rows: int, cols: int, data: Sequence[float]) -> Matrix:
-    """Build a rows x cols matrix from row-major values, validating invariants."""
-    if rows < 1 or cols < 1:
-        raise InputError(f"matrix dims must be positive, got {rows}x{cols}")
-    arr = np.asarray(data, dtype=np.float64).ravel()
-    if arr.size != rows * cols:
-        raise InputError(
-            f"data length {arr.size} does not equal rows*cols = {rows * cols}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix entries must be finite")
-    return np.ascontiguousarray(arr.reshape(rows, cols))
 
 
 def as_matrix(values, name: str = "matrix") -> Matrix:
@@ -40,17 +24,6 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     return np.ascontiguousarray(arr)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along the given axis."""
     z = np.asarray(z, dtype=np.float64)
@@ -58,6 +31,3 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)

@@ -1,7 +1,7 @@
 """Fixed-topology toy transformer classifier with manual reverse-mode gradients.
 
 Topology: token embedding + positional embedding, then n_layers blocks of
-(multi-head attention, FFN with relu), both with residual connections and
+(multi-head attention, FFN with ReLU), both with residual connections and
 no normalization layers, then mean-pool over positions and a linear head.
 
 The base weights are always frozen; gradients exist only for low-rank
@@ -15,20 +15,20 @@ attn_o|ffn_up|ffn_down", "head". Adapter gradient keys append "/b" and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .lora import LoraAdapter, lora_init
+from .lora import LoraAdapter, QLoraLinear, lora_init
 from .matrix import softmax
 from .quant import DEFAULT_BLOCK_SIZE, Q4BlockMatrix, q4_to_bytes, quantize_4bit
 
 LAYER_ROLES = ("attn_q", "attn_k", "attn_v", "attn_o", "ffn_up", "ffn_down")
 INIT_PROFILES = ("standard", "adapter_friendly")
-# matmul weights that the 4-bit path quantizes; embeddings are lookups and
-# stay dense
+# matrix-product weights, each run through one QLoraLinear and quantized by
+# the 4-bit path; embeddings are lookups and stay dense
 QUANTIZED_ROLES = LAYER_ROLES + ("head",)
 
 
@@ -109,17 +109,10 @@ class ToyModelSpec:
 
 @dataclass
 class ModelParams:
-    """Named weight map. Entries are dense float64 arrays or Q4BlockMatrix.
-
-    All base entries are frozen; `trainable` exists to make that contract
-    explicit and stays empty whenever adapters carry the learning.
-    """
+    """Named frozen weight map. Entries are dense float64 arrays or
+    Q4BlockMatrix; only adapters ever train."""
 
     weights: dict
-    trainable: frozenset = field(default_factory=frozenset)
-
-    def is_frozen(self, name: str) -> bool:
-        return name not in self.trainable
 
 
 def init_model_params(spec: ToyModelSpec, seed: int,
@@ -171,7 +164,7 @@ def init_model_params(spec: ToyModelSpec, seed: int,
 
 def quantize_base(params: ModelParams, spec: ToyModelSpec,
                   block_size: int = DEFAULT_BLOCK_SIZE) -> ModelParams:
-    """Replace every matmul weight with its 4-bit form; embeddings stay dense."""
+    """Replace every matrix-product weight with its 4-bit form; embeddings stay dense."""
     new: dict = {}
     for name, value in params.weights.items():
         role = name.rsplit(".", 1)[-1]
@@ -179,7 +172,7 @@ def quantize_base(params: ModelParams, spec: ToyModelSpec,
             new[name] = quantize_4bit(value, block_size)
         else:
             new[name] = value
-    return ModelParams(weights=new, trainable=params.trainable)
+    return ModelParams(weights=new)
 
 
 def base_fingerprint(params: ModelParams) -> bytes:
@@ -212,19 +205,18 @@ def init_adapters(spec: ToyModelSpec, rank: int, alpha: float,
 
 # ---- forward / backward ----
 
-def _dense_weights(params: ModelParams, spec: ToyModelSpec) -> dict[str, np.ndarray]:
+def _layers(params: ModelParams, spec: ToyModelSpec,
+            adapters: Mapping[str, LoraAdapter]) -> dict[str, QLoraLinear]:
+    """One QLoraLinear per matrix-product weight; 4-bit bases dequantize here."""
     expected = set(spec.param_names())
     have = set(params.weights)
     if have != expected:
         missing = sorted(expected - have)
         extra = sorted(have - expected)
         raise InputError(f"params do not match spec (missing {missing}, extra {extra})")
-    from .quant import dequantize_4bit
-
-    out = {}
-    for name, value in params.weights.items():
-        out[name] = dequantize_4bit(value) if isinstance(value, Q4BlockMatrix) else value
-    return out
+    return {name: QLoraLinear(value, adapters.get(name))
+            for name, value in params.weights.items()
+            if name.rsplit(".", 1)[-1] in QUANTIZED_ROLES}
 
 
 def _check_adapters(adapters: Mapping[str, LoraAdapter] | None, spec: ToyModelSpec):
@@ -260,52 +252,29 @@ def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
     return toks
 
 
-def _linear_forward(x, w, ad: LoraAdapter | None):
-    y = x @ w
-    cache = None
-    if ad is not None:
-        u = x @ ad.b_factor
-        y = y + ad.scaling * (u @ ad.a_factor)
-        cache = (x, u)
-    return y, cache
-
-
-def _linear_backward(dy, w, ad: LoraAdapter | None, cache, grads, name):
-    dx = dy @ w.T
-    if ad is not None:
-        x, u = cache
-        s = ad.scaling
-        grads[name + "/a"] += s * (u.T @ dy)
-        t = dy @ ad.a_factor.T
-        grads[name + "/b"] += s * (x.T @ t)
-        dx = dx + s * (t @ ad.b_factor.T)
-    return dx
-
-
-def _forward_seq(dense, spec: ToyModelSpec, adapters, toks, need_tape: bool):
+def _forward_seq(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
     t = toks.size
     h_count, dh = spec.n_heads, spec.head_dim
     inv_sqrt = dh ** -0.5
-    x = dense["tok_emb"][toks] + dense["pos_emb"][:t]
+    x = weights["tok_emb"][toks] + weights["pos_emb"][:t]
     tape = [] if need_tape else None
     for i in range(spec.n_layers):
         pre = f"layers.{i}."
         x_in = x
-        q, cq = _linear_forward(x_in, dense[pre + "attn_q"], adapters.get(pre + "attn_q"))
-        k, ck = _linear_forward(x_in, dense[pre + "attn_k"], adapters.get(pre + "attn_k"))
-        v, cv = _linear_forward(x_in, dense[pre + "attn_v"], adapters.get(pre + "attn_v"))
+        q, cq = layers[pre + "attn_q"].forward(x_in)
+        k, ck = layers[pre + "attn_k"].forward(x_in)
+        v, cv = layers[pre + "attn_v"].forward(x_in)
         qh = q.reshape(t, h_count, dh)
         kh = k.reshape(t, h_count, dh)
         vh = v.reshape(t, h_count, dh)
         scores = np.einsum("thd,shd->hts", qh, kh) * inv_sqrt
         attn = softmax(scores, axis=-1)
         ctx = np.einsum("hts,shd->thd", attn, vh).reshape(t, spec.d_model)
-        o, co = _linear_forward(ctx, dense[pre + "attn_o"], adapters.get(pre + "attn_o"))
+        o, co = layers[pre + "attn_o"].forward(ctx)
         x_mid = x_in + o
-        up, cu = _linear_forward(x_mid, dense[pre + "ffn_up"], adapters.get(pre + "ffn_up"))
+        up, cu = layers[pre + "ffn_up"].forward(x_mid)
         hidden = np.maximum(up, 0.0)
-        down, cd = _linear_forward(hidden, dense[pre + "ffn_down"],
-                                   adapters.get(pre + "ffn_down"))
+        down, cd = layers[pre + "ffn_down"].forward(hidden)
         x = x_mid + down
         if need_tape:
             tape.append({
@@ -314,28 +283,26 @@ def _forward_seq(dense, spec: ToyModelSpec, adapters, toks, need_tape: bool):
                 "cq": cq, "ck": ck, "cv": cv, "co": co, "cu": cu, "cd": cd,
             })
     pooled = x.mean(axis=0)
-    logits = pooled @ dense["head"]
+    logits, _ = layers["head"].forward(pooled)
     return logits, t, tape
 
 
-def _backward_seq(dense, spec: ToyModelSpec, adapters, dlogits, t, tape, grads):
+def _backward_seq(layers, spec: ToyModelSpec, dlogits, t, tape, grads):
     h_count, dh = spec.n_heads, spec.head_dim
     inv_sqrt = dh ** -0.5
-    dpooled = dlogits @ dense["head"].T
+
+    def back(name, dy, cache):
+        return layers[name].backward(dy, cache, grads, name)
+
+    dpooled = back("head", dlogits, None)
     dx = np.tile(dpooled / t, (t, 1))
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
         rec = tape[i]
-        dhidden = _linear_backward(dx, dense[pre + "ffn_down"],
-                                   adapters.get(pre + "ffn_down"), rec["cd"],
-                                   grads, pre + "ffn_down")
+        dhidden = back(pre + "ffn_down", dx, rec["cd"])
         dup = dhidden * (rec["up"] > 0.0)
-        dx_mid = dx + _linear_backward(dup, dense[pre + "ffn_up"],
-                                       adapters.get(pre + "ffn_up"), rec["cu"],
-                                       grads, pre + "ffn_up")
-        dctx = _linear_backward(dx_mid, dense[pre + "attn_o"],
-                                adapters.get(pre + "attn_o"), rec["co"],
-                                grads, pre + "attn_o")
+        dx_mid = dx + back(pre + "ffn_up", dup, rec["cu"])
+        dctx = back(pre + "attn_o", dx_mid, rec["co"])
         dctxh = dctx.reshape(t, h_count, dh)
         attn, qh, kh, vh = rec["attn"], rec["qh"], rec["kh"], rec["vh"]
         dattn = np.einsum("thd,shd->hts", dctxh, vh)
@@ -348,15 +315,9 @@ def _backward_seq(dense, spec: ToyModelSpec, adapters, dlogits, t, tape, grads):
         dk = dkh.reshape(t, spec.d_model)
         dv = dvh.reshape(t, spec.d_model)
         dx_in = dx_mid
-        dx_in = dx_in + _linear_backward(dq, dense[pre + "attn_q"],
-                                         adapters.get(pre + "attn_q"), rec["cq"],
-                                         grads, pre + "attn_q")
-        dx_in = dx_in + _linear_backward(dk, dense[pre + "attn_k"],
-                                         adapters.get(pre + "attn_k"), rec["ck"],
-                                         grads, pre + "attn_k")
-        dx_in = dx_in + _linear_backward(dv, dense[pre + "attn_v"],
-                                         adapters.get(pre + "attn_v"), rec["cv"],
-                                         grads, pre + "attn_v")
+        dx_in = dx_in + back(pre + "attn_q", dq, rec["cq"])
+        dx_in = dx_in + back(pre + "attn_k", dk, rec["ck"])
+        dx_in = dx_in + back(pre + "attn_v", dv, rec["cv"])
         dx = dx_in
 
 
@@ -364,9 +325,8 @@ def forward(params: ModelParams, spec: ToyModelSpec, tokens,
             adapters: Mapping[str, LoraAdapter] | None = None) -> np.ndarray:
     """Class logits for one token sequence (adapters optional)."""
     toks = _check_tokens(tokens, spec)
-    ad = _check_adapters(adapters, spec)
-    dense = _dense_weights(params, spec)
-    logits, _, _ = _forward_seq(dense, spec, ad, toks, need_tape=False)
+    layers = _layers(params, spec, _check_adapters(adapters, spec))
+    logits, _, _ = _forward_seq(params.weights, layers, spec, toks, need_tape=False)
     return logits
 
 
@@ -380,7 +340,7 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
     if len(batch) == 0:
         raise InputError("batch must be non-empty")
     ad = _check_adapters(adapters, spec)
-    dense = _dense_weights(params, spec)
+    layers = _layers(params, spec, ad)
     grads = {}
     for name, adapter in ad.items():
         grads[name + "/b"] = np.zeros_like(adapter.b_factor)
@@ -392,11 +352,11 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
         y = int(label)
         if not 0 <= y < spec.n_classes:
             raise InputError(f"label {y} outside [0, {spec.n_classes})")
-        logits, t, tape = _forward_seq(dense, spec, ad, toks, need_tape=True)
+        logits, t, tape = _forward_seq(params.weights, layers, spec, toks, need_tape=True)
         probs = softmax(logits)
         total += -np.log(probs[y]) * inv_b
         dlogits = probs.copy()
         dlogits[y] -= 1.0
         dlogits *= inv_b
-        _backward_seq(dense, spec, ad, dlogits, t, tape, grads)
+        _backward_seq(layers, spec, dlogits, t, tape, grads)
     return float(total), grads

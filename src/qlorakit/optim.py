@@ -98,7 +98,6 @@ class OptimizerState:
     step_count: int = 0
     first: dict = field(default_factory=dict)
     second: dict = field(default_factory=dict)
-    shapes: dict = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray], cfg: TrainConfig,
@@ -106,7 +105,6 @@ class OptimizerState:
         state = cls(state_bits=cfg.state_bits, block_size=block_size)
         for name, p in params.items():
             zeros = np.zeros(p.size, dtype=np.float64)
-            state.shapes[name] = p.shape
             if cfg.state_bits == 8:
                 state.first[name] = quantize_8bit(zeros, block_size)
                 state.second[name] = quantize_8bit(zeros, block_size)
@@ -118,17 +116,6 @@ class OptimizerState:
 
 def _load(entry) -> np.ndarray:
     return dequantize_8bit(entry) if isinstance(entry, Q8Vector) else entry
-
-
-def first_moment(state: OptimizerState, name: str) -> np.ndarray:
-    return _load(state.first[name]).reshape(state.shapes[name])
-
-
-def second_moment(state: OptimizerState, name: str) -> np.ndarray:
-    v = _load(state.second[name])
-    if isinstance(state.second[name], Q8Vector):
-        v = v * v
-    return v.reshape(state.shapes[name])
 
 
 def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],

@@ -352,8 +352,9 @@ class GenerationResult:
 
 
 def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
-                     max_retries: int = 2,
-                     max_concurrency: int = 4) -> GenerationResult:
+                     max_retries: int = LLMClientSpec.max_retries,
+                     max_concurrency: int = LLMClientSpec.max_concurrency,
+                     ) -> GenerationResult:
     """Produce five QARecords per accepted scenario.
 
     A scenario whose responses keep failing to parse after max_retries

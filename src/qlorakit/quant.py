@@ -202,11 +202,6 @@ def dequantize_8bit(q: Q8Vector) -> np.ndarray:
     return _blockwise_dequantize(q.codes, q.scales, q.block_size)
 
 
-def memory_footprint(q: Q4BlockMatrix) -> int:
-    """Exact serialized size: header + ceil(n/2) code bytes + 4 bytes per scale."""
-    return HEADER_BYTES + (q.n_elements + 1) // 2 + 4 * q.n_blocks
-
-
 def footprint_report(q: Q4BlockMatrix) -> dict:
     """Byte accounting vs dense 32-bit storage of the same matrix."""
     code_bytes = (q.n_elements + 1) // 2

@@ -13,6 +13,8 @@ from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
                              parse_set_overrides, train_config_from)
 from qlorakit.errors import ConfigError
+from qlorakit.optim import TrainConfig
+from qlorakit.qagen import LLMClientSpec
 from qlorakit.trainer import read_trace_csv
 
 
@@ -46,13 +48,21 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_value_coercion():
+def test_value_coercion(tmp_path):
     assert load_config(None, {"qlora": "true"}).qlora is True
     assert load_config(None, {"qlora": "off"}).qlora is False
     with pytest.raises(ConfigError, match="boolean"):
         load_config(None, {"qlora": "maybe"})
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(None, {"rank": "sixteen"})
+    # int keys in a JSON file: integral floats pass, nothing truncates
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"rank": 8.0}))
+    assert load_config(path).rank == 8
+    for bad in ({"rank": 2.7}, {"epochs": True}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match="as int"):
+            load_config(path)
 
 
 def test_parse_set_overrides():
@@ -77,6 +87,12 @@ def test_spec_builders():
     assert tcfg.seed == derive_seed(cfg.seed, "train")
     assert client_spec_from(cfg).backend == "mock"
     assert config_dict(cfg)["adapter_targets"] == "attn_q, ffn_up"
+
+
+def test_component_configs_share_the_run_defaults():
+    cfg = load_config()
+    assert train_config_from(cfg) == TrainConfig(seed=derive_seed(0, "train"))
+    assert client_spec_from(cfg) == LLMClientSpec()
 
 
 # ---- CLI plumbing ----
@@ -219,6 +235,10 @@ def test_corpus_pipeline_predict_eval_report(tmp_path, capsys):
                 "Accuracy", "Recall", "Precision", "F1-score"):
         assert row in table
     assert table in out
+    # report over one eval's metrics reproduces that eval's own tables
+    assert table == (evals / "report_lora-toy.txt").read_text()
+    report_csv = (evals / "report.csv").read_text()
+    assert report_csv == (evals / "metrics_lora-toy.csv").read_text()
     meta = read_json(evals / "eval_summary_lora-toy.json")
     assert set(meta["metrics"]) == {"scene", "agent", "suggested_action", "risk"}
 
@@ -234,6 +254,34 @@ def test_predict_requires_a_corpus_checkpoint(tmp_path, capsys):
                "--out", str(tmp_path / "p.jsonl")])
     assert rc == 2
     assert "corpus" in capsys.readouterr().err
+
+
+def test_predict_rejects_damaged_checkpoint(tmp_path, capsys):
+    _, data, run = corpus_pipeline(tmp_path, seed=14)
+    ckpt = run / "adapters.bin"
+    good = ckpt.read_bytes()
+    meta_len = int.from_bytes(good[12:16], "little")
+    name_at = 16 + meta_len + 4
+    name_len = int.from_bytes(good[name_at - 4:name_at], "little")
+    factor_at = name_at + name_len + 20
+    damaged = {
+        "header": good[:10],
+        "meta": good[:20],
+        "meta tail": good[:16 + meta_len - 1],
+        "name": good[:name_at + name_len // 2],
+        "factor": good[:factor_at + 12],
+        "last factor": good[:-4],
+        "non-utf8 meta": good[:16] + b"\xff" * meta_len + good[16 + meta_len:],
+        "non-object meta": (good[:12] + (2).to_bytes(4, "little") + b"[]"
+                            + good[16 + meta_len:]),
+    }
+    for what, blob in damaged.items():
+        ckpt.write_bytes(blob)
+        rc = main(["predict", "--run", str(run), "--data", str(data),
+                   "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 2, what
+        assert err.startswith("error: input: ") and err.count("\n") == 1, (what, err)
 
 
 def test_eval_reports_missing_prediction(tmp_path, capsys):

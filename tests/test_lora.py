@@ -1,5 +1,6 @@
-"""Adapter tests: init, delta rank, merge equivalence, the quantized-base
-forward, parameter accounting, and the checkpoint format."""
+"""Adapter tests: init, delta rank, merge equivalence, the adapted linear
+layer over a 4-bit base, trainable-parameter accounting, and the
+checkpoint format."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlorakit.errors import ConfigError, InputError, ShapeError
-from qlorakit.lora import (LoraAdapter, QLoraLinear, count_trainable_params,
-                           load_adapters, lora_delta, lora_init, merge,
-                           qlora_forward, save_adapters)
+from qlorakit.lora import (LoraAdapter, QLoraLinear, load_adapters, lora_delta,
+                           lora_init, merge, qlora_forward, save_adapters)
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params, loss_and_grads
+from qlorakit.optim import TrainConfig
 from qlorakit.quant import dequantize_4bit, q4_to_bytes, quantize_4bit
+from qlorakit.trainer import train
 
 
 def trained_adapter(d_in, d_out, r, alpha, seed):
@@ -121,28 +123,38 @@ def test_qlora_layer_shape_checks():
         qlora_forward(np.ones((2, 9)), layer)
 
 
+def one_step_summary(spec, rank, batch):
+    """Run summary of one optimizer step over batch with fresh adapters."""
+    params = init_model_params(spec, seed=0)
+    adapters = init_adapters(spec, rank=rank, alpha=2.0 * rank, seed=1)
+    cfg = TrainConfig(rank=rank, batch_size=len(batch), grad_accum_steps=1,
+                      warmup_steps=0)
+    return train(batch, params, spec, adapters, cfg).summary
+
+
 def test_trainable_param_count_formula():
     one_64 = ToyModelSpec(vocab_size=4, d_model=64, n_layers=1, n_heads=1,
                           d_ff=8, n_classes=2, max_seq_len=4,
                           adapter_targets=("attn_q",))
-    assert count_trainable_params(one_64, r=16).trainable == 16 * (64 + 64) == 2048
+    summary = one_step_summary(one_64, 16, [([1, 2], 0)])
+    assert summary["trainable_params"] == 16 * (64 + 64) == 2048
 
     two_by_three = ToyModelSpec(vocab_size=4, d_model=2, n_layers=1, n_heads=1,
                                 d_ff=3, n_classes=2, max_seq_len=4,
                                 adapter_targets=("ffn_up",))
-    assert count_trainable_params(two_by_three, r=1).trainable == 5
+    assert one_step_summary(two_by_three, 1, [([1, 2], 0)])["trainable_params"] == 5
     with pytest.raises(ConfigError):
-        count_trainable_params(two_by_three, r=0)
+        init_adapters(two_by_three, rank=0, alpha=1.0, seed=0)
 
 
 def test_trainable_count_matches_gradient_map(small_setup):
     spec, params, adapters, batch = small_setup
     _, grads = loss_and_grads(params, spec, batch, adapters)
     rank = next(iter(adapters.values())).rank
-    counted = count_trainable_params(spec, rank)
-    assert sum(g.size for g in grads.values()) == counted.trainable
-    assert counted.total == spec.total_params()
-    assert 0.0 < counted.percent < 100.0
+    summary = one_step_summary(spec, rank, batch)
+    assert sum(g.size for g in grads.values()) == summary["trainable_params"]
+    assert summary["total_base_params"] == spec.total_params()
+    assert 0.0 < summary["trainable_percent"] < 100.0
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
-"""Dense-core tests: constructors, matmul vs a naive oracle, softmax, relu."""
+"""Dense-core tests: as_matrix, softmax, and the adapted linear layer's
+base product (a dense base, no adapter) vs a naive matmul oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlorakit.errors import InputError, ShapeError
-from qlorakit.matrix import as_matrix, make_matrix, matmul, relu, softmax
+from qlorakit.lora import QLoraLinear, qlora_forward
+from qlorakit.matrix import as_matrix, softmax
 
 
 def naive_matmul(a, b):
@@ -18,14 +20,19 @@ def naive_matmul(a, b):
     return out
 
 
+def matmul(a, b):
+    """a @ b through the package's one linear layer."""
+    return qlora_forward(a, QLoraLinear(as_matrix(b)))
+
+
 def test_identity_preserves_matrix():
     m = np.arange(9.0).reshape(3, 3)
     assert np.array_equal(matmul(np.eye(3), m), m)
 
 
 def test_two_by_two_product():
-    a = make_matrix(2, 2, [1, 2, 3, 4])
-    b = make_matrix(2, 2, [5, 6, 7, 8])
+    a = as_matrix([[1, 2], [3, 4]])
+    b = as_matrix([[5, 6], [7, 8]])
     assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
 
 
@@ -46,17 +53,15 @@ def test_product_matches_naive_oracle_any_shape(n, k, m, seed):
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"cannot multiply 2x3 by 2x3"):
+    with pytest.raises(ShapeError, match=r"input 2x3 does not feed a 2x3 layer"):
         matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
-def test_make_matrix_validation():
-    with pytest.raises(InputError):
-        make_matrix(0, 2, [])
-    with pytest.raises(InputError, match="does not equal rows\\*cols"):
-        make_matrix(2, 2, [1, 2, 3])
+def test_as_matrix_rejects_non_finite():
+    with pytest.raises(InputError, match="w entries must be finite"):
+        as_matrix([[1.0, np.nan]], "w")
     with pytest.raises(InputError, match="finite"):
-        make_matrix(1, 2, [1.0, np.nan])
+        as_matrix([[np.inf], [0.0]])
 
 
 def test_as_matrix_rejects_non_2d():
@@ -82,7 +87,3 @@ def test_softmax_is_shift_stable():
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.allclose(p, softmax(z - 1e4), atol=1e-15)
 
-
-def test_relu_clamps_negatives():
-    x = np.array([-2.0, 0.0, 3.5])
-    assert np.array_equal(relu(x), [0.0, 0.0, 3.5])

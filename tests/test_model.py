@@ -10,7 +10,7 @@ from qlorakit.matrix import softmax
 from qlorakit.model import (LAYER_ROLES, ModelParams, ToyModelSpec,
                             base_fingerprint, forward, init_adapters,
                             init_model_params, loss_and_grads, quantize_base)
-from qlorakit.quant import Q4BlockMatrix
+from qlorakit.quant import Q4BlockMatrix, dequantize_4bit
 
 from conftest import make_batch
 
@@ -162,6 +162,25 @@ def test_quantize_base_targets_matmul_weights_only(small_setup):
     # quantized model is still runnable and purely a function of its inputs
     logits = forward(qparams, spec, batch[0][0], adapters)
     assert np.array_equal(logits, forward(qparams, spec, batch[0][0], adapters))
+
+
+def test_q4_model_equals_dense_model_of_its_dequantized_weights(small_setup):
+    spec, params, adapters, batch = small_setup
+    rng = np.random.default_rng(5)
+    for ad in adapters.values():  # nonzero a_factor so every factor gets a gradient
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    qparams = quantize_base(params, spec, block_size=16)
+    dense = ModelParams(weights={
+        name: dequantize_4bit(v) if isinstance(v, Q4BlockMatrix) else v
+        for name, v in qparams.weights.items()})
+    for tokens, _ in batch:
+        assert np.array_equal(forward(qparams, spec, tokens, adapters),
+                              forward(dense, spec, tokens, adapters))
+    q_loss, q_grads = loss_and_grads(qparams, spec, batch, adapters)
+    d_loss, d_grads = loss_and_grads(dense, spec, batch, adapters)
+    assert q_loss == d_loss
+    assert sorted(q_grads) == sorted(d_grads)
+    assert all(np.array_equal(q_grads[k], d_grads[k]) for k in d_grads)
 
 
 def test_params_spec_mismatch_detected(small_spec):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from qlorakit.errors import InputError
 from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP,
                             Q8Vector, dequantize_4bit, dequantize_8bit,
-                            footprint_report, memory_footprint, pack_nibbles,
-                            q4_from_bytes, q4_to_bytes, quantize_4bit,
-                            quantize_8bit, round_half_away, unpack_nibbles)
+                            footprint_report, pack_nibbles, q4_from_bytes,
+                            q4_to_bytes, quantize_4bit, quantize_8bit,
+                            round_half_away, unpack_nibbles)
 
 
 def test_round_half_away_tie_handling():
@@ -88,7 +88,7 @@ def test_serialization_roundtrip_and_header():
     blob = q4_to_bytes(q)
     assert blob[:4] == Q4_MAGIC
     assert struct.unpack("<III", blob[4:16]) == (9, 13, 16)
-    assert len(blob) == memory_footprint(q)
+    assert len(blob) == footprint_report(q)["total_bytes"]
     back = q4_from_bytes(blob)
     assert (back.rows, back.cols, back.block_size) == (9, 13, 16)
     assert np.array_equal(back.codes(), q.codes())
@@ -122,15 +122,15 @@ def test_zero_scale_block_with_nonzero_code_rejected():
 
 def test_memory_footprint_formula():
     q = quantize_4bit(np.random.default_rng(0).normal(size=(64, 64)), block_size=64)
-    assert memory_footprint(q) == HEADER_BYTES + 2048 + 64 * 4 == 2320
     rep = footprint_report(q)
+    assert rep["total_bytes"] == HEADER_BYTES + 2048 + 64 * 4 == 2320
     assert rep["code_bytes"] == 2048 and rep["scale_bytes"] == 256
     assert rep["dense_bytes"] == 16384
     assert rep["payload_ratio"] == pytest.approx(16384 / 2304)
     assert rep["total_ratio"] == pytest.approx(16384 / 2320)
 
     tiny = quantize_4bit(np.ones((1, 1)), block_size=64)
-    assert memory_footprint(tiny) == HEADER_BYTES + 1 + 4 == 21
+    assert footprint_report(tiny)["total_bytes"] == HEADER_BYTES + 1 + 4 == 21
 
 
 def test_quantize_input_validation():
