@@ -10,8 +10,8 @@ from .lora import (LoraAdapter, QLoraLinear, load_adapters, lora_delta,
                    lora_init, merge, qlora_forward, save_adapters)
 from .matrix import Matrix, as_matrix, softmax
 from .model import (ModelParams, ToyModelSpec, base_fingerprint, forward,
-                    init_adapters, init_model_params, loss_and_grads,
-                    quantize_base)
+                    forward_batch, init_adapters, init_model_params,
+                    loss_and_grads, quantize_base)
 from .optim import OptimizerState, TrainConfig, adamw_step, lr_at
 from .qagen import (CATEGORIES, GenerationResult, LLMClientSpec,
                     MockLLMClient, QARecord, ScenarioAnnotation, build_prompt,
@@ -33,7 +33,7 @@ __all__ = [
     "TransportError", "adamw_step", "as_matrix", "base_fingerprint",
     "build_confusion", "build_prompt", "compute_metrics",
     "dequantize_4bit", "dequantize_8bit", "evaluate_accuracy",
-    "footprint_report", "forward", "generate_dataset", "init_adapters",
+    "footprint_report", "forward", "forward_batch", "generate_dataset", "init_adapters",
     "init_model_params", "load_adapters", "lora_delta", "lora_init",
     "loss_and_grads", "lr_at", "merge", "normalize_answer", "pack_nibbles",
     "parse_qa_response", "q4_from_bytes", "q4_to_bytes", "qlora_forward",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
+import hashlib
 import json
 import os
 import re
@@ -30,8 +31,9 @@ from . import qagen
 from . import tasks
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
+from .fileio import atomic_write
 from .lora import load_adapters, save_adapters
-from .model import init_adapters, init_model_params, quantize_base
+from .model import base_fingerprint, init_adapters, init_model_params, quantize_base
 from .quant import (DEFAULT_BLOCK_SIZE, dequantize_4bit, footprint_report,
                     quantize_4bit)
 from .trainer import evaluate_accuracy, train, write_trace_csv
@@ -53,7 +55,7 @@ def _err(message: str) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -63,6 +65,11 @@ def _load_cfg(args, **flag_overrides) -> cfgmod.RunConfig:
         if value is not None:
             overrides[key] = value
     return cfgmod.load_config(getattr(args, "config", None), overrides)
+
+
+def _base_sha256(params) -> str:
+    """Identity of a rebuilt frozen base, stored in and checked against checkpoints."""
+    return hashlib.sha256(base_fingerprint(params)).hexdigest()
 
 
 def _require_file(path, what: str):
@@ -212,6 +219,7 @@ def cmd_train(args) -> int:
         "mode": mode,
         "labels": labels,
         "n_classes": spec.n_classes,
+        "base_sha256": _base_sha256(params),
     })
     write_trace_csv(result.trace, os.path.join(args.out, TRACE_FILE))
     summary = dict(result.summary)
@@ -245,6 +253,9 @@ def cmd_predict(args) -> int:
                                cfg.init_profile)
     if cfg.qlora:
         params = quantize_base(params, spec, cfg.block_size)
+    if meta.get("base_sha256") != _base_sha256(params):
+        raise InputError("checkpoint was not trained on the base this config rebuilds "
+                         "(base_sha256 missing or different)")
     records = qagen.read_records_jsonl(
         _require_file(os.path.join(args.data, CORPUS_FILE), "corpus file"))
     if args.split != "all":
@@ -298,11 +309,9 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     table = ev.render_report(results)
     csv_text = ev.render_report_csv(results)
-    with open(os.path.join(args.out, f"metrics_{args.model_name}.csv"), "w",
-              encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, f"metrics_{args.model_name}.csv")) as fh:
         fh.write(csv_text)
-    with open(os.path.join(args.out, f"report_{args.model_name}.txt"), "w",
-              encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, f"report_{args.model_name}.txt")) as fh:
         fh.write(table)
     _write_json(os.path.join(args.out, f"eval_summary_{args.model_name}.json"), {
         "model_name": args.model_name,
@@ -336,9 +345,9 @@ def cmd_report(args) -> int:
                 raise InputError(f"duplicate model column {model!r} in {path}")
             merged[model] = per_task
     text, csv_text = ev.render_tables({m: merged[m] for m in sorted(merged)})
-    with open(os.path.join(args.in_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.in_dir, "report.txt")) as fh:
         fh.write(text)
-    with open(os.path.join(args.in_dir, "report.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.in_dir, "report.csv")) as fh:
         fh.write(csv_text)
     print(text, end="")
     return 0

@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .fileio import atomic_write
 from .qagen import CATEGORIES, _read_jsonl
 
 UNKNOWN = "unknown"
@@ -272,8 +273,7 @@ def write_label_files(labels_dir, label_sets: Mapping[str, Sequence[str]]) -> No
     os.makedirs(labels_dir, exist_ok=True)
     for category, labels in label_sets.items():
         ls = LabelSet(category=category, labels=tuple(labels))
-        with open(os.path.join(labels_dir, f"{category}.txt"), "w",
-                  encoding="utf-8") as fh:
+        with atomic_write(os.path.join(labels_dir, f"{category}.txt")) as fh:
             for lab in ls.labels:
                 fh.write(lab + "\n")
 
@@ -298,7 +298,7 @@ def read_label_dir(labels_dir) -> dict[str, LabelSet]:
 
 def write_predictions_jsonl(path, rows: Sequence[tuple]) -> None:
     """rows: (scenario_id, pair_index, raw_answer) triples."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sid, idx, answer in rows:
             fh.write(json.dumps(
                 {"scenario_id": sid, "pair_index": int(idx), "raw_answer": answer},

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import quant
 from .errors import ConfigError, InputError, ShapeError
+from .fileio import atomic_write
 from .matrix import Matrix, as_matrix
 from .quant import Q4BlockMatrix
 
@@ -130,26 +131,32 @@ class QLoraLinear:
         self.weight = w
 
     def forward(self, x):
-        """Returns (y, cache); cache feeds backward and is None without an adapter."""
-        y = x @ self.weight
+        """y for x of shape (..., d_in), plus the cache backward needs
+        (None without an adapter). Leading axes run as one matrix product."""
+        x2 = x.reshape(-1, x.shape[-1])
+        y = x2 @ self.weight
         ad = self.adapter
-        if ad is None:
-            return y, None
-        u = x @ ad.b_factor
-        return y + ad.scaling * (u @ ad.a_factor), (x, u)
+        cache = None
+        if ad is not None:
+            u = x2 @ ad.b_factor
+            y = y + ad.scaling * (u @ ad.a_factor)
+            cache = (x2, u)
+        return y.reshape(*x.shape[:-1], y.shape[-1]), cache
 
     def backward(self, dy, cache, grads, name: str):
-        """dx for upstream; adds the factor gradients into grads[name + "/a" | "/b"]."""
-        dx = dy @ self.weight.T
+        """dx for upstream; adds the factor gradients, summed over every
+        leading axis, into grads[name + "/a" | "/b"]."""
+        dy2 = dy.reshape(-1, dy.shape[-1])
+        dx = dy2 @ self.weight.T
         ad = self.adapter
         if ad is not None:
-            x, u = cache
+            x2, u = cache
             s = ad.scaling
-            grads[name + "/a"] += s * (u.T @ dy)
-            t = dy @ ad.a_factor.T
-            grads[name + "/b"] += s * (x.T @ t)
+            grads[name + "/a"] += s * (u.T @ dy2)
+            t = dy2 @ ad.a_factor.T
+            grads[name + "/b"] += s * (x2.T @ t)
             dx = dx + s * (t @ ad.b_factor.T)
-        return dx
+        return dx.reshape(*dy.shape[:-1], dx.shape[-1])
 
 
 def qlora_forward(x: Matrix, layer: QLoraLinear) -> Matrix:
@@ -182,7 +189,7 @@ def save_adapters(path, adapters: Mapping[str, LoraAdapter], meta: dict | None =
         parts.append(struct.pack("<IIId", ad.d_in, ad.d_out, ad.rank, ad.alpha))
         parts.append(np.ascontiguousarray(ad.b_factor, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(ad.a_factor, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(b"".join(parts))
 
 

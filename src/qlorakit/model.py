@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import quant
 from .errors import ConfigError, InputError
 from .lora import LoraAdapter, QLoraLinear, lora_init
 from .matrix import softmax
@@ -205,6 +206,24 @@ def init_adapters(spec: ToyModelSpec, rank: int, alpha: float,
 
 # ---- forward / backward ----
 
+# token rows per batched pass: equal-length sequences run together, at most
+# this many rows at a time (8 sequences at T=16); throughput saturates well
+# below it, and larger passes only raise peak memory
+ROWS_PER_PASS = 128
+
+
+def dense_base(params: ModelParams) -> ModelParams:
+    """The same base with every Q4 entry dequantized to float64.
+
+    Callers that run one base through many passes build this once; the
+    dense copy of the criterion-07 shapes holds 132,096 B against 9,288 B
+    of Q4 payload.
+    """
+    return ModelParams(weights={
+        name: quant.dequantize_4bit(value) if isinstance(value, Q4BlockMatrix) else value
+        for name, value in params.weights.items()})
+
+
 def _layers(params: ModelParams, spec: ToyModelSpec,
             adapters: Mapping[str, LoraAdapter]) -> dict[str, QLoraLinear]:
     """One QLoraLinear per matrix-product weight; 4-bit bases dequantize here."""
@@ -252,24 +271,44 @@ def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
     return toks
 
 
-def _forward_seq(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
-    t = toks.size
-    h_count, dh = spec.n_heads, spec.head_dim
-    inv_sqrt = dh ** -0.5
-    x = weights["tok_emb"][toks] + weights["pos_emb"][:t]
-    tape = [] if need_tape else None
+def _passes(toks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Indices of equal-length sequences, at most ROWS_PER_PASS token rows per group."""
+    by_len: dict[int, list[int]] = {}
+    for i, t in enumerate(toks):
+        by_len.setdefault(t.size, []).append(i)
+    out = []
+    for t, idx in by_len.items():
+        per = max(1, ROWS_PER_PASS // t)
+        out.extend(np.array(idx[s:s + per]) for s in range(0, len(idx), per))
+    return out
+
+
+def _split_heads(x, spec: ToyModelSpec):
+    """(B, T, d) -> (B, H, T, dh)."""
+    b, t, _ = x.shape
+    return x.reshape(b, t, spec.n_heads, spec.head_dim).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    """(B, H, T, dh) -> (B, T, d)."""
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def _forward_pass(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
+    """Logits (B, n_classes) for a (B, T) token array, plus the backward tape."""
+    inv_sqrt = spec.head_dim ** -0.5
+    x = weights["tok_emb"][toks] + weights["pos_emb"][:toks.shape[1]]
+    tape = []
     for i in range(spec.n_layers):
         pre = f"layers.{i}."
         x_in = x
         q, cq = layers[pre + "attn_q"].forward(x_in)
         k, ck = layers[pre + "attn_k"].forward(x_in)
         v, cv = layers[pre + "attn_v"].forward(x_in)
-        qh = q.reshape(t, h_count, dh)
-        kh = k.reshape(t, h_count, dh)
-        vh = v.reshape(t, h_count, dh)
-        scores = np.einsum("thd,shd->hts", qh, kh) * inv_sqrt
-        attn = softmax(scores, axis=-1)
-        ctx = np.einsum("hts,shd->thd", attn, vh).reshape(t, spec.d_model)
+        qh, kh, vh = (_split_heads(a, spec) for a in (q, k, v))
+        attn = softmax(qh @ kh.swapaxes(-1, -2) * inv_sqrt, axis=-1)
+        ctx = _merge_heads(attn @ vh)
         o, co = layers[pre + "attn_o"].forward(ctx)
         x_mid = x_in + o
         up, cu = layers[pre + "ffn_up"].forward(x_mid)
@@ -278,56 +317,61 @@ def _forward_seq(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
         x = x_mid + down
         if need_tape:
             tape.append({
-                "x_in": x_in, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
-                "ctx": ctx, "x_mid": x_mid, "up": up, "hidden": hidden,
+                "qh": qh, "kh": kh, "vh": vh, "attn": attn, "up": up,
                 "cq": cq, "ck": ck, "cv": cv, "co": co, "cu": cu, "cd": cd,
             })
-    pooled = x.mean(axis=0)
-    logits, _ = layers["head"].forward(pooled)
-    return logits, t, tape
+    logits, _ = layers["head"].forward(x.mean(axis=1))
+    return logits, tape
 
 
-def _backward_seq(layers, spec: ToyModelSpec, dlogits, t, tape, grads):
-    h_count, dh = spec.n_heads, spec.head_dim
-    inv_sqrt = dh ** -0.5
+def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, tape, grads):
+    inv_sqrt = spec.head_dim ** -0.5
 
     def back(name, dy, cache):
         return layers[name].backward(dy, cache, grads, name)
 
     dpooled = back("head", dlogits, None)
-    dx = np.tile(dpooled / t, (t, 1))
+    dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
         rec = tape[i]
         dhidden = back(pre + "ffn_down", dx, rec["cd"])
         dup = dhidden * (rec["up"] > 0.0)
         dx_mid = dx + back(pre + "ffn_up", dup, rec["cu"])
-        dctx = back(pre + "attn_o", dx_mid, rec["co"])
-        dctxh = dctx.reshape(t, h_count, dh)
+        dctxh = _split_heads(back(pre + "attn_o", dx_mid, rec["co"]), spec)
         attn, qh, kh, vh = rec["attn"], rec["qh"], rec["kh"], rec["vh"]
-        dattn = np.einsum("thd,shd->hts", dctxh, vh)
-        dvh = np.einsum("hts,thd->shd", attn, dctxh)
+        dattn = dctxh @ vh.swapaxes(-1, -2)
+        dvh = attn.swapaxes(-1, -2) @ dctxh
         # softmax jacobian applied row-wise over the key axis
         dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-        dqh = np.einsum("hts,shd->thd", dscores, kh) * inv_sqrt
-        dkh = np.einsum("hts,thd->shd", dscores, qh) * inv_sqrt
-        dq = dqh.reshape(t, spec.d_model)
-        dk = dkh.reshape(t, spec.d_model)
-        dv = dvh.reshape(t, spec.d_model)
-        dx_in = dx_mid
-        dx_in = dx_in + back(pre + "attn_q", dq, rec["cq"])
-        dx_in = dx_in + back(pre + "attn_k", dk, rec["ck"])
-        dx_in = dx_in + back(pre + "attn_v", dv, rec["cv"])
-        dx = dx_in
+        dqh = (dscores @ kh) * inv_sqrt
+        dkh = (dscores.swapaxes(-1, -2) @ qh) * inv_sqrt
+        dx = (dx_mid
+              + back(pre + "attn_q", _merge_heads(dqh), rec["cq"])
+              + back(pre + "attn_k", _merge_heads(dkh), rec["ck"])
+              + back(pre + "attn_v", _merge_heads(dvh), rec["cv"]))
+
+
+def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
+                  adapters: Mapping[str, LoraAdapter] | None = None) -> np.ndarray:
+    """Class logits (N, n_classes) for N token sequences of any lengths.
+
+    Sequences run in passes of one length each (no padding), so every row
+    depends only on its own tokens. A 4-bit base dequantizes once per call.
+    """
+    toks = [_check_tokens(tokens, spec) for tokens in sequences]
+    layers = _layers(params, spec, _check_adapters(adapters, spec))
+    logits = np.empty((len(toks), spec.n_classes))
+    for idx in _passes(toks):
+        logits[idx], _ = _forward_pass(params.weights, layers, spec,
+                                       np.stack([toks[i] for i in idx]), need_tape=False)
+    return logits
 
 
 def forward(params: ModelParams, spec: ToyModelSpec, tokens,
             adapters: Mapping[str, LoraAdapter] | None = None) -> np.ndarray:
     """Class logits for one token sequence (adapters optional)."""
-    toks = _check_tokens(tokens, spec)
-    layers = _layers(params, spec, _check_adapters(adapters, spec))
-    logits, _, _ = _forward_seq(params.weights, layers, spec, toks, need_tape=False)
-    return logits
+    return forward_batch(params, spec, [tokens], adapters)[0]
 
 
 def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
@@ -335,10 +379,16 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
     """Mean cross-entropy over the batch plus gradients for adapter factors only.
 
     Returns (loss, grads) where grads maps "{weight}/b" and "{weight}/a"
-    to arrays shaped like the corresponding factors.
+    to arrays shaped like the corresponding factors. Every token and label
+    is validated before any compute.
     """
     if len(batch) == 0:
         raise InputError("batch must be non-empty")
+    toks = [_check_tokens(tokens, spec) for tokens, _ in batch]
+    labels = np.array([int(label) for _, label in batch], dtype=np.int64)
+    bad = (labels < 0) | (labels >= spec.n_classes)
+    if bad.any():
+        raise InputError(f"label {labels[bad][0]} outside [0, {spec.n_classes})")
     ad = _check_adapters(adapters, spec)
     layers = _layers(params, spec, ad)
     grads = {}
@@ -346,17 +396,15 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
         grads[name + "/b"] = np.zeros_like(adapter.b_factor)
         grads[name + "/a"] = np.zeros_like(adapter.a_factor)
     inv_b = 1.0 / len(batch)
-    total = 0.0
-    for tokens, label in batch:
-        toks = _check_tokens(tokens, spec)
-        y = int(label)
-        if not 0 <= y < spec.n_classes:
-            raise InputError(f"label {y} outside [0, {spec.n_classes})")
-        logits, t, tape = _forward_seq(params.weights, layers, spec, toks, need_tape=True)
-        probs = softmax(logits)
-        total += -np.log(probs[y]) * inv_b
+    nll = np.empty(len(batch))
+    for idx in _passes(toks):
+        pass_toks = np.stack([toks[i] for i in idx])
+        logits, tape = _forward_pass(params.weights, layers, spec, pass_toks, need_tape=True)
+        probs = softmax(logits, axis=-1)
+        rows, y = np.arange(idx.size), labels[idx]
+        nll[idx] = -np.log(probs[rows, y])
         dlogits = probs.copy()
-        dlogits[y] -= 1.0
+        dlogits[rows, y] -= 1.0
         dlogits *= inv_b
-        _backward_seq(layers, spec, dlogits, t, tape, grads)
-    return float(total), grads
+        _backward_pass(layers, spec, dlogits, pass_toks.shape[1], tape, grads)
+    return float(np.sum(nll * inv_b)), grads

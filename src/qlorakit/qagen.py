@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
+from .fileio import atomic_write
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
@@ -151,7 +152,8 @@ def build_prompt(s: ScenarioAnnotation) -> str:
 
 
 def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
-    """Parse a response into exactly five (question, answer, category) triples.
+    """Parse a response into exactly five (question, answer, category) triples
+    covering every category at least once.
 
     Raises QAParseError (carrying the raw text) on any grammar violation.
     """
@@ -183,6 +185,10 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
         if category not in CATEGORIES:
             raise QAParseError(f"unknown category {category!r}", raw_text=text)
         triples.append((question, answer, category))
+    seen = {c for _, _, c in triples}
+    missing = [c for c in CATEGORIES if c not in seen]
+    if missing:
+        raise QAParseError(f"no QA pair for category {missing[0]!r}", raw_text=text)
     return triples
 
 
@@ -446,7 +452,7 @@ def split_dataset(records: Sequence[QARecord], test_fraction: float,
 # ---- file formats ----
 
 def _write_jsonl(path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
@@ -551,7 +557,7 @@ def write_rejects_jsonl(path, rejects: Sequence[RejectRecord]) -> None:
 
 
 def write_manifest(path, ids: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sid in ids:
             fh.write(sid + "\n")
 

@@ -164,6 +164,22 @@ class Q8Vector:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "scales", scales)
 
+    @classmethod
+    def _from_quantizer(cls, codes: np.ndarray, scales: np.ndarray,
+                        block_size: int) -> "Q8Vector":
+        """Wrap _absmax_quantize output. The length, the code range and
+        zero-scale blocks hold by construction; a float32 scale can still
+        overflow, so that one check stays."""
+        if not np.all(np.isfinite(scales)):
+            raise InputError("quantize_8bit: a block scale overflows float32")
+        codes.setflags(write=False)
+        scales.setflags(write=False)
+        q = object.__new__(cls)
+        for name, value in (("length", codes.size), ("block_size", block_size),
+                            ("codes", codes), ("scales", scales)):
+            object.__setattr__(q, name, value)
+        return q
+
 
 def quantize_4bit(w, block_size: int = DEFAULT_BLOCK_SIZE) -> Q4BlockMatrix:
     w = np.asarray(w, dtype=np.float64)
@@ -195,7 +211,7 @@ def quantize_8bit(v, block_size: int = DEFAULT_BLOCK_SIZE) -> Q8Vector:
     if not np.all(np.isfinite(v)):
         raise InputError("quantize_8bit: input must be finite")
     codes, scales = _absmax_quantize(v, block_size, Q8_TOP)
-    return Q8Vector(length=v.size, block_size=block_size, codes=codes, scales=scales)
+    return Q8Vector._from_quantizer(codes, scales, block_size)
 
 
 def dequantize_8bit(q: Q8Vector) -> np.ndarray:

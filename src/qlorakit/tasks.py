@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .evalharness import UNKNOWN, LabelSet, normalize_answer, normalize_text
-from .model import ModelParams, ToyModelSpec, forward
+from .fileio import atomic_write
+from .model import ModelParams, ToyModelSpec, forward_batch
 from .qagen import CATEGORIES, QARecord, ScenarioAnnotation
 
 ROAD_TYPES = ("urban street", "highway", "intersection", "rural road")
@@ -148,7 +149,7 @@ def corpus_to_examples(records: Sequence[QARecord],
 def write_token_examples(path, examples: Sequence[tuple]) -> None:
     import json
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for tokens, label in examples:
             row = {"tokens": [int(t) for t in tokens], "label": int(label)}
             fh.write(json.dumps(row) + "\n")
@@ -179,9 +180,8 @@ def predict_answers(params: ModelParams, spec: ToyModelSpec, adapters,
         raise InputError(
             f"label union size {len(union)} does not match n_classes {spec.n_classes}"
         )
-    out = []
-    for r in sorted(records, key=lambda x: (x.scenario_id, x.pair_index)):
-        toks = tokenize(r.question, spec.vocab_size, spec.max_seq_len)
-        logits = forward(params, spec, toks, adapters)
-        out.append((r.scenario_id, r.pair_index, union[int(np.argmax(logits))]))
-    return out
+    ordered = sorted(records, key=lambda x: (x.scenario_id, x.pair_index))
+    logits = forward_batch(params, spec, [
+        tokenize(r.question, spec.vocab_size, spec.max_seq_len) for r in ordered], adapters)
+    return [(r.scenario_id, r.pair_index, union[int(k)])
+            for r, k in zip(ordered, np.argmax(logits, axis=1))]

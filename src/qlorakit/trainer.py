@@ -1,11 +1,11 @@
-"""Training loop: seeded shuffling, gradient accumulation, AdamW steps,
-loss trace, and the run summary.
+"""Training loop: seeded shuffling, AdamW steps, loss trace, and the run
+summary.
 
-One optimizer step consumes grad_accum_steps micro-batches of batch_size
-examples. Micro-batch gradients (each already a mean over its examples)
-are combined with per-micro sample-count weights, which makes the window
-exactly equal to one large concatenated batch even when the final window
-or micro-batch is ragged.
+One optimizer step consumes a window of batch_size * grad_accum_steps
+examples (the last window of an epoch may be short) in one
+loss_and_grads call: the mean loss and gradients over the whole window,
+computed in equal-length passes. Only the product of the two keys
+matters; both stay because checkpoints and configs carry them.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
+from .fileio import atomic_write
 from .lora import LoraAdapter
-from .model import ModelParams, ToyModelSpec, base_fingerprint, forward, loss_and_grads
+from .model import (ModelParams, ToyModelSpec, base_fingerprint, dense_base,
+                    forward_batch, loss_and_grads)
+from .model import forward  # noqa: F401  (trainer.forward: one-sequence logits)
 from .optim import OptimizerState, TrainConfig, adamw_step, lr_at
 
 
@@ -69,6 +72,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     state = OptimizerState.for_params(flat, cfg)
     rng = np.random.default_rng(cfg.seed)
     before = base_fingerprint(params)
+    base = dense_base(params)  # a 4-bit base dequantizes once, not per step
     window = cfg.batch_size * cfg.grad_accum_steps
 
     t0 = time.perf_counter()
@@ -77,24 +81,13 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, window):
-            idx = order[start:start + window]
-            agg = {k: np.zeros_like(v) for k, v in flat.items()}
-            loss_sum = 0.0
-            count = 0
-            for ms in range(0, idx.size, cfg.batch_size):
-                micro = [dataset[int(i)] for i in idx[ms:ms + cfg.batch_size]]
-                loss, grads = loss_and_grads(params, spec, micro, adapters)
-                if not np.isfinite(loss):
-                    raise NumericError(f"non-finite loss at optimizer step {step}")
-                weight = len(micro)
-                loss_sum += loss * weight
-                count += weight
-                for key, g in grads.items():
-                    agg[key] += g * weight
-            mean_grads = {k: v / count for k, v in agg.items()}
+            batch = [dataset[int(i)] for i in order[start:start + window]]
+            loss, grads = loss_and_grads(base, spec, batch, adapters)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at optimizer step {step}")
             lr = lr_at(step, total_steps, cfg)
-            adamw_step(flat, mean_grads, state, lr, cfg)
-            trace.append(TraceEntry(step=step, lr=lr, loss=loss_sum / count))
+            adamw_step(flat, grads, state, lr, cfg)
+            trace.append(TraceEntry(step=step, lr=lr, loss=loss))
             step += 1
     wall = time.perf_counter() - t0
 
@@ -125,7 +118,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
 def write_trace_csv(trace: Sequence[TraceEntry], path) -> None:
     lines = ["step,lr,loss"]
     lines.extend(f"{e.step},{e.lr!r},{e.loss!r}" for e in trace)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -147,8 +140,6 @@ def evaluate_accuracy(params: ModelParams, spec: ToyModelSpec,
     """Fraction of examples whose argmax logit matches the gold class."""
     if len(dataset) == 0:
         raise InputError("dataset must be non-empty")
-    hits = 0
-    for tokens, label in dataset:
-        logits = forward(params, spec, tokens, adapters)
-        hits += int(np.argmax(logits)) == int(label)
-    return hits / len(dataset)
+    logits = forward_batch(params, spec, [tokens for tokens, _ in dataset], adapters)
+    labels = np.array([int(label) for _, label in dataset])
+    return int(np.sum(np.argmax(logits, axis=1) == labels)) / len(dataset)

@@ -13,6 +13,7 @@ from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
                              parse_set_overrides, train_config_from)
 from qlorakit.errors import ConfigError
+from qlorakit.lora import load_adapters, save_adapters
 from qlorakit.optim import TrainConfig
 from qlorakit.qagen import LLMClientSpec
 from qlorakit.trainer import read_trace_csv
@@ -282,6 +283,31 @@ def test_predict_rejects_damaged_checkpoint(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, what
         assert err.startswith("error: input: ") and err.count("\n") == 1, (what, err)
+
+
+def test_predict_refuses_a_checkpoint_from_another_base(tmp_path, capsys):
+    _, data, run = corpus_pipeline(tmp_path, seed=15)
+    ckpt = run / "adapters.bin"
+    adapters, meta = load_adapters(ckpt)
+    assert len(meta["base_sha256"]) == 64
+    other_seed = dict(meta, config=dict(meta["config"], seed=meta["config"]["seed"] + 1))
+    rewritten = {
+        "missing": {k: v for k, v in meta.items() if k != "base_sha256"},
+        "different": dict(meta, base_sha256="0" * 64),
+        "other base": other_seed,
+    }
+    for what, new_meta in rewritten.items():
+        save_adapters(ckpt, adapters, meta=new_meta)
+        rc = main(["predict", "--run", str(run), "--data", str(data),
+                   "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 2, what
+        assert err.startswith("error: input: ") and "base_sha256" in err, (what, err)
+        assert err.count("\n") == 1, (what, err)
+    assert not (tmp_path / "p.jsonl").exists()
+    save_adapters(ckpt, adapters, meta=meta)
+    assert main(["predict", "--run", str(run), "--data", str(data),
+                 "--out", str(tmp_path / "p.jsonl")]) == 0
 
 
 def test_eval_reports_missing_prediction(tmp_path, capsys):

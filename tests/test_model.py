@@ -7,8 +7,8 @@ import pytest
 
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.matrix import softmax
-from qlorakit.model import (LAYER_ROLES, ModelParams, ToyModelSpec,
-                            base_fingerprint, forward, init_adapters,
+from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpec,
+                            base_fingerprint, forward, forward_batch, init_adapters,
                             init_model_params, loss_and_grads, quantize_base)
 from qlorakit.quant import Q4BlockMatrix, dequantize_4bit
 
@@ -202,3 +202,43 @@ def test_standard_profile_forward_is_finite(small_spec):
     params = init_model_params(small_spec, seed=3, profile="standard")
     logits = forward(params, small_spec, [1, 2, 3], None)
     assert np.all(np.isfinite(logits))
+
+
+def mixed_length_sequences(spec, seed):
+    """Every length 1..max_seq_len, each with more rows than one pass holds."""
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(0, spec.vocab_size, size=t)
+            for t in range(1, spec.max_seq_len + 1)
+            for _ in range(ROWS_PER_PASS // t + 1)]
+    return [seqs[i] for i in rng.permutation(len(seqs))]
+
+
+def test_forward_batch_matches_per_sequence_forward(small_setup):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(4)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    seqs = mixed_length_sequences(spec, seed=9)
+    assert sum(s.size for s in seqs) > 2 * ROWS_PER_PASS
+    logits = forward_batch(params, spec, seqs, adapters)
+    assert logits.shape == (len(seqs), spec.n_classes)
+    single = np.stack([forward(params, spec, s, adapters) for s in seqs])
+    assert np.max(np.abs(logits - single)) <= 1e-12
+    for s in seqs[:5]:
+        assert np.array_equal(forward_batch(params, spec, [s], adapters)[0],
+                              forward(params, spec, s, adapters))
+
+
+def test_mixed_length_loss_and_grads_is_the_mean_of_single_examples(small_setup):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(6)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    seqs = mixed_length_sequences(spec, seed=10)[:40]
+    batch = [(s, int(rng.integers(0, spec.n_classes))) for s in seqs]
+    loss, grads = loss_and_grads(params, spec, batch, adapters)
+    singles = [loss_and_grads(params, spec, [ex], adapters) for ex in batch]
+    assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12, abs=1e-12)
+    for key, g in grads.items():
+        expected = sum(sg[key] for _, sg in singles) / len(batch)
+        assert np.max(np.abs(g - expected)) <= 1e-12, key

@@ -112,6 +112,19 @@ def test_parse_rejects_unknown_category():
         parse_qa_response(json.dumps(pairs))
 
 
+def test_parse_requires_every_category():
+    five_scene = json.dumps([{"question": f"q{i}?", "answer": "a", "category": "scene"}
+                             for i in range(5)])
+    with pytest.raises(QAParseError, match="no QA pair for category 'agent'"):
+        parse_qa_response(five_scene)
+    pairs = json.loads(good_response())
+    pairs[3]["category"] = "agent"  # risk now only in the fifth pair: still valid
+    parse_qa_response(json.dumps(pairs))
+    pairs[4]["category"] = "agent"
+    with pytest.raises(QAParseError, match="'risk'"):
+        parse_qa_response(json.dumps(pairs))
+
+
 def test_parse_rejects_non_json_and_keeps_raw_text():
     with pytest.raises(QAParseError) as exc:
         parse_qa_response("I cannot help with that.")

@@ -176,3 +176,22 @@ def test_q8_vector_validation():
     with pytest.raises(InputError, match="scales"):
         Q8Vector(length=2, block_size=2, codes=np.zeros(2, dtype=np.int8),
                  scales=np.zeros(2, dtype=np.float32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.sampled_from([0.0, 1e-40, 1.0, 1e30]),
+       st.integers(1, 128), st.integers(0, 10_000))
+def test_quantize_8bit_output_passes_full_validation(n, magnitude, block, seed):
+    v = np.random.default_rng(seed).normal(size=n) * magnitude
+    q = quantize_8bit(v, block_size=block)
+    full = Q8Vector(length=q.length, block_size=q.block_size, codes=q.codes,
+                    scales=q.scales)
+    assert (q.length, q.block_size) == (full.length, full.block_size) == (n, block)
+    for got, want in ((q.codes, full.codes), (q.scales, full.scales)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+def test_quantize_8bit_rejects_a_scale_that_overflows_float32():
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="float32"):
+        quantize_8bit([1e300, 1.0])

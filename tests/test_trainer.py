@@ -7,8 +7,10 @@ import copy
 import numpy as np
 import pytest
 
+from qlorakit import quant, trainer
 from qlorakit.errors import InputError
-from qlorakit.model import base_fingerprint, init_adapters, init_model_params
+from qlorakit.model import (base_fingerprint, init_adapters, init_model_params,
+                            quantize_base)
 from qlorakit.optim import TrainConfig
 from qlorakit.tasks import synthetic_token_task
 from qlorakit.trainer import (TraceEntry, evaluate_accuracy, planned_steps,
@@ -154,3 +156,31 @@ def test_dataset_not_mutated_by_training(small_spec):
     train(data, params, small_spec, adapters, cfg)
     assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
                for a, b in zip(data, snapshot))
+
+
+def test_q4_base_dequantizes_once_per_call_and_steps_once_per_window(small_spec,
+                                                                     monkeypatch):
+    data = make_batch(small_spec, 21, seed=5)
+    params, adapters, cfg = fresh(small_spec, dict(rank=2, alpha=4.0, seed=6,
+                                                   warmup_steps=1, epochs=2))
+    params = quantize_base(params, small_spec, block_size=16)
+    n_q4 = sum(isinstance(v, quant.Q4BlockMatrix) for v in params.weights.values())
+    assert n_q4 == 13
+    calls = {"dequantize": 0, "loss_and_grads": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(quant, "dequantize_4bit",
+                        counting("dequantize", quant.dequantize_4bit))
+    monkeypatch.setattr(trainer, "loss_and_grads",
+                        counting("loss_and_grads", trainer.loss_and_grads))
+    result = train(data, params, small_spec, adapters, cfg)
+    assert calls["dequantize"] == n_q4
+    assert calls["loss_and_grads"] == result.summary["optimizer_steps"] == 6
+    calls["dequantize"] = 0
+    evaluate_accuracy(params, small_spec, adapters, data)
+    assert calls["dequantize"] == n_q4
