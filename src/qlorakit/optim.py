@@ -13,11 +13,20 @@ inside a block, small-but-active coordinates flush to code 0 while their
 first moment survives, and m_hat / (sqrt(v_hat) + eps) then produces
 huge updates. In the sqrt domain both moments share dynamic range, and
 wherever sqrt(v) flushes to zero, m flushes too.
+
+Flat layout: each moment of all parameters lives in one flat buffer, so a
+step is one moment update and one dequantize / quantize per moment, not
+one per parameter. Parameters sit in sorted-name order; each segment
+starts on a block_size boundary and is zero-padded up to the next one.
+Blocks therefore never straddle two parameters, and zero padding never
+changes a block's absmax, so quantizing the whole buffer gives the same
+codes and scales as quantizing each parameter alone. Padding has zero
+gradient, so its moments and updates stay zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -87,35 +96,64 @@ def lr_at(step: int, total_optimizer_steps: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter Adam moments, full precision or Q8 per state_bits.
+    """Adam moments for all parameters in one flat buffer per moment: a
+    Q8Vector when state_bits is 8 (`second` then holds the quantized
+    *square root* of the second moment, see module docstring), a float64
+    array when it is 32.
 
-    When state_bits is 8, `second` holds the quantized *square root* of
-    the second moment (see module docstring).
+    `layout` lists (name, size, offset) in sorted-name order; every
+    offset is a multiple of block_size and the gaps are zero padding.
+    `first[name]` / `second[name]` are per-parameter views.
     """
 
     state_bits: int
-    block_size: int = DEFAULT_BLOCK_SIZE
+    block_size: int
+    layout: tuple
+    first_flat: Q8Vector | np.ndarray
+    second_flat: Q8Vector | np.ndarray
     step_count: int = 0
-    first: dict = field(default_factory=dict)
-    second: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # gradient staging buffer, reused every step; not a field, so it
+        # is not counted as optimizer state
+        flat = self.first_flat
+        self._grad = np.zeros(flat.length if isinstance(flat, Q8Vector) else flat.size)
 
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray], cfg: TrainConfig,
                    block_size: int = DEFAULT_BLOCK_SIZE) -> "OptimizerState":
-        state = cls(state_bits=cfg.state_bits, block_size=block_size)
-        for name, p in params.items():
-            zeros = np.zeros(p.size, dtype=np.float64)
-            if cfg.state_bits == 8:
-                state.first[name] = quantize_8bit(zeros, block_size)
-                state.second[name] = quantize_8bit(zeros, block_size)
-            else:
-                state.first[name] = zeros.copy()
-                state.second[name] = zeros.copy()
-        return state
+        if block_size < 1:
+            raise InputError(f"block_size must be >= 1, got {block_size}")
+        layout, offset = [], 0
+        for name in sorted(params):
+            size = int(np.size(params[name]))
+            layout.append((name, size, offset))
+            offset += -(-size // block_size) * block_size
+        zeros = np.zeros(offset, dtype=np.float64)
+        if cfg.state_bits == 8:
+            first = quantize_8bit(zeros, block_size)
+            second = quantize_8bit(zeros, block_size)
+        else:
+            first, second = zeros, zeros.copy()
+        return cls(state_bits=cfg.state_bits, block_size=block_size,
+                   layout=tuple(layout), first_flat=first, second_flat=second)
 
+    @property
+    def first(self) -> dict:
+        return self._views(self.first_flat)
 
-def _load(entry) -> np.ndarray:
-    return dequantize_8bit(entry) if isinstance(entry, Q8Vector) else entry
+    @property
+    def second(self) -> dict:
+        return self._views(self.second_flat)
+
+    def _views(self, flat) -> dict:
+        if isinstance(flat, np.ndarray):
+            return {name: flat[off:off + size] for name, size, off in self.layout}
+        bs = self.block_size
+        return {name: Q8Vector(length=size, block_size=bs,
+                               codes=flat.codes[off:off + size],
+                               scales=flat.scales[off // bs:(off + size + bs - 1) // bs])
+                for name, size, off in self.layout}
 
 
 def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
@@ -123,7 +161,8 @@ def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
     """One Adam step with decoupled decay; mutates params and state in place.
 
     The decay p <- p * (1 - lr * weight_decay) is applied before the
-    adaptive update, so it never flows through the moments.
+    adaptive update, so it never flows through the moments. Every check
+    runs before anything is mutated.
     """
     if set(grads) != set(params):
         missing = sorted(set(params) - set(grads))
@@ -132,37 +171,53 @@ def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
             f"gradients must cover exactly the trainable parameters "
             f"(missing {missing}, extra {extra})"
         )
+    names = {name for name, _size, _off in state.layout}
+    if set(params) != names:
+        raise InputError(
+            f"parameters do not match the optimizer state "
+            f"(missing {sorted(names - set(params))}, "
+            f"extra {sorted(set(params) - names)})"
+        )
+    g = state._grad
+    for name, size, off in state.layout:
+        p, grad = params[name], np.asarray(grads[name], dtype=np.float64)
+        if p.size != size:
+            raise InputError(
+                f"parameter {name!r} has {p.size} elements, "
+                f"the optimizer state was built for {size}"
+            )
+        if grad.shape != p.shape:
+            raise InputError(
+                f"gradient for {name!r} has shape {grad.shape}, parameter has {p.shape}"
+            )
+        g[off:off + size] = grad.ravel()
+    if not np.isfinite(g).all():
+        bad = next(name for name, size, off in state.layout
+                   if not np.isfinite(g[off:off + size]).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r}")
+
     t = state.step_count + 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for name in sorted(params):
+    if state.state_bits == 8:
+        m = dequantize_8bit(state.first_flat)
+        root = dequantize_8bit(state.second_flat)
+        v = root * root
+    else:
+        m, v = state.first_flat, state.second_flat
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    step = lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
+    if state.state_bits == 8:
+        m = quantize_8bit(m, state.block_size)
+        v = quantize_8bit(np.sqrt(v), state.block_size)
+    state.first_flat, state.second_flat = m, v
+    decay = 1.0 - lr * cfg.weight_decay
+    for name, size, off in state.layout:
         p = params[name]
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise InputError(
-                f"gradient for {name!r} has shape {g.shape}, parameter has {p.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
         if cfg.weight_decay:
-            p *= 1.0 - lr * cfg.weight_decay
-        flat_g = g.ravel()
-        m = _load(state.first[name])
-        if state.state_bits == 8:
-            root = _load(state.second[name])
-            v = root * root
-        else:
-            v = state.second[name]
-        m = b1 * m + (1.0 - b1) * flat_g
-        v = b2 * v + (1.0 - b2) * flat_g * flat_g
-        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
-        p -= (lr * update).reshape(p.shape)
-        if state.state_bits == 8:
-            state.first[name] = quantize_8bit(m, state.block_size)
-            state.second[name] = quantize_8bit(np.sqrt(v), state.block_size)
-        else:
-            state.first[name] = m
-            state.second[name] = v
+            p *= decay
+        p -= step[off:off + size].reshape(p.shape)
     state.step_count = t
     return params, state

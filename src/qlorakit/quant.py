@@ -50,7 +50,10 @@ def _absmax_quantize(flat: np.ndarray, block_size: int, top: int):
     padded = np.zeros(nb * block_size, dtype=np.float64)
     padded[:n] = flat
     absmax = np.max(np.abs(padded.reshape(nb, block_size)), axis=1)
-    scales = (absmax / top).astype(np.float32)
+    # a scale beyond the float32 range becomes inf here and is rejected
+    # by the caller's finite-scale check, without a numpy warning first
+    with np.errstate(over="ignore"):
+        scales = (absmax / top).astype(np.float32)
     # codes come from the float32 scale so the |deq - w| <= scale/2 bound
     # is exact in the stored representation
     per_elem = np.repeat(scales.astype(np.float64), block_size)[:n]

@@ -1,9 +1,11 @@
 """Optimizer tests: config validation, the warmup/decay schedule, AdamW
-against an independent reference, moment quantization, and the scalar
-quadratic convergence runs."""
+against an independent reference, moment quantization, the flat state
+layout, and the scalar quadratic convergence runs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlorakit.errors import ConfigError, InputError, NumericError
 from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, lr_at
@@ -123,6 +125,79 @@ def test_gradient_key_and_shape_checks():
         adamw_step(params, {"a": np.zeros(2)}, state, 0.1, cfg)
     with pytest.raises(InputError, match="shape"):
         adamw_step(params, {"a": np.zeros(3), "b": np.zeros(2)}, state, 0.1, cfg)
+
+
+def test_parameters_must_match_the_state_layout():
+    cfg = TrainConfig()
+    state = OptimizerState.for_params({"a": np.zeros(2), "b": np.zeros(3)}, cfg)
+    renamed = {"a": np.zeros(2), "c": np.zeros(3)}
+    with pytest.raises(InputError, match="missing \\['b'\\], extra \\['c'\\]"):
+        adamw_step(renamed, {k: np.ones_like(v) for k, v in renamed.items()},
+                   state, 0.1, cfg)
+    resized = {"a": np.zeros(2), "b": np.zeros(4)}
+    with pytest.raises(InputError, match="'b' has 4 elements.*built for 3"):
+        adamw_step(resized, {k: np.ones_like(v) for k, v in resized.items()},
+                   state, 0.1, cfg)
+    assert state.step_count == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_names_the_parameter_and_mutates_nothing(bad):
+    cfg = TrainConfig()
+    params = {"a/first": np.ones(3), "b/second": np.ones(2)}
+    state = OptimizerState.for_params(params, cfg)
+    grads = {"a/first": np.full(3, 0.5), "b/second": np.array([0.5, bad])}
+    with pytest.raises(NumericError, match="'b/second'"):
+        adamw_step(params, grads, state, 0.1, cfg)
+    assert np.array_equal(params["a/first"], np.ones(3))
+    assert state.step_count == 0
+    assert not np.any(dequantize_8bit(state.first_flat))
+
+
+def _assert_same_entry(joint, alone):
+    if isinstance(alone, Q8Vector):
+        assert isinstance(joint, Q8Vector)
+        assert joint.length == alone.length and joint.block_size == alone.block_size
+        assert joint.codes.tobytes() == alone.codes.tobytes()
+        assert joint.scales.tobytes() == alone.scales.tobytes()
+    else:
+        assert joint.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+       block_size=st.integers(1, 128), bits=st.sampled_from([8, 32]),
+       seed=st.integers(0, 2**16))
+def test_joint_flat_state_equals_one_state_per_parameter(sizes, block_size,
+                                                         bits, seed):
+    cfg = TrainConfig(weight_decay=0.01, state_bits=bits)
+    rng = np.random.default_rng(seed)
+    names = [f"p{i}" for i in range(len(sizes))]
+    init = {n: rng.normal(size=k) for n, k in zip(names, sizes)}
+    steps = [{n: rng.normal(size=k) * 10.0 ** rng.integers(-3, 3)
+              for n, k in zip(names, sizes)} for _ in range(3)]
+
+    joint = {n: v.copy() for n, v in init.items()}
+    joint_state = OptimizerState.for_params(joint, cfg, block_size)
+    alone = {n: {n: v.copy()} for n, v in init.items()}
+    alone_state = {n: OptimizerState.for_params(alone[n], cfg, block_size)
+                   for n in names}
+    for lr, grads in zip((1e-2, 3e-3, 1e-3), steps):
+        adamw_step(joint, grads, joint_state, lr, cfg)
+        for n in names:
+            adamw_step(alone[n], {n: grads[n]}, alone_state[n], lr, cfg)
+
+    for n in names:
+        assert joint[n].tobytes() == alone[n][n].tobytes()
+        _assert_same_entry(joint_state.first[n], alone_state[n].first[n])
+        _assert_same_entry(joint_state.second[n], alone_state[n].second[n])
+    padding = np.ones(len(joint_state._grad), dtype=bool)
+    for _name, size, off in joint_state.layout:
+        assert off % block_size == 0
+        padding[off:off + size] = False
+    for flat in (joint_state.first_flat, joint_state.second_flat):
+        values = flat.codes if isinstance(flat, Q8Vector) else flat
+        assert not np.any(values[padding])
 
 
 def test_nan_gradient_raises_numeric_error_naming_parameter():

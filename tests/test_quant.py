@@ -3,6 +3,7 @@ packing, serialization, footprint accounting, and the 8-bit vector path."""
 
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -193,5 +194,13 @@ def test_quantize_8bit_output_passes_full_validation(n, magnitude, block, seed):
 
 
 def test_quantize_8bit_rejects_a_scale_that_overflows_float32():
-    with np.errstate(over="ignore"), pytest.raises(InputError, match="float32"):
-        quantize_8bit([1e300, 1.0])
+    # rejected with InputError alone: no numpy overflow warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="float32"):
+            quantize_8bit([1e300, 1.0])
+        with pytest.raises(InputError, match="float32"):
+            quantize_8bit([-1e300, 0.0, 2.0], block_size=1)
+        # the largest scale float32 holds still quantizes
+        q = quantize_8bit([127.0 * float(np.finfo(np.float32).max)])
+        assert np.isfinite(q.scales).all()

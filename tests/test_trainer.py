@@ -7,7 +7,7 @@ import copy
 import numpy as np
 import pytest
 
-from qlorakit import quant, trainer
+from qlorakit import optim, quant, trainer
 from qlorakit.errors import InputError
 from qlorakit.model import (base_fingerprint, init_adapters, init_model_params,
                             quantize_base)
@@ -24,6 +24,14 @@ def fresh(spec, cfg_kwargs, seed=7):
     cfg = TrainConfig(**cfg_kwargs)
     adapters = init_adapters(spec, cfg.rank, cfg.alpha, seed=seed + 1)
     return params, adapters, cfg
+
+
+def counting(calls, name, fn):
+    """fn, counting each call in calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 def adapter_bytes(adapters):
@@ -167,20 +175,34 @@ def test_q4_base_dequantizes_once_per_call_and_steps_once_per_window(small_spec,
     n_q4 = sum(isinstance(v, quant.Q4BlockMatrix) for v in params.weights.values())
     assert n_q4 == 13
     calls = {"dequantize": 0, "loss_and_grads": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(quant, "dequantize_4bit",
-                        counting("dequantize", quant.dequantize_4bit))
+                        counting(calls, "dequantize", quant.dequantize_4bit))
     monkeypatch.setattr(trainer, "loss_and_grads",
-                        counting("loss_and_grads", trainer.loss_and_grads))
+                        counting(calls, "loss_and_grads", trainer.loss_and_grads))
     result = train(data, params, small_spec, adapters, cfg)
     assert calls["dequantize"] == n_q4
     assert calls["loss_and_grads"] == result.summary["optimizer_steps"] == 6
     calls["dequantize"] = 0
     evaluate_accuracy(params, small_spec, adapters, data)
     assert calls["dequantize"] == n_q4
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+def test_optimizer_state_quantizes_once_per_moment_per_step(small_spec,
+                                                            monkeypatch, bits):
+    data = make_batch(small_spec, 21, seed=5)
+    params, adapters, cfg = fresh(small_spec, dict(rank=2, alpha=4.0, seed=6,
+                                                   warmup_steps=1, epochs=2,
+                                                   state_bits=bits))
+    assert len(trainer.flatten_adapters(adapters)) == 8
+    calls = {"quantize": 0, "dequantize": 0}
+    monkeypatch.setattr(optim, "quantize_8bit",
+                        counting(calls, "quantize", optim.quantize_8bit))
+    monkeypatch.setattr(optim, "dequantize_8bit",
+                        counting(calls, "dequantize", optim.dequantize_8bit))
+    steps = train(data, params, small_spec, adapters, cfg).summary["optimizer_steps"]
+    assert steps == 6
+    if bits == 8:
+        assert calls == {"quantize": 2 * steps + 2, "dequantize": 2 * steps}
+    else:
+        assert calls == {"quantize": 0, "dequantize": 0}
