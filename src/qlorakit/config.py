@@ -94,9 +94,9 @@ def load_config(path=None, overrides: Mapping[str, object] | None = None) -> Run
     values: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            try:
+            try:  # bad UTF-8 is a ValueError too
                 file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError(f"{path}: config must be a flat JSON object")

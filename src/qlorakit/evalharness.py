@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .fileio import atomic_write
-from .qagen import CATEGORIES, _read_jsonl
+from .fileio import atomic_write, json_int, read_jsonl, read_lines
+from .qagen import CATEGORIES
 
 UNKNOWN = "unknown"
 MODES = ("micro", "macro", "weighted")
@@ -279,9 +279,11 @@ def write_label_files(labels_dir, label_sets: Mapping[str, Sequence[str]]) -> No
 
 
 def read_label_set(path, category: str) -> LabelSet:
-    with open(path, encoding="utf-8") as fh:
-        labels = [line.strip() for line in fh if line.strip()]
-    return LabelSet(category=category, labels=tuple(labels))
+    labels = [line.strip() for line in read_lines(path) if line.strip()]
+    try:
+        return LabelSet(category=category, labels=tuple(labels))
+    except ConfigError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def read_label_dir(labels_dir) -> dict[str, LabelSet]:
@@ -307,15 +309,14 @@ def write_predictions_jsonl(path, rows: Sequence[tuple]) -> None:
 
 def read_predictions_jsonl(path) -> dict[tuple, str]:
     out: dict[tuple, str] = {}
-    for row in _read_jsonl(path):
+    for row in read_jsonl(path):
         unknown = set(row) - {"scenario_id", "pair_index", "raw_answer"}
         if unknown:
             raise InputError(f"{path}: unknown prediction key {sorted(unknown)[0]!r}")
-        try:
-            key = (str(row["scenario_id"]), int(row["pair_index"]))
-            answer = str(row["raw_answer"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad prediction row: {exc}") from exc
+        sid, answer = row.get("scenario_id"), row.get("raw_answer")
+        if not (isinstance(sid, str) and isinstance(answer, str)):
+            raise InputError(f"{path}: scenario_id and raw_answer must be strings")
+        key = (sid, json_int(row.get("pair_index"), f"{path}: pair_index"))
         if key in out:
             raise InputError(f"{path}: duplicate prediction for {key}")
         out[key] = answer

@@ -212,7 +212,7 @@ def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
         return buf[off - n:off]
 
     adapters: dict[str, LoraAdapter] = {}
-    try:  # every decode failure is a ValueError: truncation, UTF-8, JSON, fields
+    try:  # any decode failure: a ValueError (truncation, UTF-8, JSON, fields), or deep JSON
         meta = json.loads(take(meta_len, "meta").decode("utf-8"))
         if not isinstance(meta, dict):
             raise InputError("meta is not a JSON object")
@@ -225,7 +225,7 @@ def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
             adapters[name] = LoraAdapter(b_factor=b.reshape(d_in, rank).copy(),
                                          a_factor=a.reshape(rank, d_out).copy(),
                                          rank=rank, alpha=alpha)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: bad adapter checkpoint: {exc}") from exc
     if off != len(buf):
         raise InputError(f"{path}: {len(buf) - off} trailing bytes")

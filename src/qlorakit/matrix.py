@@ -25,9 +25,15 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along the given axis."""
+    """Numerically stable softmax along the given axis.
+
+    Works in its one output buffer: attention scores are the largest
+    per-pass temporaries, and fewer of them keep the allocator from
+    returning and re-faulting heap pages between passes.
+    """
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = z - np.max(z, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 

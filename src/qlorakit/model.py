@@ -3,6 +3,9 @@
 Topology: token embedding + positional embedding, then n_layers blocks of
 (multi-head attention, FFN with ReLU), both with residual connections and
 no normalization layers, then mean-pool over positions and a linear head.
+Sequences of mixed lengths run padded in one batch: padded key positions
+are masked out of attention and pooling, so each sequence's logits and
+gradients are those of the sequence alone.
 
 The base weights are always frozen; gradients exist only for low-rank
 adapter factors attached to a configurable subset of the projection
@@ -206,10 +209,40 @@ def init_adapters(spec: ToyModelSpec, rank: int, alpha: float,
 
 # ---- forward / backward ----
 
-# token rows per batched pass: equal-length sequences run together, at most
-# this many rows at a time (8 sequences at T=16); throughput saturates well
-# below it, and larger passes only raise peak memory
+# padded token rows per batched pass (8 sequences at T=16); throughput
+# saturates well below it, and larger passes only raise peak memory
 ROWS_PER_PASS = 128
+
+# freed heap glibc keeps instead of returning it to the kernel (M_TRIM_THRESHOLD)
+HEAP_TRIM_THRESHOLD = 64 * 2**20
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter number
+
+
+def keep_freed_heap() -> bool:
+    """Let glibc keep up to HEAP_TRIM_THRESHOLD of freed heap; True if set.
+
+    Every pass allocates and frees numpy temporaries of 30-130 KB. glibc
+    returns the top of the heap to the kernel once more than its trim
+    threshold is free there, and the next pass faults those pages back
+    in. The default threshold is 128 KiB but rises after a large mmapped
+    block is freed, so whether passes paid for it depended on what ran
+    earlier in the process: pass times were bimodal, about 1.4x apart,
+    from one stretch of calls to the next. A fixed threshold makes them
+    steady. Setting it also fixes glibc's mmap threshold at 128 KiB, and
+    peak memory is unchanged, since only freed heap is kept. A no-op
+    without glibc.
+    """
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD) == 1
+
+
+keep_freed_heap()
 
 
 def dense_base(params: ModelParams) -> ModelParams:
@@ -271,16 +304,28 @@ def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
     return toks
 
 
-def _passes(toks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Indices of equal-length sequences, at most ROWS_PER_PASS token rows per group."""
-    by_len: dict[int, list[int]] = {}
-    for i, t in enumerate(toks):
-        by_len.setdefault(t.size, []).append(i)
-    out = []
-    for t, idx in by_len.items():
-        per = max(1, ROWS_PER_PASS // t)
-        out.extend(np.array(idx[s:s + per]) for s in range(0, len(idx), per))
-    return out
+def _passes(toks: Sequence[np.ndarray]):
+    """Yield (indices, (B, T) tokens, valid mask) for each batched pass.
+
+    Sequences are sorted by length (stable) and cut into passes of at most
+    ROWS_PER_PASS padded token rows; each pass is padded with token 0 to its
+    longest member, and `valid` (B, T) marks real tokens. It is None when
+    every member has the pass's length, so such a pass runs unmasked.
+    """
+    order = sorted(range(len(toks)), key=lambda i: toks[i].size)
+    groups: list[list[int]] = []
+    for i in order:
+        if not groups or (len(groups[-1]) + 1) * toks[i].size > ROWS_PER_PASS:
+            groups.append([])
+        groups[-1].append(i)
+    for idx in groups:
+        lengths = np.array([toks[i].size for i in idx])
+        t = lengths[-1]
+        batch = np.zeros((len(idx), t), dtype=np.int64)
+        for row, i in zip(batch, idx):
+            row[:toks[i].size] = toks[i]
+        valid = None if lengths[0] == t else np.arange(t) < lengths[:, None]
+        yield np.array(idx), batch, valid
 
 
 def _split_heads(x, spec: ToyModelSpec):
@@ -295,9 +340,15 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _forward_pass(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
-    """Logits (B, n_classes) for a (B, T) token array, plus the backward tape."""
+def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: bool):
+    """Logits (B, n_classes) for a (B, T) token array, plus the backward tape.
+
+    With a valid mask, padded keys get a -inf score bias before the softmax
+    and the mean pool runs over valid positions only, so no real row reads
+    a padded one.
+    """
     inv_sqrt = spec.head_dim ** -0.5
+    key_bias = None if valid is None else np.where(valid, 0.0, -np.inf)[:, None, None, :]
     x = weights["tok_emb"][toks] + weights["pos_emb"][:toks.shape[1]]
     tape = []
     for i in range(spec.n_layers):
@@ -307,7 +358,10 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
         k, ck = layers[pre + "attn_k"].forward(x_in)
         v, cv = layers[pre + "attn_v"].forward(x_in)
         qh, kh, vh = (_split_heads(a, spec) for a in (q, k, v))
-        attn = softmax(qh @ kh.swapaxes(-1, -2) * inv_sqrt, axis=-1)
+        scores = qh @ kh.swapaxes(-1, -2) * inv_sqrt
+        if key_bias is not None:
+            scores += key_bias
+        attn = softmax(scores, axis=-1)
         ctx = _merge_heads(attn @ vh)
         o, co = layers[pre + "attn_o"].forward(ctx)
         x_mid = x_in + o
@@ -320,18 +374,26 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, need_tape: bool):
                 "qh": qh, "kh": kh, "vh": vh, "attn": attn, "up": up,
                 "cq": cq, "ck": ck, "cv": cv, "co": co, "cu": cu, "cd": cd,
             })
-    logits, _ = layers["head"].forward(x.mean(axis=1))
+    if valid is None:
+        pooled = x.mean(axis=1)
+    else:
+        pooled = np.sum(x * valid[:, :, None], axis=1) / valid.sum(axis=1, keepdims=True)
+    logits, _ = layers["head"].forward(pooled)
     return logits, tape
 
 
-def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, tape, grads):
+def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
+    """Accumulate adapter gradients into grads; padded rows get exactly zero."""
     inv_sqrt = spec.head_dim ** -0.5
 
     def back(name, dy, cache):
         return layers[name].backward(dy, cache, grads, name)
 
     dpooled = back("head", dlogits, None)
-    dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
+    if valid is None:
+        dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
+    else:
+        dx = (dpooled / valid.sum(axis=1, keepdims=True))[:, None, :] * valid[:, :, None]
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
         rec = tape[i]
@@ -356,15 +418,17 @@ def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
                   adapters: Mapping[str, LoraAdapter] | None = None) -> np.ndarray:
     """Class logits (N, n_classes) for N token sequences of any lengths.
 
-    Sequences run in passes of one length each (no padding), so every row
-    depends only on its own tokens. A 4-bit base dequantizes once per call.
+    Sequences run length-sorted in passes of at most ROWS_PER_PASS token
+    rows, each padded to its longest member with padded keys masked out of
+    attention and pooling, so every row depends only on its own tokens. A
+    4-bit base dequantizes once per call.
     """
     toks = [_check_tokens(tokens, spec) for tokens in sequences]
     layers = _layers(params, spec, _check_adapters(adapters, spec))
     logits = np.empty((len(toks), spec.n_classes))
-    for idx in _passes(toks):
-        logits[idx], _ = _forward_pass(params.weights, layers, spec,
-                                       np.stack([toks[i] for i in idx]), need_tape=False)
+    for idx, pass_toks, valid in _passes(toks):
+        logits[idx], _ = _forward_pass(params.weights, layers, spec, pass_toks, valid,
+                                       need_tape=False)
     return logits
 
 
@@ -397,14 +461,14 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
         grads[name + "/a"] = np.zeros_like(adapter.a_factor)
     inv_b = 1.0 / len(batch)
     nll = np.empty(len(batch))
-    for idx in _passes(toks):
-        pass_toks = np.stack([toks[i] for i in idx])
-        logits, tape = _forward_pass(params.weights, layers, spec, pass_toks, need_tape=True)
+    for idx, pass_toks, valid in _passes(toks):
+        logits, tape = _forward_pass(params.weights, layers, spec, pass_toks, valid,
+                                     need_tape=True)
         probs = softmax(logits, axis=-1)
         rows, y = np.arange(idx.size), labels[idx]
         nll[idx] = -np.log(probs[rows, y])
         dlogits = probs.copy()
         dlogits[rows, y] -= 1.0
         dlogits *= inv_b
-        _backward_pass(layers, spec, dlogits, pass_toks.shape[1], tape, grads)
+        _backward_pass(layers, spec, dlogits, pass_toks.shape[1], valid, tape, grads)
     return float(np.sum(nll * inv_b)), grads

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
-from .fileio import atomic_write
+from .fileio import atomic_write, json_int, read_jsonl, read_lines
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
@@ -43,6 +43,10 @@ def _check_line_text(value: str, what: str) -> str:
         raise InputError(f"{what} must be non-empty text")
     if "\n" in value or "\r" in value:
         raise InputError(f"{what} must not contain newlines")
+    try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
     return value
 
 
@@ -64,6 +68,8 @@ class ScenarioAnnotation:
         _check_line_text(self.road_type, "road_type")
         if not isinstance(self.risk_present, bool):
             raise InputError("risk_present must be a boolean")
+        if not isinstance(self.extra, Mapping):
+            raise InputError("extra must be a mapping of key to text")
         extra = dict(self.extra)
         for key, value in extra.items():
             if not _EXTRA_KEY_RE.match(key) or key in _SCENARIO_KEYS:
@@ -457,23 +463,6 @@ def _write_jsonl(path, rows: Iterable[dict]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def _read_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise InputError(f"{path}:{lineno}: expected a JSON object")
-            rows.append(row)
-    return rows
-
-
 def write_scenarios_jsonl(path, scenarios: Sequence[ScenarioAnnotation]) -> None:
     _write_jsonl(path, (
         {
@@ -492,7 +481,7 @@ def write_scenarios_jsonl(path, scenarios: Sequence[ScenarioAnnotation]) -> None
 def read_scenarios_jsonl(path) -> list[ScenarioAnnotation]:
     out = []
     seen = set()
-    for row in _read_jsonl(path):
+    for row in read_jsonl(path):
         unknown = set(row) - set(_SCENARIO_KEYS)
         if unknown:
             raise InputError(f"{path}: unknown scenario key {sorted(unknown)[0]!r}")
@@ -531,7 +520,7 @@ def write_records_jsonl(path, records: Sequence[QARecord]) -> None:
 
 def read_records_jsonl(path) -> list[QARecord]:
     out = []
-    for row in _read_jsonl(path):
+    for row in read_jsonl(path):
         unknown = set(row) - set(_RECORD_KEYS)
         if unknown:
             raise InputError(f"{path}: unknown record key {sorted(unknown)[0]!r}")
@@ -542,7 +531,7 @@ def read_records_jsonl(path) -> list[QARecord]:
                 question=row.get("question", ""),
                 answer=row.get("answer", ""),
                 category=row.get("category", ""),
-                pair_index=int(row.get("pair_index", 0)),
+                pair_index=json_int(row.get("pair_index", 0), "pair_index"),
             ))
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
@@ -563,5 +552,4 @@ def write_manifest(path, ids: Sequence[str]) -> None:
 
 
 def read_manifest(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for line in read_lines(path) if line.strip()]

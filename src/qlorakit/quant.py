@@ -43,29 +43,37 @@ def _n_blocks(n: int, block_size: int) -> int:
     return -(-n // block_size)
 
 
-def _absmax_quantize(flat: np.ndarray, block_size: int, top: int):
-    """Shared absmax core; returns (codes int8, scales float32)."""
+def _blocks(flat: np.ndarray, block_size: int) -> np.ndarray:
+    """(n_blocks, block_size) view of flat when its length is a block
+    multiple, else a copy zero-padded up to the next one."""
     n = flat.size
     nb = _n_blocks(n, block_size)
-    padded = np.zeros(nb * block_size, dtype=np.float64)
-    padded[:n] = flat
-    absmax = np.max(np.abs(padded.reshape(nb, block_size)), axis=1)
+    if n == nb * block_size:
+        return flat.reshape(nb, block_size)
+    out = np.zeros((nb, block_size), dtype=flat.dtype)
+    out.reshape(-1)[:n] = flat
+    return out
+
+
+def _absmax_quantize(flat: np.ndarray, block_size: int, top: int):
+    """Shared absmax core; returns (codes int8, scales float32)."""
+    blocks = _blocks(flat, block_size)
+    absmax = np.max(np.abs(blocks), axis=1)
     # a scale beyond the float32 range becomes inf here and is rejected
     # by the caller's finite-scale check, without a numpy warning first
     with np.errstate(over="ignore"):
         scales = (absmax / top).astype(np.float32)
     # codes come from the float32 scale so the |deq - w| <= scale/2 bound
-    # is exact in the stored representation
-    per_elem = np.repeat(scales.astype(np.float64), block_size)[:n]
-    safe = np.where(per_elem > 0.0, per_elem, 1.0)
-    ratio = np.where(per_elem > 0.0, flat / safe, 0.0)
+    # is exact in the stored representation; padding gets code 0
+    scale = scales.astype(np.float64)[:, None]
+    ratio = np.where(scale > 0.0, blocks / np.where(scale > 0.0, scale, 1.0), 0.0)
     codes = np.clip(round_half_away(ratio), -top, top).astype(np.int8)
-    return codes, scales
+    return codes.reshape(-1)[:flat.size], scales
 
 
 def _blockwise_dequantize(codes: np.ndarray, scales: np.ndarray, block_size: int) -> np.ndarray:
-    per_elem = np.repeat(scales.astype(np.float64), block_size)[: codes.size]
-    return codes.astype(np.float64) * per_elem
+    deq = _blocks(codes, block_size) * scales.astype(np.float64)[:, None]
+    return deq.reshape(-1)[:codes.size]
 
 
 def _validate_blockwise(codes: np.ndarray, scales: np.ndarray, block_size: int, top: int, what: str):
@@ -76,8 +84,7 @@ def _validate_blockwise(codes: np.ndarray, scales: np.ndarray, block_size: int, 
         raise InputError(f"{what}: scales must be finite and >= 0")
     if codes.size and (codes.min() < -top or codes.max() > top):
         raise InputError(f"{what}: codes outside [-{top}, {top}]")
-    per_elem = np.repeat(scales, block_size)[: codes.size]
-    if np.any((per_elem == 0) & (codes != 0)):
+    if np.any((scales[:, None] == 0) & (_blocks(codes, block_size) != 0)):
         raise InputError(f"{what}: zero-scale block contains nonzero codes")
 
 

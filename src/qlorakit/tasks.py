@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .evalharness import UNKNOWN, LabelSet, normalize_answer, normalize_text
-from .fileio import atomic_write
+from .fileio import atomic_write, json_int, read_jsonl
 from .model import ModelParams, ToyModelSpec, forward_batch
 from .qagen import CATEGORIES, QARecord, ScenarioAnnotation
 
@@ -156,17 +156,17 @@ def write_token_examples(path, examples: Sequence[tuple]) -> None:
 
 
 def read_token_examples(path) -> list[tuple]:
-    from .qagen import _read_jsonl
-
     out = []
-    for row in _read_jsonl(path):
+    for row in read_jsonl(path):
         unknown = set(row) - {"tokens", "label"}
         if unknown:
             raise InputError(f"{path}: unknown example key {sorted(unknown)[0]!r}")
+        if not isinstance(row.get("tokens"), list):
+            raise InputError(f"{path}: tokens must be a list")
         try:
-            toks = np.asarray([int(t) for t in row["tokens"]], dtype=np.int64)
-            label = int(row["label"])
-        except (KeyError, TypeError, ValueError) as exc:
+            toks = np.array([json_int(t, "token") for t in row["tokens"]], dtype=np.int64)
+            label = json_int(row.get("label"), "label")
+        except InputError as exc:
             raise InputError(f"{path}: bad example row: {exc}") from exc
         out.append((toks, label))
     return out

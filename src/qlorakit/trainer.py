@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .lora import LoraAdapter
 from .model import (ModelParams, ToyModelSpec, base_fingerprint, dense_base,
                     forward_batch, loss_and_grads)
@@ -123,14 +123,16 @@ def write_trace_csv(trace: Sequence[TraceEntry], path) -> None:
 
 
 def read_trace_csv(path) -> list[TraceEntry]:
-    with open(path, encoding="utf-8") as fh:
-        rows = fh.read().strip().splitlines()
+    rows = [line.strip() for line in read_lines(path) if line.strip()]
     if not rows or rows[0] != "step,lr,loss":
         raise InputError(f"{path}: not a loss-trace CSV")
     out = []
     for row in rows[1:]:
-        s, lr, loss = row.split(",")
-        out.append(TraceEntry(step=int(s), lr=float(lr), loss=float(loss)))
+        try:
+            s, lr, loss = row.split(",")
+            out.append(TraceEntry(step=int(s), lr=float(lr), loss=float(loss)))
+        except ValueError as exc:
+            raise InputError(f"{path}: bad trace row {row!r}: {exc}") from exc
     return out
 
 

@@ -2,9 +2,16 @@
 adapter-friendly init, gradient coverage of every adapted role, base
 freezing, and quantization of the base."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qlorakit import model
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.matrix import softmax
 from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpec,
@@ -242,3 +249,145 @@ def test_mixed_length_loss_and_grads_is_the_mean_of_single_examples(small_setup)
     for key, g in grads.items():
         expected = sum(sg[key] for _, sg in singles) / len(batch)
         assert np.max(np.abs(g - expected)) <= 1e-12, key
+
+
+def _count_passes(monkeypatch):
+    """Record (rows, T, masked) for every batched pass the model runs."""
+    calls = []
+    real = model._forward_pass
+
+    def spy(weights, layers, spec, toks, valid, need_tape):
+        calls.append((toks.shape[0], toks.shape[1], valid is not None))
+        return real(weights, layers, spec, toks, valid, need_tape)
+
+    monkeypatch.setattr(model, "_forward_pass", spy)
+    return calls
+
+
+def test_mixed_length_window_runs_in_sorted_capped_passes(monkeypatch):
+    spec = ToyModelSpec(vocab_size=23, d_model=8, n_layers=1, n_heads=2, d_ff=8,
+                        n_classes=3, max_seq_len=32)
+    params = init_model_params(spec, seed=1, profile="standard")
+    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=2)
+    rng = np.random.default_rng(5)
+    lengths = [int(t) for t in rng.integers(1, spec.max_seq_len + 1, size=60)]
+    lengths += [23, 28, 25, 24, 26, 27, 23, 25]
+    # the predicted chunking: ascending lengths, a new pass whenever the
+    # padded rows (members x longest member) would exceed ROWS_PER_PASS
+    expected, members = [], 0
+    for t in sorted(lengths):
+        if members and (members + 1) * t > ROWS_PER_PASS:
+            expected.append(members)
+            members = 0
+        members += 1
+    expected.append(members)
+    seqs = [rng.integers(0, spec.vocab_size, size=t) for t in lengths]
+    batch = [(s, 0) for s in seqs]
+    calls = _count_passes(monkeypatch)
+    forward_batch(params, spec, seqs, adapters)
+    loss_and_grads(params, spec, batch, adapters)
+    assert [rows for rows, _, _ in calls] == expected * 2
+    assert all(rows * t <= ROWS_PER_PASS or rows == 1 for rows, t, _ in calls)
+    # a corpus-like window of 8 questions, 6 distinct lengths, runs in 2 passes
+    calls.clear()
+    loss_and_grads(params, spec, batch[-8:], adapters)
+    assert [(rows, t) for rows, t, _ in calls] == [(5, 25), (3, 28)]
+    # equal lengths run unmasked, as many per pass as fit
+    calls.clear()
+    loss_and_grads(params, spec, [(s[:16], 0) for s in seqs if s.size >= 16][:9], adapters)
+    assert calls == [(8, 16, False), (1, 16, False)]
+
+
+def test_a_pass_of_lengths_1_and_max_matches_single_sequences(small_setup, monkeypatch):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(12)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    batch = [(rng.integers(0, spec.vocab_size, size=1), 2),
+             (rng.integers(0, spec.vocab_size, size=spec.max_seq_len), 1)]
+    singles = [loss_and_grads(params, spec, [ex], adapters) for ex in batch]
+    single_logits = [forward(params, spec, s, adapters) for s, _ in batch]
+    calls = _count_passes(monkeypatch)
+    loss, grads = loss_and_grads(params, spec, batch, adapters)
+    logits = forward_batch(params, spec, [s for s, _ in batch], adapters)
+    assert calls == [(2, spec.max_seq_len, True)] * 2
+    assert np.max(np.abs(logits - np.stack(single_logits))) <= 1e-12
+    assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
+    for key, g in grads.items():
+        expected = (singles[0][1][key] + singles[1][1][key]) / 2
+        assert np.max(np.abs(g - expected)) <= 1e-12, key
+
+
+def test_logits_do_not_depend_on_longer_pass_mates(small_setup, monkeypatch):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(13)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    short = rng.integers(0, spec.vocab_size, size=2)
+    alone = forward(params, spec, short, adapters)
+    calls = _count_passes(monkeypatch)
+    for trial in range(4):
+        mates = [rng.integers(0, spec.vocab_size, size=int(t))
+                 for t in rng.integers(3, spec.max_seq_len + 1, size=trial + 1)]
+        got = forward_batch(params, spec, [short] + mates, adapters)[0]
+        assert np.max(np.abs(got - alone)) <= 1e-12
+    assert len(calls) == 4 and all(masked for _, _, masked in calls)
+
+
+def test_padded_positions_carry_exactly_zero_gradient(small_setup):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(14)
+    toks = [rng.integers(0, spec.vocab_size, size=t) for t in (2, 4, spec.max_seq_len)]
+    [(_, pass_toks, valid)] = list(model._passes(toks))
+    layers = model._layers(params, spec, adapters)
+    dlogits = rng.normal(size=(len(toks), spec.n_classes))
+    results = []
+    for pad_token in (0, 5):
+        padded = np.where(valid, pass_toks, pad_token)
+        logits, tape = model._forward_pass(params.weights, layers, spec, padded, valid, True)
+        grads = {k + s: 0.0 for k in adapters for s in ("/b", "/a")}
+        model._backward_pass(layers, spec, dlogits, padded.shape[1], valid, tape, grads)
+        results.append((logits, grads))
+    (logits0, grads0), (logits5, grads5) = results
+    assert np.array_equal(logits0, logits5)
+    assert all(np.array_equal(grads0[k], grads5[k]) for k in grads0)
+
+
+_HEAP_PROBE = """
+import ctypes, sys
+import numpy as np
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+if sys.argv[1] == "model":
+    import qlorakit.model
+held = [np.ones(8192) for _ in range(64)]  # 64 KiB each: heap, not mmap
+before = libc.mallinfo2().arena
+del held
+print(before - libc.mallinfo2().arena)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_importing_the_model_keeps_freed_heap():
+    """Freed pass temporaries stay in the heap instead of going back to the
+    kernel, so the next pass does not fault them in again."""
+    import ctypes
+
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("glibc before 2.33 has no mallinfo2")
+    env = dict(os.environ, PYTHONPATH=str(Path(model.__file__).parents[1]))
+
+    def returned_bytes(mode):
+        out = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode], env=env,
+                             capture_output=True, text=True, check=True)
+        return int(out.stdout)
+
+    assert returned_bytes("plain") > 2**20  # glibc's default trims the heap
+    assert returned_bytes("model") == 0
+    assert model.keep_freed_heap()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qlorakit.errors import InputError
 from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP,
+                            _absmax_quantize, _blockwise_dequantize,
                             Q8Vector, dequantize_4bit, dequantize_8bit,
                             footprint_report, pack_nibbles, q4_from_bytes,
                             q4_to_bytes, quantize_4bit, quantize_8bit,
@@ -204,3 +205,34 @@ def test_quantize_8bit_rejects_a_scale_that_overflows_float32():
         # the largest scale float32 holds still quantizes
         q = quantize_8bit([127.0 * float(np.finfo(np.float32).max)])
         assert np.isfinite(q.scales).all()
+
+
+def _repeat_reference(flat, block_size, top):
+    """The per-element formulation: pad into a fresh buffer, expand every
+    scale with np.repeat. Codes, scales and dequantized values must match
+    the block-view kernels bit for bit."""
+    n = flat.size
+    nb = -(-n // block_size)
+    padded = np.zeros(nb * block_size)
+    padded[:n] = flat
+    scales = (np.max(np.abs(padded.reshape(nb, block_size)), axis=1) / top).astype(np.float32)
+    per_elem = np.repeat(scales.astype(np.float64), block_size)[:n]
+    safe = np.where(per_elem > 0.0, per_elem, 1.0)
+    ratio = np.where(per_elem > 0.0, flat / safe, 0.0)
+    codes = np.clip(round_half_away(ratio), -top, top).astype(np.int8)
+    return codes, scales, codes.astype(np.float64) * per_elem
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 70), st.sampled_from([Q4_TOP, Q8_TOP]),
+       st.sampled_from([0.0, 1e-300, 1.0, 1e30]), st.integers(0, 10_000))
+def test_block_view_kernels_match_the_per_element_reference(n, block, top, magnitude, seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.normal(size=n) * magnitude
+    flat[rng.random(n) < 0.2] = 0.0  # whole zero blocks at small block sizes
+    codes, scales = _absmax_quantize(flat, block, top)
+    ref_codes, ref_scales, ref_deq = _repeat_reference(flat, block, top)
+    assert codes.dtype == np.int8 and np.array_equal(codes, ref_codes)
+    assert scales.dtype == np.float32 and np.array_equal(scales, ref_scales)
+    deq = _blockwise_dequantize(codes, scales, block)
+    assert deq.shape == (n,) and np.array_equal(deq, ref_deq)
