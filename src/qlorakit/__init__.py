@@ -5,7 +5,7 @@ from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      QlorakitError, ShapeError, TransportError)
 from .evalharness import (ConfusionMatrix, LabelSet, MetricReport,
                           build_confusion, compute_metrics, normalize_answer,
-                          render_report, render_report_csv, sample_eval_set)
+                          render_report, sample_eval_set)
 from .lora import (LoraAdapter, QLoraLinear, load_adapters, lora_delta,
                    lora_init, merge, qlora_forward, save_adapters)
 from .matrix import Matrix, as_matrix, softmax
@@ -38,6 +38,6 @@ __all__ = [
     "loss_and_grads", "lr_at", "merge", "normalize_answer", "pack_nibbles",
     "parse_qa_response", "q4_from_bytes", "q4_to_bytes", "qlora_forward",
     "quantize_4bit", "quantize_8bit", "quantize_base", "render_report",
-    "render_report_csv", "sample_eval_set", "save_adapters", "softmax",
+    "sample_eval_set", "save_adapters", "softmax",
     "split_dataset", "train", "unpack_nibbles",
 ]

@@ -31,8 +31,9 @@ from . import qagen
 from . import tasks
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
-from .fileio import atomic_write
+from .fileio import atomic_write, json_int, read_json, read_lines
 from .lora import load_adapters, save_adapters
+from .matrix import as_matrix
 from .model import base_fingerprint, init_adapters, init_model_params, quantize_base
 from .quant import (DEFAULT_BLOCK_SIZE, dequantize_4bit, footprint_report,
                     quantize_4bit)
@@ -190,10 +191,9 @@ def cmd_train(args) -> int:
         test_examples = None
     elif os.path.exists(token_path):
         mode = "token"
-        with open(os.path.join(data, "task.json"), encoding="utf-8") as fh:
-            task = json.load(fh)
-        cfg = dataclasses.replace(cfg, vocab_size=int(task["vocab_size"]),
-                                  n_classes=int(task["n_classes"]))
+        task = read_json(os.path.join(data, "task.json"))
+        cfg = dataclasses.replace(cfg, **{key: json_int(task.get(key), f"task.json {key}")
+                                          for key in ("vocab_size", "n_classes")})
         spec = cfgmod.model_spec_from(cfg)
         examples = tasks.read_token_examples(token_path)
         test_path = os.path.join(data, "test.jsonl")
@@ -307,8 +307,7 @@ def cmd_eval(args) -> int:
     results = {args.model_name: reports}
 
     os.makedirs(args.out, exist_ok=True)
-    table = ev.render_report(results)
-    csv_text = ev.render_report_csv(results)
+    table, csv_text = ev.render_tables(ev.report_cells(results))
     with atomic_write(os.path.join(args.out, f"metrics_{args.model_name}.csv")) as fh:
         fh.write(csv_text)
     with atomic_write(os.path.join(args.out, f"report_{args.model_name}.txt")) as fh:
@@ -338,8 +337,11 @@ def cmd_report(args) -> int:
         raise InputError(f"no metrics_*.csv files in {args.in_dir}")
     merged: dict = {}
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            parsed = ev.parse_report_csv(fh.read())
+        content = "".join(read_lines(path))
+        try:
+            parsed = ev.parse_report_csv(content)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         for model, per_task in parsed.items():
             if model in merged:
                 raise InputError(f"duplicate model column {model!r} in {path}")
@@ -355,13 +357,11 @@ def cmd_report(args) -> int:
 
 def _load_weight_matrix(path) -> np.ndarray:
     _require_file(path, "weights file")
-    if path.endswith(".npy"):
-        arr = np.load(path)
-    else:
-        arr = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    from .matrix import as_matrix
-
-    return as_matrix(arr, "weights")
+    try:  # numpy reports malformed text, non-npy bytes and non-numbers as ValueError
+        return as_matrix(np.load(path) if path.endswith(".npy")
+                         else np.loadtxt(path, dtype=np.float64, ndmin=2), "weights")
+    except ValueError as exc:
+        raise InputError(f"{path}: not a weight matrix: {exc}") from exc
 
 
 def cmd_inspect_quant(args) -> int:

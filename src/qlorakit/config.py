@@ -9,12 +9,12 @@ backend). All component seeds derive from the single `seed` value.
 from __future__ import annotations
 
 import dataclasses
-import json
 import zlib
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
+from .fileio import read_json
 from .model import ToyModelSpec
 from .optim import TrainConfig
 from .qagen import LLMClientSpec
@@ -93,14 +93,10 @@ def load_config(path=None, overrides: Mapping[str, object] | None = None) -> Run
     """Defaults, then JSON file values, then overrides; unknown keys rejected."""
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:  # bad UTF-8 is a ValueError too
-                file_values = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"{path}: config must be a flat JSON object")
-        values.update(file_values)
+        try:
+            values.update(read_json(path))
+        except InputError as exc:
+            raise ConfigError(f"config must be a flat JSON object: {exc}") from exc
     if overrides:
         values.update(overrides)
     kwargs = {}

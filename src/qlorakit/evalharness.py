@@ -20,7 +20,6 @@ weights as precision and recall.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -28,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .fileio import atomic_write, json_int, read_jsonl, read_lines
+from .fileio import atomic_write, read_dataclass_jsonl, read_lines, write_jsonl
 from .qagen import CATEGORIES
 
 UNKNOWN = "unknown"
@@ -197,7 +196,7 @@ def _cell(value: float) -> str:
 _METRIC_ATTRS = dict(zip(METRIC_ROWS, ("accuracy", "recall", "precision", "f1")))
 
 
-def _report_cells(results: Mapping[str, Mapping[str, MetricReport]]) -> dict:
+def report_cells(results: Mapping[str, Mapping[str, MetricReport]]) -> dict:
     """model -> task display name -> metric row -> formatted cell."""
     return {
         model: {TASK_DISPLAY[cat]: {metric: _cell(getattr(per_task[cat], attr))
@@ -240,15 +239,11 @@ def render_tables(cells: Mapping[str, Mapping]) -> tuple[str, str]:
 
 
 def render_report(results: Mapping[str, Mapping[str, MetricReport]]) -> str:
-    return render_tables(_report_cells(results))[0]
-
-
-def render_report_csv(results: Mapping[str, Mapping[str, MetricReport]]) -> str:
-    return render_tables(_report_cells(results))[1]
+    return render_tables(report_cells(results))[0]
 
 
 def parse_report_csv(text: str) -> dict:
-    """Inverse of render_report_csv down to the formatted cell strings."""
+    """Inverse of render_tables' CSV down to the formatted cell strings."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise InputError("empty report CSV")
@@ -256,9 +251,13 @@ def parse_report_csv(text: str) -> dict:
     if header[:2] != ["task", "metric"]:
         raise InputError("not a report CSV (bad header)")
     models = header[2:]
+    if len(set(models)) != len(models):
+        raise InputError(f"duplicate model column in header {lines[0]!r}")
     out: dict = {m: {} for m in models}
     for ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) < 2:
+            raise InputError(f"report row {ln!r} has fewer than 2 fields")
         task, metric, cells = parts[0], parts[1], parts[2:]
         for m, cell in zip(models, cells):
             out[m].setdefault(task, {})[metric] = cell
@@ -298,26 +297,25 @@ def read_label_dir(labels_dir) -> dict[str, LabelSet]:
     return out
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """One row of a predictions file."""
+
+    scenario_id: str
+    pair_index: int
+    raw_answer: str
+
+
 def write_predictions_jsonl(path, rows: Sequence[tuple]) -> None:
     """rows: (scenario_id, pair_index, raw_answer) triples."""
-    with atomic_write(path) as fh:
-        for sid, idx, answer in rows:
-            fh.write(json.dumps(
-                {"scenario_id": sid, "pair_index": int(idx), "raw_answer": answer},
-                ensure_ascii=False) + "\n")
+    write_jsonl(path, (Prediction(sid, int(idx), answer) for sid, idx, answer in rows))
 
 
 def read_predictions_jsonl(path) -> dict[tuple, str]:
     out: dict[tuple, str] = {}
-    for row in read_jsonl(path):
-        unknown = set(row) - {"scenario_id", "pair_index", "raw_answer"}
-        if unknown:
-            raise InputError(f"{path}: unknown prediction key {sorted(unknown)[0]!r}")
-        sid, answer = row.get("scenario_id"), row.get("raw_answer")
-        if not (isinstance(sid, str) and isinstance(answer, str)):
-            raise InputError(f"{path}: scenario_id and raw_answer must be strings")
-        key = (sid, json_int(row.get("pair_index"), f"{path}: pair_index"))
+    for p in read_dataclass_jsonl(path, Prediction, "prediction"):
+        key = (p.scenario_id, p.pair_index)
         if key in out:
             raise InputError(f"{path}: duplicate prediction for {key}")
-        out[key] = answer
+        out[key] = p.raw_answer
     return out

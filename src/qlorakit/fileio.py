@@ -1,4 +1,4 @@
-"""Atomic artifact writes and checked text reads.
+"""Atomic artifact writes, checked text reads, and the JSONL row codec.
 
 Every artifact is written to a temp file in its target directory and then
 moved over the target with os.replace, so a reader sees either the old
@@ -9,11 +9,16 @@ against failed or interrupted writers, not against power loss.)
 The readers turn any undecodable content (bytes that are not UTF-8,
 invalid or too deeply nested JSON, a non-integer where an integer
 belongs) into InputError, so a bad file never escapes untyped.
+
+Every JSONL artifact holds one dataclass row per line, keys being the
+dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
+are the one codec for all of them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import secrets
@@ -46,20 +51,28 @@ def read_lines(path) -> list[str]:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def _load_object(text: str, where) -> dict:
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    return value
+
+
+def read_json(path) -> dict:
+    """The one JSON object a UTF-8 file holds."""
+    return _load_object("".join(read_lines(path)), path)
+
+
 def read_jsonl(path) -> list[dict]:
     """One JSON object per non-blank line."""
     rows = []
     for lineno, line in enumerate(read_lines(path), 1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise InputError(f"{path}:{lineno}: expected a JSON object")
-        rows.append(row)
+        if line:
+            rows.append(_load_object(line, f"{path}:{lineno}"))
     return rows
 
 
@@ -72,3 +85,47 @@ def json_int(value, what: str) -> int:
             or not -2**63 <= value < 2**63):
         raise InputError(f"{what} must be a 64-bit integer, got {value!r}")
     return value
+
+
+# a field annotation (as written, or the class) -> the JSON type of its values
+_JSON_TYPES = {"int": int, "str": str, "bool": bool}
+
+
+def write_jsonl(path, rows) -> None:
+    """One JSON object per dataclass row, keys in field order."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(json.dumps({f.name: getattr(row, f.name) for f in dataclasses.fields(row)},
+                                ensure_ascii=False) + "\n")
+
+
+def read_dataclass_jsonl(path, cls, what: str) -> list:
+    """cls instances from rows write_jsonl wrote. An unknown key, a missing
+    required key, a value of the wrong JSON type for an int, str or bool
+    field, and anything cls itself rejects are InputErrors naming the file."""
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    required = {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    typed = [(f.name, _JSON_TYPES[kind]) for f in fields
+             if (kind := getattr(f.type, "__name__", f.type)) in _JSON_TYPES]
+    out = []
+    for row in read_jsonl(path):
+        try:
+            if not known >= row.keys() >= required:
+                unknown = sorted(row.keys() - known)
+                if unknown:
+                    raise InputError(f"unknown {what} key {unknown[0]!r}")
+                raise InputError(f"missing {what} key {min(required - row.keys())!r}")
+            for name, kind in typed:
+                if name not in row:
+                    continue
+                if kind is int:
+                    row[name] = json_int(row[name], name)  # an integral float reads as int
+                elif type(row[name]) is not kind:
+                    raise InputError(f"{name} must be a JSON "
+                                     f"{'string' if kind is str else 'boolean'}")
+            out.append(cls(**row))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+    return out

@@ -21,20 +21,16 @@ import re
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
-from .fileio import atomic_write, json_int, read_jsonl, read_lines
+from .fileio import atomic_write, read_dataclass_jsonl, read_lines, write_jsonl
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
-_SCENARIO_KEYS = ("scenario_id", "image_ref", "caption", "risk_present",
-                  "suggested_action", "road_type", "extra")
-_RECORD_KEYS = ("scenario_id", "image_ref", "question", "answer", "category",
-                "pair_index")
 _EXTRA_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
@@ -70,12 +66,13 @@ class ScenarioAnnotation:
             raise InputError("risk_present must be a boolean")
         if not isinstance(self.extra, Mapping):
             raise InputError("extra must be a mapping of key to text")
-        extra = dict(self.extra)
-        for key, value in extra.items():
-            if not _EXTRA_KEY_RE.match(key) or key in _SCENARIO_KEYS:
+        names = [f.name for f in fields(self)]
+        for key, value in self.extra.items():
+            if not _EXTRA_KEY_RE.match(key) or key in names:
                 raise InputError(f"bad extra key {key!r}")
             _check_line_text(value, f"extra[{key}]")
-        object.__setattr__(self, "extra", extra)
+        # sorted, so equal annotations write equal bytes
+        object.__setattr__(self, "extra", dict(sorted(self.extra.items())))
 
 
 @dataclass(frozen=True)
@@ -151,8 +148,7 @@ def build_prompt(s: ScenarioAnnotation) -> str:
         f"suggested_action: {s.suggested_action}",
         f"road_type: {s.road_type}",
     ]
-    for key in sorted(s.extra):
-        lines.append(f"{key}: {s.extra[key]}")
+    lines.extend(f"{key}: {value}" for key, value in s.extra.items())
     lines.extend(["", _PROMPT_INSTRUCTIONS])
     return "\n".join(lines)
 
@@ -457,92 +453,30 @@ def split_dataset(records: Sequence[QARecord], test_fraction: float,
 
 # ---- file formats ----
 
-def _write_jsonl(path, rows: Iterable[dict]) -> None:
-    with atomic_write(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
 def write_scenarios_jsonl(path, scenarios: Sequence[ScenarioAnnotation]) -> None:
-    _write_jsonl(path, (
-        {
-            "scenario_id": s.scenario_id,
-            "image_ref": s.image_ref,
-            "caption": s.caption,
-            "risk_present": s.risk_present,
-            "suggested_action": s.suggested_action,
-            "road_type": s.road_type,
-            "extra": dict(sorted(s.extra.items())),
-        }
-        for s in scenarios
-    ))
+    write_jsonl(path, scenarios)
 
 
 def read_scenarios_jsonl(path) -> list[ScenarioAnnotation]:
-    out = []
+    out = read_dataclass_jsonl(path, ScenarioAnnotation, "scenario")
     seen = set()
-    for row in read_jsonl(path):
-        unknown = set(row) - set(_SCENARIO_KEYS)
-        if unknown:
-            raise InputError(f"{path}: unknown scenario key {sorted(unknown)[0]!r}")
-        try:
-            s = ScenarioAnnotation(
-                scenario_id=row.get("scenario_id", ""),
-                image_ref=row.get("image_ref", ""),
-                caption=row.get("caption", ""),
-                risk_present=row.get("risk_present", False),
-                suggested_action=row.get("suggested_action", ""),
-                road_type=row.get("road_type", ""),
-                extra=row.get("extra", {}),
-            )
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    for s in out:
         if s.scenario_id in seen:
             raise InputError(f"{path}: duplicate scenario_id {s.scenario_id!r}")
         seen.add(s.scenario_id)
-        out.append(s)
     return out
 
 
 def write_records_jsonl(path, records: Sequence[QARecord]) -> None:
-    _write_jsonl(path, (
-        {
-            "scenario_id": r.scenario_id,
-            "image_ref": r.image_ref,
-            "question": r.question,
-            "answer": r.answer,
-            "category": r.category,
-            "pair_index": r.pair_index,
-        }
-        for r in records
-    ))
+    write_jsonl(path, records)
 
 
 def read_records_jsonl(path) -> list[QARecord]:
-    out = []
-    for row in read_jsonl(path):
-        unknown = set(row) - set(_RECORD_KEYS)
-        if unknown:
-            raise InputError(f"{path}: unknown record key {sorted(unknown)[0]!r}")
-        try:
-            out.append(QARecord(
-                scenario_id=row.get("scenario_id", ""),
-                image_ref=row.get("image_ref", ""),
-                question=row.get("question", ""),
-                answer=row.get("answer", ""),
-                category=row.get("category", ""),
-                pair_index=json_int(row.get("pair_index", 0), "pair_index"),
-            ))
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    return out
+    return read_dataclass_jsonl(path, QARecord, "record")
 
 
 def write_rejects_jsonl(path, rejects: Sequence[RejectRecord]) -> None:
-    _write_jsonl(path, (
-        {"scenario_id": r.scenario_id, "attempts": r.attempts, "error": r.error}
-        for r in rejects
-    ))
+    write_jsonl(path, rejects)
 
 
 def write_manifest(path, ids: Sequence[str]) -> None:

@@ -4,7 +4,7 @@ summary.
 One optimizer step consumes a window of batch_size * grad_accum_steps
 examples (the last window of an epoch may be short) in one
 loss_and_grads call: the mean loss and gradients over the whole window,
-computed in equal-length passes. Only the product of the two keys
+computed in length-sorted, padded passes. Only the product of the two keys
 matters; both stay because checkpoints and configs carry them.
 """
 

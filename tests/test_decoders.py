@@ -152,6 +152,10 @@ MALFORMED = {
     "tokens-string-element": ("read_token_examples", b'{"tokens": [1, "2"], "label": 0}\n'),
     "predictions-pair-index-string": ("read_predictions_jsonl", (
         b'{"scenario_id": "s", "pair_index": "1", "raw_answer": "a"}\n')),
+    "predictions-pair-index-2**70": ("read_predictions_jsonl", (
+        b'{"scenario_id": "s", "pair_index": 1180591620717411303424, "raw_answer": "a"}\n')),
+    "predictions-raw-answer-number": ("read_predictions_jsonl", (
+        b'{"scenario_id": "s", "pair_index": 1, "raw_answer": 1}\n')),
     "trace-short-row": ("read_trace_csv", b"step,lr,loss\n1,0.1\n"),
     "trace-non-int-step": ("read_trace_csv", b"step,lr,loss\nx,0.1,0.2\n"),
     "trace-bad-utf8": ("read_trace_csv", b"step,lr,loss\n\xff,0.1,0.2\n"),
@@ -186,21 +190,54 @@ def test_config_file_with_bad_bytes_or_deep_nesting_is_a_config_error(tmp_path):
             load_config(path)
 
 
+def _exits_2_with_one_line(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: input: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("corpus", [b'{"scenario_id": "s\xff"}\n', RECORD % b'"x"'],
                          ids=["bad-utf8", "pair-index-string"])
 def test_split_on_a_corrupt_corpus_exits_2_with_one_line(tmp_path, capsys, corpus):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(corpus)
-    rc = main(["split", "--corpus", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: input: ") and err.count("\n") == 1, err
+    _exits_2_with_one_line(capsys, ["split", "--corpus", str(path),
+                                    "--out", str(tmp_path / "out")])
 
 
 def test_gen_data_on_a_lone_surrogate_caption_exits_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "scenarios.jsonl"
     path.write_bytes(MALFORMED["scenarios-lone-surrogate"][1])
-    rc = main(["gen-data", "--scenarios", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: input: ") and err.count("\n") == 1, err
+    _exits_2_with_one_line(capsys, ["gen-data", "--scenarios", str(path),
+                                    "--out", str(tmp_path / "out")])
+
+
+# case -> (command, the file it reads, its bytes); train reads task.json of a token dir
+CLI_INPUTS = {
+    "train-task-json-invalid": ("train", "task.json", b"{bad"),
+    "train-task-json-no-keys": ("train", "task.json", b"{}"),
+    "train-task-json-list": ("train", "task.json", b"[1]"),
+    "train-task-json-string-vocab": ("train", "task.json",
+                                     b'{"vocab_size": "x", "n_classes": 4}'),
+    "train-task-json-bad-utf8": ("train", "task.json",
+                                 b'{"vocab_size": 64, "n_classes": 4}\xff'),
+    "report-bad-utf8": ("report", "metrics_m.csv", b"task,metric,m\nRisk,Accuracy,\xff\n"),
+    "report-short-row": ("report", "metrics_m.csv", b"task,metric,m\nRisk\n"),
+    "report-model-twice": ("report", "metrics_m.csv",
+                           b"task,metric,m,m\nRisk,Accuracy,1.00,2.00\n"),
+    "inspect-quant-words": ("inspect-quant", "w.txt", b"abc def\n"),
+    "inspect-quant-ragged-rows": ("inspect-quant", "w.txt", b"1 2\n3\n"),
+    "inspect-quant-not-npy": ("inspect-quant", "w.npy", b"not an npy file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_INPUTS))
+def test_cli_on_a_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    command, name, blob = CLI_INPUTS[case]
+    (tmp_path / name).write_bytes(blob)
+    (tmp_path / "train.jsonl").write_text('{"tokens": [1], "label": 0}\n')
+    argv = {"train": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run")],
+            "report": ["report", "--in", str(tmp_path)],
+            "inspect-quant": ["inspect-quant", "--weights", str(tmp_path / name)]}
+    _exits_2_with_one_line(capsys, argv[command])

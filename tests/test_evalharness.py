@@ -14,8 +14,8 @@ from qlorakit.evalharness import (METRIC_ROWS, MODES, UNKNOWN,
                                   normalize_answer, normalize_text,
                                   parse_report_csv, read_label_dir,
                                   read_predictions_jsonl, render_report,
-                                  render_report_csv, sample_eval_set,
-                                  write_label_files,
+                                  render_tables, report_cells,
+                                  sample_eval_set, write_label_files,
                                   write_predictions_jsonl)
 
 YES_NO = LabelSet("risk", ("yes", "no"))
@@ -239,15 +239,16 @@ def test_render_hand_example_cell():
     text = render_report({"m": {"agent": rep}})
     f1_line = [ln for ln in text.splitlines() if "F1-score" in ln][0]
     assert f1_line.split()[-1] == "38.89"
-    csv_text = render_report_csv({"m": {"agent": rep}})
+    _, csv_text = render_tables(report_cells({"m": {"agent": rep}}))
     assert csv_text.splitlines()[4] == "Agent,F1-score,38.89"
 
 
 def test_csv_and_text_tables_carry_identical_cells():
     results = {"m": {"risk": compute_metrics(
         build_confusion(["yes", "no"], ["yes", "yes"], YES_NO), "macro")}}
-    text = render_report(results)
-    csv_rows = parse_report_csv(render_report_csv(results))["m"]
+    text, csv_text = render_tables(report_cells(results))
+    assert text == render_report(results)
+    csv_rows = parse_report_csv(csv_text)["m"]
     for line in text.splitlines()[2:]:
         parts = line.split()
         metric, cell = parts[-2], parts[-1]
@@ -257,11 +258,15 @@ def test_csv_and_text_tables_carry_identical_cells():
 def test_parse_report_csv_roundtrip_and_validation():
     results = {"m1": {"risk": perfect_report("risk")},
                "m2": {"risk": perfect_report("risk")}}
-    parsed = parse_report_csv(render_report_csv(results))
+    parsed = parse_report_csv(render_tables(report_cells(results))[1])
     assert sorted(parsed) == ["m1", "m2"]
     assert parsed["m1"]["Risk"]["Accuracy"] == "100.00"
     with pytest.raises(InputError, match="bad header"):
         parse_report_csv("a,b\n1,2\n")
+    with pytest.raises(InputError, match="fewer than 2 fields"):
+        parse_report_csv("task,metric,m\nRisk\n")
+    with pytest.raises(InputError, match="duplicate model column"):
+        parse_report_csv("task,metric,m,m\nRisk,Accuracy,1.00,2.00\n")
 
 
 def test_metric_rows_fixed_order():
@@ -284,7 +289,12 @@ def test_label_files_roundtrip(tmp_path):
 def test_predictions_roundtrip_and_duplicate_keys(tmp_path):
     path = tmp_path / "preds.jsonl"
     write_predictions_jsonl(path, [("s-1", 1, "yes"), ("s-1", 2, "no")])
+    assert path.read_text().splitlines()[0] == (
+        '{"scenario_id": "s-1", "pair_index": 1, "raw_answer": "yes"}')
     assert read_predictions_jsonl(path) == {("s-1", 1): "yes", ("s-1", 2): "no"}
+    path.write_text('{"scenario_id": "s-1", "pair_index": 1}\n')
+    with pytest.raises(InputError, match="preds.jsonl: missing prediction key 'raw_answer'"):
+        read_predictions_jsonl(path)
     write_predictions_jsonl(path, [("s-1", 1, "yes"), ("s-1", 1, "no")])
     with pytest.raises(InputError, match="duplicate"):
         read_predictions_jsonl(path)

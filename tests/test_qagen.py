@@ -339,6 +339,24 @@ def test_scenario_jsonl_roundtrip(tmp_path):
     path = tmp_path / "scenarios.jsonl"
     write_scenarios_jsonl(path, scenarios)
     assert read_scenarios_jsonl(path) == scenarios
+    # extra is stored sorted: the order it arrives in does not reach the file
+    unsorted = [scenario(i, extra={"zone": "school", "agent": "cyclist"}) for i in range(3)]
+    assert list(unsorted[0].extra) == ["agent", "zone"]
+    shuffled = tmp_path / "shuffled.jsonl"
+    write_scenarios_jsonl(shuffled, unsorted)
+    write_scenarios_jsonl(path, [scenario(i, extra={"agent": "cyclist", "zone": "school"})
+                                 for i in range(3)])
+    assert shuffled.read_bytes() == path.read_bytes()
+    # extra may be left out; every other key is required
+    row = json.loads(path.read_text().splitlines()[0])
+    for key in row:
+        partial = tmp_path / f"no_{key}.jsonl"
+        partial.write_text(json.dumps({k: v for k, v in row.items() if k != key}) + "\n")
+        if key == "extra":
+            assert read_scenarios_jsonl(partial)[0].extra == {}
+        else:
+            with pytest.raises(InputError, match=f"missing scenario key '{key}'"):
+                read_scenarios_jsonl(partial)
     dup = tmp_path / "dup.jsonl"
     write_scenarios_jsonl(dup, [scenarios[0], scenarios[0]])
     with pytest.raises(InputError, match="duplicate scenario_id"):
@@ -359,6 +377,14 @@ def test_records_jsonl_roundtrip_and_bad_rows(tmp_path):
     unknown.write_text('{"scenario_id": "s", "surprise": 1}\n')
     with pytest.raises(InputError, match="unknown record key"):
         read_records_jsonl(unknown)
+    row = json.loads(path.read_text().splitlines()[0])
+    assert list(row) == ["scenario_id", "image_ref", "question", "answer", "category",
+                         "pair_index"]
+    for key in row:
+        missing = tmp_path / f"no_{key}.jsonl"
+        missing.write_text(json.dumps({k: v for k, v in row.items() if k != key}) + "\n")
+        with pytest.raises(InputError, match=f"no_{key}.jsonl: missing record key '{key}'"):
+            read_records_jsonl(missing)
 
 
 def test_rejects_and_manifest_files(tmp_path):
