@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -358,9 +359,11 @@ def cmd_report(args) -> int:
 def _load_weight_matrix(path) -> np.ndarray:
     _require_file(path, "weights file")
     try:  # numpy reports malformed text, non-npy bytes and non-numbers as ValueError
-        return as_matrix(np.load(path) if path.endswith(".npy")
-                         else np.loadtxt(path, dtype=np.float64, ndmin=2), "weights")
-    except ValueError as exc:
+        with warnings.catch_warnings():  # and text holding no numbers as a UserWarning
+            warnings.simplefilter("error", UserWarning)
+            return as_matrix(np.load(path) if path.endswith(".npy")
+                             else np.loadtxt(path, dtype=np.float64, ndmin=2), "weights")
+    except (ValueError, UserWarning) as exc:
         raise InputError(f"{path}: not a weight matrix: {exc}") from exc
 
 

@@ -256,8 +256,9 @@ def parse_report_csv(text: str) -> dict:
     out: dict = {m: {} for m in models}
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) < 2:
-            raise InputError(f"report row {ln!r} has fewer than 2 fields")
+        if len(parts) != len(header):
+            raise InputError(f"report row {ln!r} does not have the header's "
+                             f"{len(header)} fields")
         task, metric, cells = parts[0], parts[1], parts[2:]
         for m, cell in zip(models, cells):
             out[m].setdefault(task, {})[metric] = cell

@@ -143,11 +143,10 @@ class QLoraLinear:
             cache = (x2, u)
         return y.reshape(*x.shape[:-1], y.shape[-1]), cache
 
-    def backward(self, dy, cache, grads, name: str):
-        """dx for upstream; adds the factor gradients, summed over every
-        leading axis, into grads[name + "/a" | "/b"]."""
+    def backward(self, dy, cache, grads, name: str, need_dx: bool = True):
+        """dx for upstream (None unless need_dx); adds the factor gradients,
+        summed over every leading axis, into grads[name + "/a" | "/b"]."""
         dy2 = dy.reshape(-1, dy.shape[-1])
-        dx = dy2 @ self.weight.T
         ad = self.adapter
         if ad is not None:
             x2, u = cache
@@ -155,6 +154,10 @@ class QLoraLinear:
             grads[name + "/a"] += s * (u.T @ dy2)
             t = dy2 @ ad.a_factor.T
             grads[name + "/b"] += s * (x2.T @ t)
+        if not need_dx:
+            return None
+        dx = dy2 @ self.weight.T
+        if ad is not None:
             dx = dx + s * (t @ ad.b_factor.T)
         return dx.reshape(*dy.shape[:-1], dx.shape[-1])
 

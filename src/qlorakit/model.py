@@ -386,8 +386,8 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
     """Accumulate adapter gradients into grads; padded rows get exactly zero."""
     inv_sqrt = spec.head_dim ** -0.5
 
-    def back(name, dy, cache):
-        return layers[name].backward(dy, cache, grads, name)
+    def back(name, dy, cache, need_dx=True):
+        return layers[name].backward(dy, cache, grads, name, need_dx)
 
     dpooled = back("head", dlogits, None)
     if valid is None:
@@ -403,15 +403,19 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
         dctxh = _split_heads(back(pre + "attn_o", dx_mid, rec["co"]), spec)
         attn, qh, kh, vh = rec["attn"], rec["qh"], rec["kh"], rec["vh"]
         dattn = dctxh @ vh.swapaxes(-1, -2)
-        dvh = attn.swapaxes(-1, -2) @ dctxh
         # softmax jacobian applied row-wise over the key axis
         dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-        dqh = (dscores @ kh) * inv_sqrt
-        dkh = (dscores.swapaxes(-1, -2) @ qh) * inv_sqrt
-        dx = (dx_mid
-              + back(pre + "attn_q", _merge_heads(dqh), rec["cq"])
-              + back(pre + "attn_k", _merge_heads(dkh), rec["ck"])
-              + back(pre + "attn_v", _merge_heads(dvh), rec["cv"]))
+        dheads = {"q": lambda: (dscores @ kh) * inv_sqrt,
+                  "k": lambda: (dscores.swapaxes(-1, -2) @ qh) * inv_sqrt,
+                  "v": lambda: attn.swapaxes(-1, -2) @ dctxh}
+        dx = dx_mid
+        for r, dhead in dheads.items():
+            layer = pre + "attn_" + r
+            if i > 0:
+                dx = dx + back(layer, _merge_heads(dhead()), rec["c" + r])
+            elif layers[layer].adapter is not None:
+                # layer 0's input gradient would reach only the frozen embeddings
+                back(layer, _merge_heads(dhead()), rec["c" + r], need_dx=False)
 
 
 def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
@@ -420,16 +424,21 @@ def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
 
     Sequences run length-sorted in passes of at most ROWS_PER_PASS token
     rows, each padded to its longest member with padded keys masked out of
-    attention and pooling, so every row depends only on its own tokens. A
-    4-bit base dequantizes once per call.
+    attention and pooling, so every row depends only on its own tokens; each
+    distinct sequence therefore runs once and its logits fill all its rows.
+    A 4-bit base dequantizes once per call.
     """
     toks = [_check_tokens(tokens, spec) for tokens in sequences]
     layers = _layers(params, spec, _check_adapters(adapters, spec))
-    logits = np.empty((len(toks), spec.n_classes))
-    for idx, pass_toks, valid in _passes(toks):
+    # the key holds the length too (8 bytes a token), so a prefix is its own key
+    slot: dict[bytes, int] = {}
+    rows = np.array([slot.setdefault(t.tobytes(), len(slot)) for t in toks], dtype=np.intp)
+    distinct = [toks[i] for i in np.unique(rows, return_index=True)[1]]
+    logits = np.empty((len(distinct), spec.n_classes))
+    for idx, pass_toks, valid in _passes(distinct):
         logits[idx], _ = _forward_pass(params.weights, layers, spec, pass_toks, valid,
                                        need_tape=False)
-    return logits
+    return logits[rows]
 
 
 def forward(params: ModelParams, spec: ToyModelSpec, tokens,

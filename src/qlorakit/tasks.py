@@ -9,6 +9,7 @@ randomized per process and would break run determinism).
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import Mapping, Sequence
 
@@ -41,6 +42,12 @@ def tokenize(text: str, vocab_size: int, max_len: int) -> list[int]:
     if not words:
         return [0]
     return [zlib.crc32(w.encode("utf-8")) % vocab_size for w in words]
+
+
+def _question_tokenizer(vocab_size: int, max_len: int):
+    """tokenize to int64 arrays, memoized for one call: corpora repeat templated questions."""
+    return functools.cache(
+        lambda text: np.asarray(tokenize(text, vocab_size, max_len), dtype=np.int64))
 
 
 def synthetic_token_task(n_train: int = 2000, n_test: int = 500,
@@ -129,6 +136,7 @@ def corpus_to_examples(records: Sequence[QARecord],
     """(tokens, class-id) pairs from QA records; answers that normalize to
     unknown cannot be trained on and are counted as skipped."""
     index = {lab: i for i, lab in enumerate(union)}
+    tokens = _question_tokenizer(vocab_size, max_seq_len)
     examples = []
     skipped = 0
     for r in records:
@@ -141,8 +149,7 @@ def corpus_to_examples(records: Sequence[QARecord],
             continue
         if gold not in index:
             raise InputError(f"gold label {gold!r} missing from the label union")
-        examples.append((np.asarray(tokenize(r.question, vocab_size, max_seq_len),
-                                    dtype=np.int64), index[gold]))
+        examples.append((tokens(r.question), index[gold]))
     return examples, skipped
 
 
@@ -181,7 +188,7 @@ def predict_answers(params: ModelParams, spec: ToyModelSpec, adapters,
             f"label union size {len(union)} does not match n_classes {spec.n_classes}"
         )
     ordered = sorted(records, key=lambda x: (x.scenario_id, x.pair_index))
-    logits = forward_batch(params, spec, [
-        tokenize(r.question, spec.vocab_size, spec.max_seq_len) for r in ordered], adapters)
+    tokens = _question_tokenizer(spec.vocab_size, spec.max_seq_len)
+    logits = forward_batch(params, spec, [tokens(r.question) for r in ordered], adapters)
     return [(r.scenario_id, r.pair_index, union[int(k)])
             for r, k in zip(ordered, np.argmax(logits, axis=1))]

@@ -226,7 +226,13 @@ CLI_INPUTS = {
     "report-short-row": ("report", "metrics_m.csv", b"task,metric,m\nRisk\n"),
     "report-model-twice": ("report", "metrics_m.csv",
                            b"task,metric,m,m\nRisk,Accuracy,1.00,2.00\n"),
+    "report-cell-too-many": ("report", "metrics_m.csv",
+                             b"task,metric,m\nRisk,Accuracy,1.00,2.00\n"),
+    "report-cell-too-few": ("report", "metrics_m.csv",
+                            b"task,metric,m1,m2\nRisk,Accuracy,1.00\n"),
     "inspect-quant-words": ("inspect-quant", "w.txt", b"abc def\n"),
+    "inspect-quant-empty": ("inspect-quant", "w.txt", b""),
+    "inspect-quant-blank": ("inspect-quant", "w.txt", b"  \n\n"),
     "inspect-quant-ragged-rows": ("inspect-quant", "w.txt", b"1 2\n3\n"),
     "inspect-quant-not-npy": ("inspect-quant", "w.npy", b"not an npy file"),
 }

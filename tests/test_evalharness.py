@@ -263,8 +263,10 @@ def test_parse_report_csv_roundtrip_and_validation():
     assert parsed["m1"]["Risk"]["Accuracy"] == "100.00"
     with pytest.raises(InputError, match="bad header"):
         parse_report_csv("a,b\n1,2\n")
-    with pytest.raises(InputError, match="fewer than 2 fields"):
-        parse_report_csv("task,metric,m\nRisk\n")
+    for row in ("Risk", "Risk,Accuracy", "Risk,Accuracy,1.00,2.00"):
+        with pytest.raises(InputError, match=f"report row '{row}' does not have the "
+                                             "header's 3 fields"):
+            parse_report_csv(f"task,metric,m\n{row}\n")
     with pytest.raises(InputError, match="duplicate model column"):
         parse_report_csv("task,metric,m,m\nRisk,Accuracy,1.00,2.00\n")
 

@@ -334,6 +334,46 @@ def test_logits_do_not_depend_on_longer_pass_mates(small_setup, monkeypatch):
     assert len(calls) == 4 and all(masked for _, _, masked in calls)
 
 
+def test_forward_batch_runs_each_distinct_sequence_once(small_setup, monkeypatch):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(15)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    long = np.array([5, 9, 0, 0])
+    short = long[:2]  # equal to long once padded with token 0: the key needs the length
+    other = rng.integers(0, spec.vocab_size, size=spec.max_seq_len)
+    seqs = [long, short, other] + [rng.integers(0, spec.vocab_size, size=3)
+                                   for _ in range(20)]
+    seqs += [list(short), other.copy(), long, short]  # repeats, far from their first
+    single = np.stack([forward(params, spec, s, adapters) for s in seqs])
+    calls = _count_passes(monkeypatch)
+    logits = forward_batch(params, spec, seqs, adapters)
+    assert sum(rows for rows, _, _ in calls) == 23
+    assert np.max(np.abs(logits - single)) <= 1e-12
+    for first, repeat in ((1, -4), (2, -3), (0, -2), (1, -1)):
+        assert np.array_equal(logits[first], logits[repeat])
+    # every sequence is checked before any pass runs, repeated ones included
+    calls.clear()
+    bad = [0, spec.vocab_size]
+    with pytest.raises(InputError, match="outside"):
+        forward_batch(params, spec, [short, bad, long, short, bad], adapters)
+    assert calls == []
+
+
+def test_all_distinct_forward_batch_keeps_the_undeduplicated_arithmetic(small_setup):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(16)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    seqs = list({s.tobytes(): s for s in mixed_length_sequences(spec, seed=17)}.values())
+    layers = model._layers(params, spec, adapters)
+    expected = np.empty((len(seqs), spec.n_classes))
+    for idx, pass_toks, valid in model._passes(seqs):
+        expected[idx], _ = model._forward_pass(params.weights, layers, spec, pass_toks,
+                                               valid, False)
+    assert np.array_equal(forward_batch(params, spec, seqs, adapters), expected)
+
+
 def test_padded_positions_carry_exactly_zero_gradient(small_setup):
     spec, params, adapters, _ = small_setup
     rng = np.random.default_rng(14)

@@ -142,6 +142,32 @@ def test_predict_answers_shape_and_order():
         predict_answers(params, spec, adapters, records, union[:5])
 
 
+def test_each_distinct_question_is_tokenized_once_per_call(monkeypatch):
+    from qlorakit import tasks
+
+    spec = ToyModelSpec(vocab_size=64, d_model=8, n_layers=1, n_heads=2,
+                        d_ff=8, n_classes=14, max_seq_len=32)
+    params = init_model_params(spec, seed=0)
+    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=1)
+    records = generate_dataset(synthetic_scenarios(20, seed=6), MockLLMClient(seed=6)).records
+    questions = sorted({r.question for r in records})
+    assert len(questions) < len(records)
+    sets = default_label_sets()
+    union = union_labels(sets)
+    calls = []
+    monkeypatch.setattr(tasks, "tokenize",
+                        lambda text, *bounds: calls.append(text) or tokenize(text, *bounds))
+    for _ in range(2):  # no memo outlives a call
+        calls.clear()
+        examples, skipped = corpus_to_examples(records, sets, union, 64, 32)
+        assert skipped == 0 and sorted(calls) == questions
+        assert all(np.array_equal(toks, tokenize(r.question, 64, 32))
+                   for (toks, _), r in zip(examples, records))
+        calls.clear()
+        predict_answers(params, spec, adapters, records, union)
+        assert sorted(calls) == questions
+
+
 def test_prompt_for_synthetic_scenarios_feeds_the_mock():
     s = synthetic_scenarios(1, seed=6)[0]
     assert f"road_type: {s.road_type}" in build_prompt(s)
