@@ -7,6 +7,7 @@ accuracy, and the trainable-parameter budget for both.
 """
 
 import argparse
+import inspect
 import sys
 
 from qlorakit.config import derive_seed, load_config, model_spec_from, train_config_from
@@ -17,8 +18,9 @@ from qlorakit.trainer import evaluate_accuracy, train
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-train", type=int, default=2000)
-    ap.add_argument("--n-test", type=int, default=500)
+    task = inspect.signature(synthetic_token_task).parameters
+    ap.add_argument("--n-train", type=int, default=task["n_train"].default)
+    ap.add_argument("--n-test", type=int, default=task["n_test"].default)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import glob
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -67,6 +68,13 @@ def _load_cfg(args, **flag_overrides) -> cfgmod.RunConfig:
         if value is not None:
             overrides[key] = value
     return cfgmod.load_config(getattr(args, "config", None), overrides)
+
+
+def _frozen_base(cfg: cfgmod.RunConfig, spec):
+    """The frozen base a config builds; train and predict both rebuild it here,
+    so a checkpoint's base_sha256 matches whenever the config does."""
+    params = init_model_params(spec, cfgmod.derive_seed(cfg.seed, "model"), cfg.init_profile)
+    return quantize_base(params, spec, cfg.block_size) if cfg.qlora else params
 
 
 def _base_sha256(params) -> str:
@@ -203,12 +211,8 @@ def cmd_train(args) -> int:
     else:
         raise InputError(f"{data} holds neither {CORPUS_FILE} nor train.jsonl")
 
-    params = init_model_params(spec, cfgmod.derive_seed(cfg.seed, "model"),
-                               cfg.init_profile)
-    footprint = None
-    if cfg.qlora:
-        params = quantize_base(params, spec, cfg.block_size)
-        footprint = _aggregate_footprint(params)
+    params = _frozen_base(cfg, spec)
+    footprint = _aggregate_footprint(params) if cfg.qlora else None
     adapters = init_adapters(spec, cfg.rank, cfg.alpha,
                              cfgmod.derive_seed(cfg.seed, "adapters"))
     tcfg = cfgmod.train_config_from(cfg)
@@ -250,10 +254,7 @@ def cmd_predict(args) -> int:
     cfg = cfgmod.load_config(overrides=meta["config"])
     union = tuple(meta["labels"])
     spec = cfgmod.model_spec_from(cfg, n_classes=int(meta["n_classes"]))
-    params = init_model_params(spec, cfgmod.derive_seed(cfg.seed, "model"),
-                               cfg.init_profile)
-    if cfg.qlora:
-        params = quantize_base(params, spec, cfg.block_size)
+    params = _frozen_base(cfg, spec)
     if meta.get("base_sha256") != _base_sha256(params):
         raise InputError("checkpoint was not trained on the base this config rebuilds "
                          "(base_sha256 missing or different)")
@@ -449,10 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-synthetic", help="write the token-classification task")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-train", type=int, default=2000)
-    p.add_argument("--n-test", type=int, default=500)
-    p.add_argument("--seq-len", type=int, default=16)
-    p.add_argument("--purity", type=float, default=0.85)
+    task = inspect.signature(tasks.synthetic_token_task).parameters
+    p.add_argument("--n-train", type=int, default=task["n_train"].default)
+    p.add_argument("--n-test", type=int, default=task["n_test"].default)
+    p.add_argument("--seq-len", type=int, default=task["seq_len"].default)
+    p.add_argument("--purity", type=float, default=task["purity"].default)
     add_common(p)
     p.set_defaults(func=cmd_make_synthetic)
 

@@ -129,16 +129,8 @@ def derive_seed(seed: int, tag: str) -> int:
 
 def model_spec_from(cfg: RunConfig, n_classes: int | None = None) -> ToyModelSpec:
     targets = tuple(t.strip() for t in cfg.adapter_targets.split(",") if t.strip())
-    return ToyModelSpec(
-        vocab_size=cfg.vocab_size,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff,
-        n_classes=cfg.n_classes if n_classes is None else n_classes,
-        max_seq_len=cfg.max_seq_len,
-        adapter_targets=targets,
-    )
+    return _copy_fields(ToyModelSpec, cfg, adapter_targets=targets,
+                        n_classes=cfg.n_classes if n_classes is None else n_classes)
 
 
 def _copy_fields(cls, cfg: RunConfig, **given):

@@ -157,11 +157,8 @@ def compute_metrics(cm: ConfusionMatrix, mode: str = "macro") -> MetricReport:
     if gold_support[unknown_idx] > 0:
         considered.append(unknown_idx)
 
-    if mode == "micro":
-        pooled = accuracy
-        micro_f1 = pooled if pooled > 0 else 0.0
-        precision = recall = pooled
-        f1_val = micro_f1
+    if mode == "micro":  # pooled precision and recall both equal accuracy
+        precision = recall = f1_val = accuracy
     elif mode == "macro":
         precision = float(np.mean(prec[considered]))
         recall = float(np.mean(rec[considered]))

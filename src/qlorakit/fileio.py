@@ -51,7 +51,8 @@ def read_lines(path) -> list[str]:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _load_object(text: str, where) -> dict:
+def json_object(text: str, where) -> dict:
+    """The JSON object text holds; where names its source in the InputError."""
     try:
         value = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -63,7 +64,7 @@ def _load_object(text: str, where) -> dict:
 
 def read_json(path) -> dict:
     """The one JSON object a UTF-8 file holds."""
-    return _load_object("".join(read_lines(path)), path)
+    return json_object("".join(read_lines(path)), path)
 
 
 def read_jsonl(path) -> list[dict]:
@@ -72,7 +73,7 @@ def read_jsonl(path) -> list[dict]:
     for lineno, line in enumerate(read_lines(path), 1):
         line = line.strip()
         if line:
-            rows.append(_load_object(line, f"{path}:{lineno}"))
+            rows.append(json_object(line, f"{path}:{lineno}"))
     return rows
 
 
@@ -88,7 +89,8 @@ def json_int(value, what: str) -> int:
 
 
 # a field annotation (as written, or the class) -> the JSON type of its values
-_JSON_TYPES = {"int": int, "str": str, "bool": bool}
+_JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list}
+_JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
 
 
 def write_jsonl(path, rows) -> None:
@@ -101,8 +103,9 @@ def write_jsonl(path, rows) -> None:
 
 def read_dataclass_jsonl(path, cls, what: str) -> list:
     """cls instances from rows write_jsonl wrote. An unknown key, a missing
-    required key, a value of the wrong JSON type for an int, str or bool
-    field, and anything cls itself rejects are InputErrors naming the file."""
+    required key, a value of the wrong JSON type for an int, str, bool or
+    list[int] field, and anything cls itself rejects are InputErrors naming
+    the file."""
     fields = dataclasses.fields(cls)
     known = {f.name for f in fields}
     required = {f.name for f in fields if f.default is dataclasses.MISSING
@@ -123,8 +126,9 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
                 if kind is int:
                     row[name] = json_int(row[name], name)  # an integral float reads as int
                 elif type(row[name]) is not kind:
-                    raise InputError(f"{name} must be a JSON "
-                                     f"{'string' if kind is str else 'boolean'}")
+                    raise InputError(f"{name} must be a JSON {_JSON_NAMES[kind]}")
+                elif kind is list:
+                    row[name] = [json_int(value, f"{name} item") for value in row[name]]
             out.append(cls(**row))
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc

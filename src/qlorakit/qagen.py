@@ -27,7 +27,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
-from .fileio import atomic_write, read_dataclass_jsonl, read_lines, write_jsonl
+from .fileio import (atomic_write, json_object, read_dataclass_jsonl, read_lines,
+                     write_jsonl)
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
@@ -111,8 +112,8 @@ class LLMClientSpec:
         if self.backend not in ("mock", "http"):
             raise ConfigError(f"backend must be mock or http, got {self.backend!r}")
         if self.backend == "http":
-            if not self.endpoint:
-                raise ConfigError("http backend requires an endpoint")
+            if not self.endpoint.lower().startswith(("http://", "https://")):
+                raise ConfigError(f"http backend needs an http(s) endpoint: {self.endpoint!r}")
             if not self.credential_env:
                 raise ConfigError("http backend requires a credential env var name")
         if self.max_retries < 0:
@@ -167,7 +168,7 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
         raise QAParseError("no JSON array in response", raw_text=text)
     try:
         payload = json.loads(text[start:end + 1])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise QAParseError(f"invalid JSON: {exc}", raw_text=text) from exc
     if not isinstance(payload, list):
         raise QAParseError("response is not a JSON array", raw_text=text)
@@ -180,10 +181,11 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
         question = item.get("question")
         answer = item.get("answer")
         category = item.get("category")
-        if not isinstance(question, str) or not question.strip():
-            raise QAParseError("missing or empty question", raw_text=text)
-        if not isinstance(answer, str) or not answer.strip():
-            raise QAParseError("missing or empty answer", raw_text=text)
+        try:  # a field no QARecord can hold (empty, multi-line) fails the grammar
+            _check_line_text(question, "question")
+            _check_line_text(answer, "answer")
+        except InputError as exc:
+            raise QAParseError(str(exc), raw_text=text) from exc
         if category not in CATEGORIES:
             raise QAParseError(f"unknown category {category!r}", raw_text=text)
         triples.append((question, answer, category))
@@ -287,7 +289,7 @@ class MockLLMClient:
 
 
 class HttpLLMClient:
-    """Minimal HTTP completion client.
+    """Minimal HTTP completion client on the standard library.
 
     Wire contract: POST endpoint with JSON {"model", "prompt",
     "max_tokens"} and header "Authorization: Bearer <credential>"; the
@@ -302,38 +304,48 @@ class HttpLLMClient:
         if spec.backend != "http":
             raise ConfigError(f"HttpLLMClient needs an http spec, got {spec.backend!r}")
         credential = os.environ.get(spec.credential_env)
-        if not credential:
+        # a header holds one line, and an error quoting a bad header would print the key
+        if not credential or not (credential.isascii() and credential.isprintable()):
             raise ConfigError(
-                f"environment variable {spec.credential_env} is not set "
-                f"(required for the http backend)"
+                f"environment variable {spec.credential_env} is not set to one line "
+                f"of printable ASCII (required for the http backend)"
             )
         self.spec = spec
         self.endpoint = spec.endpoint
         self._credential = credential
 
     def complete(self, prompt: str) -> str:
-        import requests
+        # imported here: the mock backend and every other stage never load HTTP code
+        import http.client
+        import urllib.error
+        import urllib.request
 
         body = {"model": self.spec.model_name, "prompt": prompt, "max_tokens": 512}
-        headers = {"Authorization": f"Bearer {self._credential}"}
+        # a 3xx is an answer like any other, so the key never goes to a redirect target
+        no_redirects = urllib.request.HTTPRedirectHandler()
+        no_redirects.redirect_request = lambda *args: None
         try:
-            resp = requests.post(self.endpoint, json=body, headers=headers,
-                                 timeout=self.spec.timeout_s)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                self.endpoint, data=json.dumps(body).encode("utf-8"), method="POST",
+                headers={"Content-Type": "application/json",
+                         "Authorization": f"Bearer {self._credential}"})
+            with urllib.request.build_opener(no_redirects).open(
+                    request, timeout=self.spec.timeout_s) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # before OSError: it is a URLError
+            exc.close()
+            status = exc.code
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: bad IDNA
             raise TransportError(f"backend {self.endpoint} unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(
-                f"backend {self.endpoint} returned HTTP {resp.status_code}"
-            )
+        if status != 200:
+            raise TransportError(f"backend {self.endpoint} returned HTTP {status}")
+        raw_text = raw.decode("utf-8", errors="replace")
         try:
-            data = resp.json()
-        except ValueError as exc:
-            raise QAParseError("backend response is not JSON",
-                               raw_text=resp.text) from exc
-        text = data.get("text")
+            text = json_object(raw_text, "backend response").get("text")
+        except InputError as exc:
+            raise QAParseError(str(exc), raw_text=raw_text) from exc
         if not isinstance(text, str):
-            raise QAParseError('backend response lacks a "text" field',
-                               raw_text=resp.text)
+            raise QAParseError('backend response lacks a "text" string', raw_text=raw_text)
         return text
 
 
@@ -386,13 +398,11 @@ def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
         prompt = build_prompt(s)
         last_error = "no attempts made"
         for attempt in range(max_retries + 1):
-            try:
-                text = client.complete(prompt)
+            try:  # a client may reject a body it cannot decode as a parse failure too
+                triples = parse_qa_response(client.complete(prompt))
             except TransportError as exc:
                 last_error = str(exc)
                 continue
-            try:
-                triples = parse_qa_response(text)
             except QAParseError as exc:
                 last_error = f"parse failure: {exc}"
                 continue

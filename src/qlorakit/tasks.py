@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import zlib
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .evalharness import UNKNOWN, LabelSet, normalize_answer, normalize_text
-from .fileio import atomic_write, json_int, read_jsonl
+from .fileio import read_dataclass_jsonl, write_jsonl
 from .model import ModelParams, ToyModelSpec, forward_batch
 from .qagen import CATEGORIES, QARecord, ScenarioAnnotation
 
@@ -153,30 +154,21 @@ def corpus_to_examples(records: Sequence[QARecord],
     return examples, skipped
 
 
-def write_token_examples(path, examples: Sequence[tuple]) -> None:
-    import json
+@dataclass(frozen=True)
+class TokenExample:
+    """One line of a token task's train.jsonl / test.jsonl."""
+    tokens: list[int]
+    label: int
 
-    with atomic_write(path) as fh:
-        for tokens, label in examples:
-            row = {"tokens": [int(t) for t in tokens], "label": int(label)}
-            fh.write(json.dumps(row) + "\n")
+
+def write_token_examples(path, examples: Sequence[tuple]) -> None:
+    write_jsonl(path, [TokenExample([int(t) for t in tokens], int(label))
+                       for tokens, label in examples])
 
 
 def read_token_examples(path) -> list[tuple]:
-    out = []
-    for row in read_jsonl(path):
-        unknown = set(row) - {"tokens", "label"}
-        if unknown:
-            raise InputError(f"{path}: unknown example key {sorted(unknown)[0]!r}")
-        if not isinstance(row.get("tokens"), list):
-            raise InputError(f"{path}: tokens must be a list")
-        try:
-            toks = np.array([json_int(t, "token") for t in row["tokens"]], dtype=np.int64)
-            label = json_int(row.get("label"), "label")
-        except InputError as exc:
-            raise InputError(f"{path}: bad example row: {exc}") from exc
-        out.append((toks, label))
-    return out
+    return [(np.array(row.tokens, dtype=np.int64), row.label)
+            for row in read_dataclass_jsonl(path, TokenExample, "example")]
 
 
 def predict_answers(params: ModelParams, spec: ToyModelSpec, adapters,

@@ -2,6 +2,7 @@
 seed derivation, subcommand behavior, exit codes, and artifact
 reproducibility. CLI calls run in-process through main()."""
 
+import inspect
 import json
 import os
 
@@ -16,6 +17,7 @@ from qlorakit.errors import ConfigError
 from qlorakit.lora import load_adapters, save_adapters
 from qlorakit.optim import TrainConfig
 from qlorakit.qagen import LLMClientSpec
+from qlorakit.tasks import synthetic_token_task
 from qlorakit.trainer import read_trace_csv
 
 
@@ -161,6 +163,11 @@ def test_synthetic_train_cli_default_config(tmp_path):
     data = tmp_path / "task"
     run = tmp_path / "run"
     assert main(["make-synthetic", "--out", str(data), "--seed", "1"]) == 0
+    # the flag defaults are synthetic_token_task's, and task.json records them
+    sizes = ("n_train", "n_test", "seq_len", "purity")
+    task_defaults = inspect.signature(synthetic_token_task).parameters
+    assert ({key: read_json(data / "task.json")[key] for key in sizes}
+            == {key: task_defaults[key].default for key in sizes})
     assert main(["train", "--data", str(data), "--out", str(run),
                  "--seed", "1"]) == 0
     assert (run / "adapters.bin").exists()

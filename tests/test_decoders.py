@@ -150,6 +150,10 @@ MALFORMED = {
     "label-2**70": ("read_token_examples", b'{"tokens": [1], "label": 1180591620717411303424}\n'),
     "tokens-string": ("read_token_examples", b'{"tokens": "12", "label": 0}\n'),
     "tokens-string-element": ("read_token_examples", b'{"tokens": [1, "2"], "label": 0}\n'),
+    "tokens-bool-element": ("read_token_examples", b'{"tokens": [1, true], "label": 0}\n'),
+    "tokens-nested-list": ("read_token_examples", b'{"tokens": [[1]], "label": 0}\n'),
+    "tokens-missing": ("read_token_examples", b'{"label": 0}\n'),
+    "label-missing": ("read_token_examples", b'{"tokens": [1]}\n'),
     "predictions-pair-index-string": ("read_predictions_jsonl", (
         b'{"scenario_id": "s", "pair_index": "1", "raw_answer": "a"}\n')),
     "predictions-pair-index-2**70": ("read_predictions_jsonl", (

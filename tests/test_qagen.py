@@ -2,15 +2,24 @@
 grammar, the deterministic mock client, retry/reject accounting, splits,
 and the JSONL file formats."""
 
+import http.server
 import json
+import os
+import re
+import socket
+import subprocess
 import sys
+import threading
+import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlorakit.cli import main
 from qlorakit.errors import (ConfigError, InputError, QAParseError,
                              TransportError)
 from qlorakit.qagen import (CATEGORIES, HttpLLMClient, LLMClientSpec,
@@ -131,6 +140,10 @@ def test_parse_rejects_non_json_and_keeps_raw_text():
     assert exc.value.raw_text == "I cannot help with that."
     with pytest.raises(QAParseError, match="invalid JSON"):
         parse_qa_response("[{'single': 'quotes'}]")
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(QAParseError, match="invalid JSON") as exc:
+        parse_qa_response(deep)
+    assert exc.value.raw_text == deep
 
 
 def test_parse_rejects_empty_fields_and_non_objects():
@@ -138,6 +151,13 @@ def test_parse_rejects_empty_fields_and_non_objects():
     pairs[0]["answer"] = "   "
     with pytest.raises(QAParseError, match="answer"):
         parse_qa_response(json.dumps(pairs))
+    # a field no corpus line can hold fails the grammar, so it is retried
+    for field_name, value in (("question", "two\nlines?"), ("answer", "a\rb"),
+                              ("question", "lone \ud800 surrogate?")):
+        pairs = json.loads(good_response())
+        pairs[1][field_name] = value
+        with pytest.raises(QAParseError, match=field_name):
+            parse_qa_response(json.dumps(pairs))
     with pytest.raises(QAParseError, match="not an object"):
         parse_qa_response(json.dumps([1, 2, 3, 4, 5]))
 
@@ -248,84 +268,217 @@ def test_split_validation():
         split_dataset(records, 0.5, seed=0)
 
 
-# ---- http client ----
+# ---- http client, over a real socket to a localhost stub ----
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+KEY = "sekret-7f3a"  # the credential; it must reach the request header and nowhere else
 
 
-def _install_fake_requests(monkeypatch, post):
-    fake = types.ModuleType("requests")
-    fake.RequestException = type("RequestException", (Exception,), {})
-    fake.post = post
-    monkeypatch.setitem(sys.modules, "requests", fake)
-    return fake
+@pytest.fixture
+def stub(monkeypatch):
+    """A completion service on a free localhost port, served from a daemon thread.
+
+    Each POST is recorded in stub.seen as (path, headers, JSON body) and
+    answered by stub.reply(body), a (status, body bytes) pair; a 3xx answer
+    names another path as its Location, and a status of None holds the
+    answer back until the test ends, past any client timeout.
+    """
+    for var in ("http_proxy", "HTTP_PROXY"):  # a proxy must not route 127.0.0.1
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setitem(sys.modules, "requests", None)  # any import of it fails
+    monkeypatch.setenv("QA_TEST_KEY", KEY)
+    release = threading.Event()
+    state = types.SimpleNamespace(seen=[], reply=lambda body: (200, text_body(good_response())))
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            state.seen.append((self.path, dict(self.headers), body))
+            status, payload = state.reply(body)
+            if status is None:
+                release.wait(10)
+                return
+            self.send_response(status)
+            if 300 <= status < 400:
+                self.send_header("Location", "/elsewhere")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    state.url = f"http://127.0.0.1:{server.server_port}/v1/complete"
+    yield state
+    release.set()
+    server.shutdown()
+    server.server_close()
+
+
+def text_body(text):
+    return json.dumps({"text": text}).encode("utf-8")
+
+
+def http_client(url, **kwargs):
+    return HttpLLMClient(LLMClientSpec(backend="http", endpoint=url,
+                                       credential_env="QA_TEST_KEY", timeout_s=0.2,
+                                       **kwargs))
 
 
 def test_http_client_requires_the_credential_env(monkeypatch):
     monkeypatch.delenv("QA_TEST_KEY", raising=False)
-    spec = LLMClientSpec(backend="http", endpoint="https://svc/complete",
+    spec = LLMClientSpec(backend="http", endpoint="http://127.0.0.1:9/complete",
                          credential_env="QA_TEST_KEY")
     with pytest.raises(ConfigError, match="QA_TEST_KEY"):
         HttpLLMClient(spec)
+    # a header holds one line, and an error quoting a bad header would print the key
+    for bad in (KEY + "\n", KEY + "\u2603"):
+        monkeypatch.setenv("QA_TEST_KEY", bad)
+        with pytest.raises(ConfigError, match="QA_TEST_KEY") as exc:
+            HttpLLMClient(spec)
+        assert KEY not in str(exc.value)
 
 
-def test_http_client_success_and_auth_header(monkeypatch):
-    monkeypatch.setenv("QA_TEST_KEY", "sekret")
-    seen = {}
-
-    def post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, json=json, headers=headers, timeout=timeout)
-        return _FakeResponse(payload={"text": good_response()})
-
-    _install_fake_requests(monkeypatch, post)
-    spec = LLMClientSpec(backend="http", endpoint="https://svc/complete",
-                         credential_env="QA_TEST_KEY", timeout_s=9.0)
-    client = HttpLLMClient(spec)
-    out = client.complete("prompt text")
+def test_http_client_success_and_auth_header(stub):
+    out = http_client(stub.url, model_name="qa-large").complete("prompt text")
     assert out == good_response()
-    assert seen["url"] == "https://svc/complete"
-    assert seen["headers"]["Authorization"] == "Bearer sekret"
-    assert seen["json"]["prompt"] == "prompt text"
-    assert seen["timeout"] == 9.0
+    [(path, headers, body)] = stub.seen
+    assert path == "/v1/complete"
+    assert headers["Authorization"] == f"Bearer {KEY}"
+    assert headers["Content-Type"] == "application/json"
+    assert body == {"model": "qa-large", "prompt": "prompt text", "max_tokens": 512}
 
 
-def test_http_client_error_mapping(monkeypatch):
-    monkeypatch.setenv("QA_TEST_KEY", "k")
-    spec = LLMClientSpec(backend="http", endpoint="https://svc/x",
-                         credential_env="QA_TEST_KEY")
+def test_http_client_error_mapping(stub):
+    client = http_client(stub.url)
+    for status in (404, 503, 201, 302):  # anything but 200; a redirect is not followed
+        stub.seen.clear()
+        stub.reply = lambda body, status=status: (status, text_body(good_response()))
+        with pytest.raises(TransportError, match=f"{stub.url} returned HTTP {status}") as exc:
+            client.complete("p")
+        assert KEY not in str(exc.value)
+        assert [path for path, _, _ in stub.seen] == ["/v1/complete"]
 
-    fake = _install_fake_requests(
-        monkeypatch, lambda *a, **k: _FakeResponse(status_code=503))
-    with pytest.raises(TransportError, match="https://svc/x"):
-        HttpLLMClient(spec).complete("p")
+    malformed = {
+        b"<html>": "invalid JSON",
+        b"\xff\xfe": "invalid JSON",
+        b"[" * 100_000 + b"]" * 100_000: "invalid JSON",
+        b'{"no_text": 1}': '"text"',
+        b'{"text": 7}': '"text"',
+        b"[1]": "expected a JSON object",
+        b'"just a string"': "expected a JSON object",
+    }
+    for payload, message in malformed.items():
+        stub.reply = lambda body, payload=payload: (200, payload)
+        with pytest.raises(QAParseError, match=message) as exc:
+            client.complete("p")
+        assert exc.value.raw_text == payload.decode("utf-8", errors="replace")
 
-    def boom(*a, **k):
-        raise fake.RequestException("connection refused")
-    fake.post = boom
-    with pytest.raises(TransportError, match="unreachable"):
-        HttpLLMClient(spec).complete("p")
 
-    fake.post = lambda *a, **k: _FakeResponse(payload={"no_text": 1})
-    with pytest.raises(QAParseError, match="text"):
-        HttpLLMClient(spec).complete("p")
+def test_http_client_unreachable_and_timeout(stub):
+    with socket.socket() as sock:  # a port that was free a moment ago refuses connections
+        sock.bind(("127.0.0.1", 0))
+        refused = f"http://127.0.0.1:{sock.getsockname()[1]}/v1/complete"
+    with pytest.raises(TransportError, match=f"{refused} unreachable"):
+        http_client(refused).complete("p")
+    with pytest.raises(TransportError, match="unreachable"):  # refused before connecting
+        http_client("http://127.0.0.1:notaport/v1/complete").complete("p")
 
-    fake.post = lambda *a, **k: _FakeResponse(payload=None, text="<html>")
-    with pytest.raises(QAParseError, match="not JSON"):
-        HttpLLMClient(spec).complete("p")
+    stub.reply = lambda body: (None, b"")
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match=f"{stub.url} unreachable") as exc:
+        http_client(stub.url).complete("p")
+    assert time.perf_counter() - started < 5
+    assert KEY not in str(exc.value)
+
+
+def per_scenario_replies(stub, failures):
+    """stub answers scenario s-<i> with a 503 for its first failures[i] attempts, then well."""
+    calls = {}
+
+    def reply(body):
+        sid = re.search(r"^scenario_id: (.*)$", body["prompt"], re.M).group(1)
+        calls[sid] = calls.get(sid, 0) + 1
+        if calls[sid] <= failures[sid]:
+            return 503, b""
+        return 200, text_body(good_response())
+
+    stub.reply = reply
+
+
+def test_http_generation_retries_then_rejects(stub):
+    scenarios = [scenario(0), scenario(1)]
+    per_scenario_replies(stub, {"s-000": 99, "s-001": 1})
+    result = generate_dataset(scenarios, http_client(stub.url), max_retries=2)
+    assert result.stats == {"scenarios": 2, "accepted": 1, "rejected": 1,
+                            "records": 5, "attempts": 5}
+    [reject] = result.rejects
+    assert (reject.scenario_id, reject.attempts) == ("s-000", 3)
+    assert "returned HTTP 503" in reject.error and KEY not in reject.error
+    assert {r.scenario_id for r in result.records} == {"s-001"}
+
+
+def test_http_bodies_that_fail_to_decode_are_retried_then_rejected(stub):
+    bodies = iter([b'"just a string"', b"[1]", b"[" * 100_000,
+                   text_body("[" * 100_000 + "]" * 100_000), text_body(good_response())])
+    stub.reply = lambda body: (200, next(bodies))
+    result = generate_dataset([scenario(0), scenario(1), scenario(2)], http_client(stub.url),
+                              max_retries=1, max_concurrency=1)
+    assert result.stats["rejected"] == 2 and result.stats["attempts"] == 5
+    assert [r.scenario_id for r in result.rejects] == ["s-000", "s-001"]
+    assert all(r.error.startswith("parse failure: ") for r in result.rejects)
+
+
+def test_gen_data_http_exits_3_when_nothing_survives(stub, tmp_path, capsys):
+    scen = tmp_path / "scenarios.jsonl"
+    write_scenarios_jsonl(scen, [scenario(0), scenario(1)])
+    argv = ["gen-data", "--scenarios", str(scen), "--backend", "http",
+            "--set", f"endpoint={stub.url}", "--set", "credential_env=QA_TEST_KEY",
+            "--set", "timeout_s=0.2", "--set", "max_retries=0"]
+
+    stub.reply = lambda body: (200, b'"just a string"')
+    assert main(argv + ["--out", str(tmp_path / "dead")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: transport: ") and err.count("\n") == 1, err
+    assert KEY not in err
+
+    per_scenario_replies(stub, {"s-000": 99, "s-001": 0})
+    out = tmp_path / "half"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "gen_summary.json").read_text())["stats"]["rejected"] == 1
+    for name in ("rejects.jsonl", "gen_summary.json", "corpus.jsonl"):
+        assert KEY not in (out / name).read_text()
+    assert KEY not in capsys.readouterr().err
+    assert all(headers["Authorization"] == f"Bearer {KEY}" for _, headers, _ in stub.seen)
+
+
+# ---- dependencies ----
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=1.24"]
+
+
+def test_importing_the_cli_loads_no_http_code():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys, qlorakit.cli; "
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_client_spec_validation():
-    with pytest.raises(ConfigError, match="endpoint"):
-        LLMClientSpec(backend="http", endpoint="")
+    for endpoint in ("", "svc/complete", "file:///etc/hosts", "ftp://svc/x"):
+        with pytest.raises(ConfigError, match="endpoint"):
+            LLMClientSpec(backend="http", endpoint=endpoint)
     with pytest.raises(ConfigError, match="backend"):
         LLMClientSpec(backend="grpc")
     with pytest.raises(ConfigError, match="max_retries"):

@@ -117,6 +117,8 @@ def test_token_example_file_roundtrip(tmp_path):
                 (np.array([4], dtype=np.int64), 2)]
     path = tmp_path / "train.jsonl"
     write_token_examples(path, examples)
+    assert path.read_text() == ('{"tokens": [1, 2, 3], "label": 0}\n'
+                                '{"tokens": [4], "label": 2}\n')
     loaded = read_token_examples(path)
     assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
                for a, b in zip(examples, loaded))
