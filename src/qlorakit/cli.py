@@ -251,9 +251,15 @@ def cmd_predict(args) -> int:
         _require_file(os.path.join(args.run, ADAPTERS_FILE), "adapter checkpoint"))
     if meta.get("mode") != "corpus" or not meta.get("labels"):
         raise InputError("predict needs a checkpoint trained on a QA corpus")
-    cfg = cfgmod.load_config(overrides=meta["config"])
-    union = tuple(meta["labels"])
-    spec = cfgmod.model_spec_from(cfg, n_classes=int(meta["n_classes"]))
+    labels, config = meta["labels"], meta.get("config")
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise InputError("checkpoint meta labels must be a list of strings")
+    if not isinstance(config, dict):
+        raise InputError("checkpoint meta config must be a JSON object")
+    cfg = cfgmod.load_config(overrides=config)
+    union = tuple(labels)
+    spec = cfgmod.model_spec_from(
+        cfg, n_classes=json_int(meta.get("n_classes"), "checkpoint meta n_classes"))
     params = _frozen_base(cfg, spec)
     if meta.get("base_sha256") != _base_sha256(params):
         raise InputError("checkpoint was not trained on the base this config rebuilds "

@@ -111,8 +111,9 @@ class QLoraLinear:
 
     The base is a dense matrix (LoRA) or a Q4BlockMatrix (QLoRA); a 4-bit
     base is dequantized once, when the layer is built, into `weight`.
-    Without an adapter the layer is the plain base product. The low-rank
-    branch stays factor-wise; the d_in x d_out delta is never materialized.
+    Without an adapter the layer is the plain base product. With one, the
+    low-rank branch runs factor-wise, because backward needs x @ B;
+    forward-only callers build the layer on merge(weight, adapter) instead.
     """
 
     base: np.ndarray | Q4BlockMatrix

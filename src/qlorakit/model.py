@@ -25,7 +25,7 @@ import numpy as np
 
 from . import quant
 from .errors import ConfigError, InputError
-from .lora import LoraAdapter, QLoraLinear, lora_init
+from .lora import LoraAdapter, QLoraLinear, lora_init, merge
 from .matrix import softmax
 from .quant import DEFAULT_BLOCK_SIZE, Q4BlockMatrix, q4_to_bytes, quantize_4bit
 
@@ -209,9 +209,10 @@ def init_adapters(spec: ToyModelSpec, rank: int, alpha: float,
 
 # ---- forward / backward ----
 
-# padded token rows per batched pass (8 sequences at T=16); throughput
-# saturates well below it, and larger passes only raise peak memory
-ROWS_PER_PASS = 128
+# padded token rows per batched pass, for training and inference alike: a
+# synthetic window (8 x 16 rows) and a corpus window of 8 questions (at most
+# 8 x 32 rows) each run as one pass; an inference pass holds 16 sequences at T=16
+ROWS_PER_PASS = 256
 
 # freed heap glibc keeps instead of returning it to the kernel (M_TRIM_THRESHOLD)
 HEAP_TRIM_THRESHOLD = 64 * 2**20
@@ -302,6 +303,20 @@ def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
         bad = int(toks[(toks < 0) | (toks >= spec.vocab_size)][0])
         raise InputError(f"token id {bad} outside [0, {spec.vocab_size})")
     return toks
+
+
+def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
+    """_check_tokens for every sequence, as one length check and one min/max
+    over their concatenation. A batch that fails reruns the per-sequence
+    check, so the error is the first bad sequence's, in input order."""
+    toks = [np.asarray(tokens, dtype=np.int64).ravel() for tokens in sequences]
+    if toks:
+        lengths = np.array([t.size for t in toks])
+        if lengths.min() >= 1 and lengths.max() <= spec.max_seq_len:
+            flat = np.concatenate(toks)
+            if flat.min() >= 0 and flat.max() < spec.vocab_size:
+                return toks
+    return [_check_tokens(t, spec) for t in toks]
 
 
 def _passes(toks: Sequence[np.ndarray]):
@@ -426,10 +441,16 @@ def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
     rows, each padded to its longest member with padded keys masked out of
     attention and pooling, so every row depends only on its own tokens; each
     distinct sequence therefore runs once and its logits fill all its rows.
-    A 4-bit base dequantizes once per call.
+    A 4-bit base dequantizes once per call. Without a backward, nothing
+    needs x @ B, so each adapted layer runs its merged weight W + delta
+    (LoRA §4.1): the plain base model's products, equal to the factor-wise
+    layer up to rounding.
     """
-    toks = [_check_tokens(tokens, spec) for tokens in sequences]
+    toks = _check_batch(sequences, spec)
     layers = _layers(params, spec, _check_adapters(adapters, spec))
+    for name, layer in layers.items():
+        if layer.adapter is not None:
+            layers[name] = QLoraLinear(merge(layer.weight, layer.adapter))
     # the key holds the length too (8 bytes a token), so a prefix is its own key
     slot: dict[bytes, int] = {}
     rows = np.array([slot.setdefault(t.tobytes(), len(slot)) for t in toks], dtype=np.intp)
@@ -457,7 +478,7 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
     """
     if len(batch) == 0:
         raise InputError("batch must be non-empty")
-    toks = [_check_tokens(tokens, spec) for tokens, _ in batch]
+    toks = _check_batch([tokens for tokens, _ in batch], spec)
     labels = np.array([int(label) for _, label in batch], dtype=np.int64)
     bad = (labels < 0) | (labels >= spec.n_classes)
     if bad.any():

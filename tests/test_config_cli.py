@@ -210,7 +210,7 @@ def test_qlora_train_reports_base_footprint(tmp_path):
     assert fp["quant_total_bytes"] < fp["dense_bytes"]
 
 
-def corpus_pipeline(tmp_path, n=16, seed=11):
+def corpus_pipeline(tmp_path, n=16, seed=11, overrides=("epochs=1",)):
     scen = tmp_path / "scenarios.jsonl"
     data = tmp_path / "data"
     run = tmp_path / "run"
@@ -220,8 +220,8 @@ def corpus_pipeline(tmp_path, n=16, seed=11):
                  "--seed", str(seed)]) == 0
     assert main(["split", "--corpus", str(data / "corpus.jsonl"),
                  "--out", str(data), "--seed", str(seed)]) == 0
-    assert main(["train", "--data", str(data), "--out", str(run),
-                 "--seed", str(seed), "--set", "epochs=1"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--seed", str(seed)]
+                + [arg for kv in overrides for arg in ("--set", kv)]) == 0
     return scen, data, run
 
 
@@ -249,6 +249,23 @@ def test_corpus_pipeline_predict_eval_report(tmp_path, capsys):
     assert report_csv == (evals / "metrics_lora-toy.csv").read_text()
     meta = read_json(evals / "eval_summary_lora-toy.json")
     assert set(meta["metrics"]) == {"scene", "agent", "suggested_action", "risk"}
+
+
+def test_a_records_prediction_does_not_depend_on_its_call_mates(tmp_path):
+    # trained far enough that the predictions spread over several labels
+    _, data, run = corpus_pipeline(tmp_path, seed=16,
+                                   overrides=("epochs=6", "learning_rate=1e-2"))
+    lines = {}
+    for split in ("test", "all"):
+        out = tmp_path / f"preds_{split}.jsonl"
+        assert main(["predict", "--run", str(run), "--data", str(data),
+                     "--out", str(out), "--split", split]) == 0
+        lines[split] = out.read_bytes().splitlines()
+    # each line carries its record's key; in the --split all call the test
+    # records share their passes with the train records
+    assert 0 < len(set(lines["test"])) == len(lines["test"]) < len(lines["all"])
+    assert len({json.loads(line)["raw_answer"] for line in lines["test"]}) > 1
+    assert set(lines["test"]) <= set(lines["all"])
 
 
 def test_predict_requires_a_corpus_checkpoint(tmp_path, capsys):

@@ -217,7 +217,17 @@ def test_gen_data_on_a_lone_surrogate_caption_exits_2_with_one_line(tmp_path, ca
                                     "--out", str(tmp_path / "out")])
 
 
-# case -> (command, the file it reads, its bytes); train reads task.json of a token dir
+def corpus_checkpoint(**changed) -> bytes:
+    """An adapter checkpoint without adapters whose meta is a corpus run's
+    with the changed keys replaced; a None value drops the key."""
+    meta = {"mode": "corpus", "labels": ["no", "yes"], "n_classes": 2, "config": {}}
+    meta.update(changed)
+    blob = json.dumps({k: v for k, v in meta.items() if v is not None}).encode()
+    return b"LAD1" + struct.pack("<III", 1, 0, len(blob)) + blob
+
+
+# case -> (command, the file it reads, its bytes); train reads task.json of a token
+# dir, predict the adapters.bin of a run dir
 CLI_INPUTS = {
     "train-task-json-invalid": ("train", "task.json", b"{bad"),
     "train-task-json-no-keys": ("train", "task.json", b"{}"),
@@ -239,6 +249,13 @@ CLI_INPUTS = {
     "inspect-quant-blank": ("inspect-quant", "w.txt", b"  \n\n"),
     "inspect-quant-ragged-rows": ("inspect-quant", "w.txt", b"1 2\n3\n"),
     "inspect-quant-not-npy": ("inspect-quant", "w.npy", b"not an npy file"),
+    "predict-meta-no-config": ("predict", "adapters.bin", corpus_checkpoint(config=None)),
+    "predict-meta-no-n-classes": ("predict", "adapters.bin",
+                                  corpus_checkpoint(n_classes=None)),
+    "predict-meta-string-n-classes": ("predict", "adapters.bin",
+                                      corpus_checkpoint(n_classes="x")),
+    "predict-meta-int-labels": ("predict", "adapters.bin", corpus_checkpoint(labels=5)),
+    "predict-meta-list-config": ("predict", "adapters.bin", corpus_checkpoint(config=[1])),
 }
 
 
@@ -249,5 +266,7 @@ def test_cli_on_a_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     (tmp_path / "train.jsonl").write_text('{"tokens": [1], "label": 0}\n')
     argv = {"train": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run")],
             "report": ["report", "--in", str(tmp_path)],
-            "inspect-quant": ["inspect-quant", "--weights", str(tmp_path / name)]}
+            "inspect-quant": ["inspect-quant", "--weights", str(tmp_path / name)],
+            "predict": ["predict", "--run", str(tmp_path), "--data", str(tmp_path),
+                        "--out", str(tmp_path / "p.jsonl")]}
     _exits_2_with_one_line(capsys, argv[command])

@@ -92,3 +92,28 @@ def test_softmax_is_shift_stable():
     assert abs(p.sum() - 1.0) <= 1e-12
     assert np.allclose(p, softmax(z - 1e4), atol=1e-15)
 
+
+def _reference_softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _masked_scores(t):
+    """(B, H, T, T) attention scores with -inf on padded keys; every row keeps
+    at least its first key."""
+    rng = np.random.default_rng(t)
+    scores = rng.normal(scale=3.0, size=(3, 2, t, t))
+    lengths = np.array([t, max(1, t // 2), 1])
+    return scores + np.where(np.arange(t) < lengths[:, None], 0.0, -np.inf)[:, None, None, :]
+
+
+@pytest.mark.parametrize("z", [
+    _masked_scores(16), _masked_scores(5), _masked_scores(1),
+    np.random.default_rng(1).normal(scale=4.0, size=(7, 4)),
+    np.array([[0.5, np.nan, 1.0], [2.0, -1.0, 0.0], [np.nan, np.nan, np.nan]]),
+], ids=["masked-T16", "masked-T5", "T1", "logits-2d", "nan"])
+def test_softmax_is_bit_identical_to_the_row_max_formula(z):
+    assert np.array_equal(softmax(z), _reference_softmax(z), equal_nan=True)
+    # along another axis, it is the same softmax of the transposed array
+    if z.ndim == 2:
+        assert np.array_equal(softmax(z, axis=0), _reference_softmax(z.T).T, equal_nan=True)

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlorakit import model
+from qlorakit import model, quant
 from qlorakit.errors import ConfigError, InputError
+from qlorakit.lora import QLoraLinear, merge
 from qlorakit.matrix import softmax
 from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpec,
                             base_fingerprint, forward, forward_batch, init_adapters,
@@ -288,14 +289,14 @@ def test_mixed_length_window_runs_in_sorted_capped_passes(monkeypatch):
     loss_and_grads(params, spec, batch, adapters)
     assert [rows for rows, _, _ in calls] == expected * 2
     assert all(rows * t <= ROWS_PER_PASS or rows == 1 for rows, t, _ in calls)
-    # a corpus-like window of 8 questions, 6 distinct lengths, runs in 2 passes
+    # a corpus-like window of 8 questions, 6 distinct lengths, runs in 1 pass
     calls.clear()
     loss_and_grads(params, spec, batch[-8:], adapters)
-    assert [(rows, t) for rows, t, _ in calls] == [(5, 25), (3, 28)]
+    assert [(rows, t) for rows, t, _ in calls] == [(8, 28)]
     # equal lengths run unmasked, as many per pass as fit
     calls.clear()
-    loss_and_grads(params, spec, [(s[:16], 0) for s in seqs if s.size >= 16][:9], adapters)
-    assert calls == [(8, 16, False), (1, 16, False)]
+    loss_and_grads(params, spec, [(s[:16], 0) for s in seqs if s.size >= 16][:17], adapters)
+    assert calls == [(16, 16, False), (1, 16, False)]
 
 
 def test_a_pass_of_lengths_1_and_max_matches_single_sequences(small_setup, monkeypatch):
@@ -360,17 +361,72 @@ def test_forward_batch_runs_each_distinct_sequence_once(small_setup, monkeypatch
     assert calls == []
 
 
+def merged_layers(params, spec, adapters):
+    """The layers forward_batch runs: each adapted one as its merged weight."""
+    layers = model._layers(params, spec, adapters)
+    return {name: layer if layer.adapter is None
+            else QLoraLinear(merge(layer.weight, layer.adapter))
+            for name, layer in layers.items()}
+
+
+def run_passes(params, spec, layers, seqs):
+    logits = np.empty((len(seqs), spec.n_classes))
+    for idx, pass_toks, valid in model._passes(seqs):
+        logits[idx], _ = model._forward_pass(params.weights, layers, spec, pass_toks,
+                                             valid, False)
+    return logits
+
+
+@pytest.mark.parametrize("base", ["dense", "q4"])
+def test_merged_inference_matches_the_factor_wise_layers(small_setup, monkeypatch, base):
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(18)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    if base == "q4":
+        params = quantize_base(params, spec, block_size=16)
+    seqs = list({s.tobytes(): s for s in mixed_length_sequences(spec, seed=19)}.values())
+    factor_wise = run_passes(params, spec, model._layers(params, spec, adapters), seqs)
+    base_bytes = base_fingerprint(params)
+    factor_bytes = {k: (ad.b_factor.tobytes(), ad.a_factor.tobytes())
+                    for k, ad in adapters.items()}
+    dequantized = []
+    monkeypatch.setattr(quant, "dequantize_4bit",
+                        lambda q: dequantized.append(q) or dequantize_4bit(q))
+    logits = forward_batch(params, spec, seqs, adapters)
+    assert np.max(np.abs(logits - factor_wise)) <= 1e-12
+    # the merge runs on the dequantized copy: the base and the factors keep their bytes
+    assert len(dequantized) == (13 if base == "q4" else 0)
+    assert base_fingerprint(params) == base_bytes
+    assert {k: (ad.b_factor.tobytes(), ad.a_factor.tobytes())
+            for k, ad in adapters.items()} == factor_bytes
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
+def test_a_batch_raises_its_first_bad_sequences_error_before_any_pass(small_setup,
+                                                                     monkeypatch, order):
+    spec, params, adapters, _ = small_setup
+    seqs = [[1, 2], [0] * (spec.max_seq_len + 1), [3, spec.vocab_size], []][::order]
+    with pytest.raises(InputError) as first:
+        for s in seqs:
+            model._check_tokens(s, spec)
+    calls = _count_passes(monkeypatch)
+    with pytest.raises(InputError) as batched:
+        forward_batch(params, spec, seqs, adapters)
+    assert str(batched.value) == str(first.value)
+    with pytest.raises(InputError) as batched:
+        loss_and_grads(params, spec, [(s, 0) for s in seqs], adapters)
+    assert str(batched.value) == str(first.value)
+    assert calls == []
+
+
 def test_all_distinct_forward_batch_keeps_the_undeduplicated_arithmetic(small_setup):
     spec, params, adapters, _ = small_setup
     rng = np.random.default_rng(16)
     for ad in adapters.values():
         ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
     seqs = list({s.tobytes(): s for s in mixed_length_sequences(spec, seed=17)}.values())
-    layers = model._layers(params, spec, adapters)
-    expected = np.empty((len(seqs), spec.n_classes))
-    for idx, pass_toks, valid in model._passes(seqs):
-        expected[idx], _ = model._forward_pass(params.weights, layers, spec, pass_toks,
-                                               valid, False)
+    expected = run_passes(params, spec, merged_layers(params, spec, adapters), seqs)
     assert np.array_equal(forward_batch(params, spec, seqs, adapters), expected)
 
 
