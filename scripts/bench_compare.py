@@ -1,0 +1,170 @@
+"""Run the benchmark on a parent commit and on the working tree, in
+alternating pairs, and write the comparison to BENCH_<label>.json.
+
+    python3 scripts/bench_compare.py --label pr10 --parent HEAD \
+        --runs train-lora:10 train-qlora:5 corpus-pipeline:5 --seconds 40
+
+Each side runs the unmodified `perfbench/run.py` of its own tree with
+`--trace 0`, one process at a time. The parent is exported with
+`git archive` into a temporary directory, so the repository's git state
+is untouched. Both trees are byte-compiled first: with
+PYTHONDONTWRITEBYTECODE set, an uncompiled tree recompiles on every
+import and reads setup_s about 0.04 s high.
+
+Pair i of the k-th workload listed runs seed `--seed-base + 100 k + i` on
+both sides; even pairs run the parent first, odd pairs the change first. The file holds the
+environment, every run's metrics, and per metric each side's median and
+quartiles, the pairs the change won, lost and tied, and whether the
+gain rule holds: at least 9 of 10 pairs won and medians apart by more
+than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WIN_SHARE = 0.9  # share of pairs the change must win for a gain
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), inclusive method; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def compare(parent: list[float], change: list[float], better: str,
+            bound: float | None = None) -> dict:
+    """Statistics of one metric over paired runs (parent[i] with change[i]).
+
+    `better` is "higher" or "lower"; ties count for neither side. `bound`
+    is the relative worsening of the median the benchmark allows.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same non-zero number of parent and change runs")
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    p1, pmed, p3 = quartiles(parent)
+    c1, cmed, c3 = quartiles(change)
+    gain = sign * (cmed - pmed)
+    out = {
+        "better": better,
+        "parent": {"median": pmed, "q1": p1, "q3": p3},
+        "change": {"median": cmed, "q1": c1, "q3": c3},
+        "pairs": len(parent), "won": won, "lost": lost, "tied": len(parent) - won - lost,
+        "median_ratio": cmed / pmed if pmed else None,
+        "gain_rule_met": won >= WIN_SHARE * len(parent) and gain > p3 - p1,
+    }
+    if bound is not None:
+        out["bound"] = bound
+        out["within_bound"] = -gain <= bound * abs(pmed)
+    return out
+
+
+def compile_tree(tree: Path) -> None:
+    for sub in ("src", "perfbench"):
+        if not compileall.compile_dir(str(tree / sub), quiet=1):
+            raise SystemExit(f"byte-compiling {tree / sub} failed")
+
+
+def export_parent(rev: str, dest: Path) -> str:
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {sha} failed")
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"{tree}: {workload} seed {seed} printed no result:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {"seed": seed, "exit_code": proc.returncode, "env": env,
+            "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:PAIRS")
+    ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--seed-base", type=int, default=1000)
+    ap.add_argument("--out-dir", default=str(ROOT))
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    plan = []
+    for item in args.runs:
+        workload, _, pairs = item.partition(":")
+        plan.append((workload, int(pairs or 10)))
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp) / "tree"
+        parent_tree.mkdir()
+        parent_sha = export_parent(args.parent, parent_tree)
+        compile_tree(parent_tree)
+        compile_tree(ROOT)
+        sides = {"parent": parent_tree, "change": ROOT}
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+        report = {"label": args.label, "parent": parent_sha,
+                  "change": f"working tree on {head}",
+                  "seconds": args.seconds, "workloads": {}}
+        for w_index, (workload, pairs) in enumerate(plan):
+            runs = {"parent": [], "change": []}
+            for i in range(pairs):
+                seed = args.seed_base + 100 * w_index + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = run_once(sides[side], workload, seed, args.seconds)
+                    runs[side].append(run)
+                    print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side}: "
+                          f"train {run['metrics'].get('train_examples_per_s', 0):.0f}/s "
+                          f"correct {run['correct']}", flush=True)
+            report.setdefault("env", runs["change"][0]["env"])
+            for run in runs["parent"] + runs["change"]:
+                del run["env"]
+            report["workloads"][workload] = {
+                "pairs": pairs,
+                "correct": {s: sum(r["correct"] for r in runs[s]) for s in runs},
+                "metrics": {
+                    name: compare([r["metrics"][name] for r in runs["parent"]],
+                                  [r["metrics"][name] for r in runs["change"]],
+                                  m["better"], m.get("bound"))
+                    for name, m in metrics.items()},
+                "runs": runs,
+            }
+    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -140,7 +140,7 @@ class QLoraLinear:
         cache = None
         if ad is not None:
             u = x2 @ ad.b_factor
-            y = y + ad.scaling * (u @ ad.a_factor)
+            y += ad.scaling * (u @ ad.a_factor)
             cache = (x2, u)
         return y.reshape(*x.shape[:-1], y.shape[-1]), cache
 
@@ -159,7 +159,7 @@ class QLoraLinear:
             return None
         dx = dy2 @ self.weight.T
         if ad is not None:
-            dx = dx + s * (t @ ad.b_factor.T)
+            dx += s * (t @ ad.b_factor.T)
         return dx.reshape(*dy.shape[:-1], dx.shape[-1])
 
 
@@ -172,6 +172,12 @@ def qlora_forward(x: Matrix, layer: QLoraLinear) -> Matrix:
             f"input {x.shape[0]}x{x.shape[1]} does not feed a {d_in}x{d_out} layer"
         )
     return layer.forward(x)[0]
+
+
+def flatten_adapters(adapters: Mapping[str, LoraAdapter]) -> dict[str, np.ndarray]:
+    """The adapters' own factor arrays, keyed "{name}/b" and "{name}/a"."""
+    return {name + key: factor for name, ad in adapters.items()
+            for key, factor in (("/b", ad.b_factor), ("/a", ad.a_factor))}
 
 
 # ---- checkpoint io ----

@@ -31,15 +31,16 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     per-pass temporaries, and fewer of them keep the allocator from
     returning and re-faulting heap pages between passes.
 
-    The row max is an elementwise maximum over a key-major copy: numpy
-    reduces a short last axis one row at a time, about 3x slower than
-    that copy and one vectorized reduce. A max is exact in any order, so
-    the result is bit-identical either way.
+    The row max is an elementwise maximum over a key-major copy (a plain
+    transpose: np.moveaxis costs as much as the reduce). numpy reduces a
+    short last axis one row at a time, about 3x slower. A max is exact in
+    any order, so the result is bit-identical either way.
     """
     z = np.asarray(z, dtype=np.float64)
-    row_max = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(z, axis, 0)))
-    e = z - np.expand_dims(row_max, axis)
+    axis = range(z.ndim)[axis]  # a negative axis counts from the end; IndexError past it
+    keep = z.shape[:axis] + (1,) + z.shape[axis + 1:]
+    key_major = z.transpose(axis, *range(axis), *range(axis + 1, z.ndim))
+    e = z - np.maximum.reduce(np.ascontiguousarray(key_major)).reshape(keep)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
-

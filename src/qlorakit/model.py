@@ -25,7 +25,7 @@ import numpy as np
 
 from . import quant
 from .errors import ConfigError, InputError
-from .lora import LoraAdapter, QLoraLinear, lora_init, merge
+from .lora import LoraAdapter, QLoraLinear, flatten_adapters, lora_init, merge
 from .matrix import softmax
 from .quant import DEFAULT_BLOCK_SIZE, Q4BlockMatrix, q4_to_bytes, quantize_4bit
 
@@ -258,43 +258,42 @@ def dense_base(params: ModelParams) -> ModelParams:
         for name, value in params.weights.items()})
 
 
-def _layers(params: ModelParams, spec: ToyModelSpec,
-            adapters: Mapping[str, LoraAdapter]) -> dict[str, QLoraLinear]:
-    """One QLoraLinear per matrix-product weight; 4-bit bases dequantize here."""
-    expected = set(spec.param_names())
-    have = set(params.weights)
+def adapted_layers(params: ModelParams, spec: ToyModelSpec,
+                   adapters: Mapping[str, LoraAdapter] | None) -> dict[str, QLoraLinear]:
+    """One QLoraLinear per weight product, adapters and params checked against
+    spec; 4-bit bases dequantize here. Adapters trained in place stay current."""
+    adapters = adapters or {}
+    allowed = set(spec.adapter_names())
+    for name, ad in adapters.items():
+        if name not in allowed:
+            raise InputError(f"adapter {name!r} does not match any configured target "
+                             f"(targets: {spec.adapter_targets})")
+        role = name.rsplit(".", 1)[-1]
+        if (ad.d_in, ad.d_out) != spec.role_shape(role):
+            raise InputError(f"adapter {name!r} has shape {ad.d_in}x{ad.d_out}, "
+                             f"expected {spec.role_shape(role)}")
+    expected, have = set(spec.param_names()), set(params.weights)
     if have != expected:
-        missing = sorted(expected - have)
-        extra = sorted(have - expected)
-        raise InputError(f"params do not match spec (missing {missing}, extra {extra})")
+        raise InputError(f"params do not match spec (missing {sorted(expected - have)}, "
+                         f"extra {sorted(have - expected)})")
     return {name: QLoraLinear(value, adapters.get(name))
             for name, value in params.weights.items()
             if name.rsplit(".", 1)[-1] in QUANTIZED_ROLES}
 
 
-def _check_adapters(adapters: Mapping[str, LoraAdapter] | None, spec: ToyModelSpec):
-    if not adapters:
-        return {}
-    allowed = set(spec.adapter_names())
-    for name, ad in adapters.items():
-        if name not in allowed:
-            raise InputError(
-                f"adapter {name!r} does not match any configured target "
-                f"(targets: {spec.adapter_targets})"
-            )
-        role = name.rsplit(".", 1)[-1]
-        if (ad.d_in, ad.d_out) != spec.role_shape(role):
-            raise InputError(
-                f"adapter {name!r} has shape {ad.d_in}x{ad.d_out}, "
-                f"expected {spec.role_shape(role)}"
-            )
-    return dict(adapters)
+def _integers(values, arr: np.ndarray) -> bool:
+    """arr = np.asarray(values) holds integers; a bool among list items counts."""
+    return arr.dtype.kind in "iu" and (isinstance(values, np.ndarray) or not any(
+        isinstance(v, (bool, np.bool_)) for v in values))
 
 
 def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
-    toks = np.asarray(tokens, dtype=np.int64).ravel()
-    if toks.size < 1:
+    arr = np.asarray(tokens).ravel()
+    if arr.size < 1:
         raise InputError("token sequence must be non-empty")
+    if not _integers(tokens, arr):
+        raise InputError("token ids must be integers, not bools, floats or strings")
+    toks = arr.astype(np.int64, copy=False)
     if toks.size > spec.max_seq_len:
         raise InputError(
             f"sequence length {toks.size} exceeds max_seq_len {spec.max_seq_len}"
@@ -306,17 +305,34 @@ def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
 
 
 def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
-    """_check_tokens for every sequence, as one length check and one min/max
-    over their concatenation. A batch that fails reruns the per-sequence
+    """_check_tokens for every sequence, as one dtype, length and min/max
+    check over their concatenation. A batch that fails reruns the per-sequence
     check, so the error is the first bad sequence's, in input order."""
-    toks = [np.asarray(tokens, dtype=np.int64).ravel() for tokens in sequences]
-    if toks:
+    arrs = [np.asarray(tokens).ravel() for tokens in sequences]
+    if arrs and all(_integers(t, a) for t, a in zip(sequences, arrs)):
+        toks = [a.astype(np.int64, copy=False) for a in arrs]
         lengths = np.array([t.size for t in toks])
         if lengths.min() >= 1 and lengths.max() <= spec.max_seq_len:
             flat = np.concatenate(toks)
             if flat.min() >= 0 and flat.max() < spec.vocab_size:
                 return toks
-    return [_check_tokens(t, spec) for t in toks]
+    return [_check_tokens(t, spec) for t in sequences]
+
+
+def check_examples(batch: Sequence[tuple], spec: ToyModelSpec) -> list[tuple]:
+    """(int64 tokens, int label) pairs after loss_and_grads' checks: tokens as
+    in forward_batch, then every label an int (not a bool) in [0, n_classes)."""
+    if len(batch) == 0:
+        raise InputError("batch must be non-empty")
+    toks = _check_batch([tokens for tokens, _ in batch], spec)
+    for _, label in batch:
+        if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
+            raise InputError(f"label {label!r} is not an integer")
+    arr = np.array([label for _, label in batch], dtype=np.int64)
+    bad = (arr < 0) | (arr >= spec.n_classes)
+    if bad.any():
+        raise InputError(f"label {arr[bad][0]} outside [0, {spec.n_classes})")
+    return list(zip(toks, arr.tolist()))
 
 
 def _passes(toks: Sequence[np.ndarray]):
@@ -360,11 +376,12 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: b
 
     With a valid mask, padded keys get a -inf score bias before the softmax
     and the mean pool runs over valid positions only, so no real row reads
-    a padded one.
+    a padded one. In-place sums keep the formulas' order and spare the tape.
     """
     inv_sqrt = spec.head_dim ** -0.5
     key_bias = None if valid is None else np.where(valid, 0.0, -np.inf)[:, None, None, :]
-    x = weights["tok_emb"][toks] + weights["pos_emb"][:toks.shape[1]]
+    x = weights["tok_emb"][toks]
+    x += weights["pos_emb"][:toks.shape[1]]
     tape = []
     for i in range(spec.n_layers):
         pre = f"layers.{i}."
@@ -373,17 +390,18 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: b
         k, ck = layers[pre + "attn_k"].forward(x_in)
         v, cv = layers[pre + "attn_v"].forward(x_in)
         qh, kh, vh = (_split_heads(a, spec) for a in (q, k, v))
-        scores = qh @ kh.swapaxes(-1, -2) * inv_sqrt
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores *= inv_sqrt
         if key_bias is not None:
             scores += key_bias
         attn = softmax(scores, axis=-1)
         ctx = _merge_heads(attn @ vh)
-        o, co = layers[pre + "attn_o"].forward(ctx)
-        x_mid = x_in + o
+        x_mid, co = layers[pre + "attn_o"].forward(ctx)
+        x_mid += x_in
         up, cu = layers[pre + "ffn_up"].forward(x_mid)
         hidden = np.maximum(up, 0.0)
-        down, cd = layers[pre + "ffn_down"].forward(hidden)
-        x = x_mid + down
+        x, cd = layers[pre + "ffn_down"].forward(hidden)
+        x += x_mid
         if need_tape:
             tape.append({
                 "qh": qh, "kh": kh, "vh": vh, "attn": attn, "up": up,
@@ -412,14 +430,17 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
         rec = tape[i]
-        dhidden = back(pre + "ffn_down", dx, rec["cd"])
-        dup = dhidden * (rec["up"] > 0.0)
-        dx_mid = dx + back(pre + "ffn_up", dup, rec["cu"])
+        dup = back(pre + "ffn_down", dx, rec["cd"])
+        dup *= rec["up"] > 0.0
+        dx_mid = back(pre + "ffn_up", dup, rec["cu"])
+        dx_mid += dx
         dctxh = _split_heads(back(pre + "attn_o", dx_mid, rec["co"]), spec)
         attn, qh, kh, vh = rec["attn"], rec["qh"], rec["kh"], rec["vh"]
-        dattn = dctxh @ vh.swapaxes(-1, -2)
-        # softmax jacobian applied row-wise over the key axis
-        dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
+        # softmax jacobian applied row-wise over the key axis:
+        # dscores = attn * (dattn - sum(dattn * attn))
+        dscores = dctxh @ vh.swapaxes(-1, -2)
+        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+        dscores *= attn
         dheads = {"q": lambda: (dscores @ kh) * inv_sqrt,
                   "k": lambda: (dscores.swapaxes(-1, -2) @ qh) * inv_sqrt,
                   "v": lambda: attn.swapaxes(-1, -2) @ dctxh}
@@ -427,7 +448,7 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
         for r, dhead in dheads.items():
             layer = pre + "attn_" + r
             if i > 0:
-                dx = dx + back(layer, _merge_heads(dhead()), rec["c" + r])
+                dx += back(layer, _merge_heads(dhead()), rec["c" + r])
             elif layers[layer].adapter is not None:
                 # layer 0's input gradient would reach only the frozen embeddings
                 back(layer, _merge_heads(dhead()), rec["c" + r], need_dx=False)
@@ -447,7 +468,7 @@ def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
     layer up to rounding.
     """
     toks = _check_batch(sequences, spec)
-    layers = _layers(params, spec, _check_adapters(adapters, spec))
+    layers = adapted_layers(params, spec, adapters)
     for name, layer in layers.items():
         if layer.adapter is not None:
             layers[name] = QLoraLinear(merge(layer.weight, layer.adapter))
@@ -476,28 +497,25 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
     to arrays shaped like the corresponding factors. Every token and label
     is validated before any compute.
     """
-    if len(batch) == 0:
-        raise InputError("batch must be non-empty")
-    toks = _check_batch([tokens for tokens, _ in batch], spec)
-    labels = np.array([int(label) for _, label in batch], dtype=np.int64)
-    bad = (labels < 0) | (labels >= spec.n_classes)
-    if bad.any():
-        raise InputError(f"label {labels[bad][0]} outside [0, {spec.n_classes})")
-    ad = _check_adapters(adapters, spec)
-    layers = _layers(params, spec, ad)
-    grads = {}
-    for name, adapter in ad.items():
-        grads[name + "/b"] = np.zeros_like(adapter.b_factor)
-        grads[name + "/a"] = np.zeros_like(adapter.a_factor)
-    inv_b = 1.0 / len(batch)
-    nll = np.empty(len(batch))
-    for idx, pass_toks, valid in _passes(toks):
+    examples = check_examples(batch, spec)
+    layers = adapted_layers(params, spec, adapters)
+    grads = {k: np.zeros_like(v) for k, v in flatten_adapters(adapters or {}).items()}
+    return loss_and_grads_into(params, spec, examples, layers, grads)
+
+
+def loss_and_grads_into(params: ModelParams, spec: ToyModelSpec, examples: Sequence[tuple],
+                        layers: Mapping[str, QLoraLinear], grads: dict):
+    """loss_and_grads on check_examples' examples and adapted_layers' layers,
+    adding the gradients into grads, whose arrays the caller zeroed."""
+    labels = np.array([label for _, label in examples], dtype=np.int64)
+    inv_b = 1.0 / len(examples)
+    nll = np.empty(len(examples))
+    for idx, pass_toks, valid in _passes([toks for toks, _ in examples]):
         logits, tape = _forward_pass(params.weights, layers, spec, pass_toks, valid,
                                      need_tape=True)
-        probs = softmax(logits, axis=-1)
+        dlogits = softmax(logits, axis=-1)
         rows, y = np.arange(idx.size), labels[idx]
-        nll[idx] = -np.log(probs[rows, y])
-        dlogits = probs.copy()
+        nll[idx] = -np.log(dlogits[rows, y])
         dlogits[rows, y] -= 1.0
         dlogits *= inv_b
         _backward_pass(layers, spec, dlogits, pass_toks.shape[1], valid, tape, grads)

@@ -114,10 +114,11 @@ class OptimizerState:
     step_count: int = 0
 
     def __post_init__(self):
-        # gradient staging buffer, reused every step; not a field, so it
-        # is not counted as optimizer state
+        # flat parameter and gradient buffers in layout order, reused every
+        # step; not fields, so they are not counted as optimizer state
         flat = self.first_flat
-        self._grad = np.zeros(flat.length if isinstance(flat, Q8Vector) else flat.size)
+        n = flat.length if isinstance(flat, Q8Vector) else flat.size
+        self._param, self._grad = np.zeros(n), np.zeros(n)
 
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray], cfg: TrainConfig,
@@ -137,6 +138,15 @@ class OptimizerState:
             first, second = zeros, zeros.copy()
         return cls(state_bits=cfg.state_bits, block_size=block_size,
                    layout=tuple(layout), first_flat=first, second_flat=second)
+
+    def bind(self, params: Mapping[str, np.ndarray]) -> tuple[dict, dict]:
+        """Copy the params this state was built for into its flat parameter
+        buffer; return parameter and gradient views, shaped like params."""
+        for name, size, off in self.layout:
+            self._param[off:off + size] = np.ravel(params[name])
+        return tuple({name: flat[off:off + size].reshape(np.shape(params[name]))
+                      for name, size, off in self.layout}
+                     for flat in (self._param, self._grad))
 
     @property
     def first(self) -> dict:
@@ -178,7 +188,6 @@ def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
             f"(missing {sorted(names - set(params))}, "
             f"extra {sorted(set(params) - names)})"
         )
-    g = state._grad
     for name, size, off in state.layout:
         p, grad = params[name], np.asarray(grads[name], dtype=np.float64)
         if p.size != size:
@@ -190,7 +199,18 @@ def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
             raise InputError(
                 f"gradient for {name!r} has shape {grad.shape}, parameter has {p.shape}"
             )
-        g[off:off + size] = grad.ravel()
+        state._grad[off:off + size] = grad.ravel()
+        state._param[off:off + size] = p.ravel()
+    adamw_step_flat(state, lr, cfg)
+    for name, size, off in state.layout:
+        params[name][...] = state._param[off:off + size].reshape(params[name].shape)
+    return params, state
+
+
+def adamw_step_flat(state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
+    """adamw_step on the flat buffers of OptimizerState.bind, run once over
+    them; it zeroes the gradients after use, ready for the next step's."""
+    g = state._grad
     if not np.isfinite(g).all():
         bad = next(name for name, size, off in state.layout
                    if not np.isfinite(g[off:off + size]).all())
@@ -213,11 +233,8 @@ def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
         m = quantize_8bit(m, state.block_size)
         v = quantize_8bit(np.sqrt(v), state.block_size)
     state.first_flat, state.second_flat = m, v
-    decay = 1.0 - lr * cfg.weight_decay
-    for name, size, off in state.layout:
-        p = params[name]
-        if cfg.weight_decay:
-            p *= decay
-        p -= step[off:off + size].reshape(p.shape)
+    if cfg.weight_decay:
+        state._param *= 1.0 - lr * cfg.weight_decay
+    state._param -= step
+    g.fill(0.0)
     state.step_count = t
-    return params, state

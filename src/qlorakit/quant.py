@@ -66,7 +66,8 @@ def _absmax_quantize(flat: np.ndarray, block_size: int, top: int):
     # codes come from the float32 scale so the |deq - w| <= scale/2 bound
     # is exact in the stored representation; padding gets code 0
     scale = scales.astype(np.float64)[:, None]
-    ratio = np.where(scale > 0.0, blocks / np.where(scale > 0.0, scale, 1.0), 0.0)
+    ratio = (blocks / scale if scales.all()  # no all-zero block to guard
+             else np.where(scale > 0.0, blocks / np.where(scale > 0.0, scale, 1.0), 0.0))
     codes = np.clip(round_half_away(ratio), -top, top).astype(np.int8)
     return codes.reshape(-1)[:flat.size], scales
 

@@ -18,11 +18,15 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .fileio import atomic_write, read_lines
-from .lora import LoraAdapter
-from .model import (ModelParams, ToyModelSpec, base_fingerprint, dense_base,
-                    forward_batch, loss_and_grads)
+from .lora import LoraAdapter, flatten_adapters
+from .model import (ModelParams, ToyModelSpec, adapted_layers, base_fingerprint,
+                    check_examples, dense_base, forward_batch)
 from .model import forward  # noqa: F401  (trainer.forward: one-sequence logits)
-from .optim import OptimizerState, TrainConfig, adamw_step, lr_at
+from .optim import OptimizerState, TrainConfig, lr_at
+# train's per-window and per-step calls: the public functions minus their
+# per-call checks, under the public names, so wrappers see every window and step
+from .model import loss_and_grads_into as loss_and_grads
+from .optim import adamw_step_flat as adamw_step
 
 
 @dataclass(frozen=True)
@@ -39,19 +43,6 @@ class TrainResult:
     summary: dict
 
 
-def flatten_adapters(adapters: Mapping[str, LoraAdapter]) -> dict[str, np.ndarray]:
-    """Adapter factors as a flat name -> array map.
-
-    The arrays are the adapters' own buffers, so in-place optimizer
-    updates train the adapters directly.
-    """
-    flat: dict[str, np.ndarray] = {}
-    for name, ad in adapters.items():
-        flat[name + "/b"] = ad.b_factor
-        flat[name + "/a"] = ad.a_factor
-    return flat
-
-
 def planned_steps(n_examples: int, cfg: TrainConfig) -> int:
     per_step = cfg.batch_size * cfg.grad_accum_steps
     return -(-n_examples // per_step) * cfg.epochs
@@ -66,13 +57,19 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
         raise InputError("dataset must be non-empty")
     if not adapters:
         raise InputError("no adapters attached")
-    flat = flatten_adapters(adapters)
+    examples = check_examples(dataset, spec)
     total_steps = planned_steps(n, cfg)
     lr_at(0, total_steps, cfg)  # validates warmup < total before any work
+    flat = flatten_adapters(adapters)
     state = OptimizerState.for_params(flat, cfg)
     rng = np.random.default_rng(cfg.seed)
     before = base_fingerprint(params)
     base = dense_base(params)  # a 4-bit base dequantizes once, not per step
+    layers = adapted_layers(base, spec, adapters)
+    # factors move into views of the state's flat buffer; windows add into grads
+    flat, grads = state.bind(flat)
+    for name, ad in adapters.items():
+        ad.b_factor, ad.a_factor = flat[name + "/b"], flat[name + "/a"]
     window = cfg.batch_size * cfg.grad_accum_steps
 
     t0 = time.perf_counter()
@@ -81,12 +78,12 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, window):
-            batch = [dataset[int(i)] for i in order[start:start + window]]
-            loss, grads = loss_and_grads(base, spec, batch, adapters)
+            batch = [examples[int(i)] for i in order[start:start + window]]
+            loss, _ = loss_and_grads(base, spec, batch, layers, grads)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at optimizer step {step}")
             lr = lr_at(step, total_steps, cfg)
-            adamw_step(flat, grads, state, lr, cfg)
+            adamw_step(state, lr, cfg)
             trace.append(TraceEntry(step=step, lr=lr, loss=loss))
             step += 1
     wall = time.perf_counter() - t0

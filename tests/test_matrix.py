@@ -117,3 +117,10 @@ def test_softmax_is_bit_identical_to_the_row_max_formula(z):
     # along another axis, it is the same softmax of the transposed array
     if z.ndim == 2:
         assert np.array_equal(softmax(z, axis=0), _reference_softmax(z.T).T, equal_nan=True)
+
+
+def test_softmax_rejects_an_axis_past_the_array():
+    z = np.zeros((3, 4))
+    for axis in (2, -3):
+        with pytest.raises(IndexError):
+            softmax(z, axis=axis)

@@ -71,6 +71,40 @@ def test_token_validation(small_setup):
         forward(params, spec, [spec.vocab_size], adapters)
 
 
+@pytest.mark.parametrize("tokens", [
+    [1.7, 2.2], ["1", "2"], [True, 2], [np.True_, 2], np.array([1.0, 2.0]),
+    np.array([True, False]), np.array(["1", "2"])],
+    ids=["floats", "strings", "bool-in-list", "np-bool-in-list", "float-array",
+         "bool-array", "str-array"])
+def test_non_integer_tokens_are_refused_not_coerced(small_setup, tokens):
+    spec, params, adapters, _ = small_setup
+    with pytest.raises(InputError, match="integers") as one:
+        forward(params, spec, tokens, adapters)
+    with pytest.raises(InputError) as batched:
+        forward_batch(params, spec, [[1, 2], tokens, [3]], adapters)
+    assert str(batched.value) == str(one.value)
+    with pytest.raises(InputError) as window:
+        loss_and_grads(params, spec, [([1, 2], 0), (tokens, 1)], adapters)
+    assert str(window.value) == str(one.value)
+
+
+def test_integer_token_dtypes_give_the_int64_logits(small_setup):
+    spec, params, adapters, _ = small_setup
+    expected = forward_batch(params, spec, [[1, 2, 3], [4, 5]], adapters)
+    for seqs in ([np.array([1, 2, 3], dtype=np.uint8), np.array([4, 5], dtype=np.int32)],
+                 [[np.int16(1), 2, 3], (4, np.uint8(5))]):
+        assert np.array_equal(forward_batch(params, spec, seqs, adapters), expected)
+
+
+@pytest.mark.parametrize("label", [1.5, 1.0, np.float64(1.0), True, np.True_, "1", None])
+def test_non_integer_labels_are_refused_not_coerced(small_setup, label):
+    spec, params, adapters, _ = small_setup
+    with pytest.raises(InputError, match="not an integer"):
+        loss_and_grads(params, spec, [([1, 2], 0), ([3], label)], adapters)
+    loss, _ = loss_and_grads(params, spec, [([1, 2], 0), ([3], np.int8(1))], adapters)
+    assert loss == loss_and_grads(params, spec, [([1, 2], 0), ([3], 1)], adapters)[0]
+
+
 def test_adapter_friendly_init_gives_zero_logits_and_ln_c_loss(small_spec):
     params = init_model_params(small_spec, seed=0, profile="adapter_friendly")
     adapters = init_adapters(small_spec, rank=2, alpha=4.0, seed=1)
@@ -363,7 +397,7 @@ def test_forward_batch_runs_each_distinct_sequence_once(small_setup, monkeypatch
 
 def merged_layers(params, spec, adapters):
     """The layers forward_batch runs: each adapted one as its merged weight."""
-    layers = model._layers(params, spec, adapters)
+    layers = model.adapted_layers(params, spec, adapters)
     return {name: layer if layer.adapter is None
             else QLoraLinear(merge(layer.weight, layer.adapter))
             for name, layer in layers.items()}
@@ -386,7 +420,7 @@ def test_merged_inference_matches_the_factor_wise_layers(small_setup, monkeypatc
     if base == "q4":
         params = quantize_base(params, spec, block_size=16)
     seqs = list({s.tobytes(): s for s in mixed_length_sequences(spec, seed=19)}.values())
-    factor_wise = run_passes(params, spec, model._layers(params, spec, adapters), seqs)
+    factor_wise = run_passes(params, spec, model.adapted_layers(params, spec, adapters), seqs)
     base_bytes = base_fingerprint(params)
     factor_bytes = {k: (ad.b_factor.tobytes(), ad.a_factor.tobytes())
                     for k, ad in adapters.items()}
@@ -435,7 +469,7 @@ def test_padded_positions_carry_exactly_zero_gradient(small_setup):
     rng = np.random.default_rng(14)
     toks = [rng.integers(0, spec.vocab_size, size=t) for t in (2, 4, spec.max_seq_len)]
     [(_, pass_toks, valid)] = list(model._passes(toks))
-    layers = model._layers(params, spec, adapters)
+    layers = model.adapted_layers(params, spec, adapters)
     dlogits = rng.normal(size=(len(toks), spec.n_classes))
     results = []
     for pad_token in (0, 5):

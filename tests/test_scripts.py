@@ -1,6 +1,7 @@
 """Smoke tests for the example scripts: each runs end to end on a small
 input in its own interpreter and exits 0."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +34,36 @@ def test_run_pipeline_writes_the_report(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = (out / "evals" / "report.txt").read_text()
     assert report and report in proc.stdout
+
+
+def load_bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare",
+                                                  ROOT / "scripts" / "bench_compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_compare_statistics():
+    compare = load_bench_compare().compare
+    parent = [100.0, 104.0, 98.0, 102.0, 101.0, 99.0, 103.0, 100.0, 97.0, 105.0]
+    faster = [p * 1.2 for p in parent]
+    faster[3] = parent[3]  # one tie counts for neither side
+    out = compare(parent, faster, "higher", bound=0.25)
+    assert (out["won"], out["lost"], out["tied"], out["pairs"]) == (9, 0, 1, 10)
+    assert out["parent"] == {"median": 100.5, "q1": 99.25, "q3": 102.75}
+    assert out["gain_rule_met"] and out["within_bound"]
+    assert out["median_ratio"] > 1.19
+    # "lower is better" flips the sides; a 30% slowdown breaks a 25% bound
+    slower = compare(parent, [p * 1.3 for p in parent], "lower", bound=0.25)
+    assert (slower["won"], slower["lost"]) == (0, 10)
+    assert not slower["gain_rule_met"] and not slower["within_bound"]
+    # 8 of 10 pairs won is short of the 9/10 rule, whatever the medians say
+    mixed = [p * 1.5 for p in parent[:8]] + [p * 0.9 for p in parent[8:]]
+    assert not compare(parent, mixed, "higher")["gain_rule_met"]
+    # all pairs won, but medians closer than the parent's interquartile range
+    close = compare(parent, [p + 0.5 for p in parent], "higher")
+    assert close["won"] == 10 and not close["gain_rule_met"]
+    single = compare([2.0], [1.0], "lower")
+    assert single["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert single["won"] == 1 and single["gain_rule_met"]

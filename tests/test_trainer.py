@@ -9,9 +9,9 @@ import pytest
 
 from qlorakit import optim, quant, trainer
 from qlorakit.errors import InputError
-from qlorakit.model import (base_fingerprint, init_adapters, init_model_params,
-                            quantize_base)
-from qlorakit.optim import TrainConfig
+from qlorakit.model import (LAYER_ROLES, ToyModelSpec, base_fingerprint, init_adapters,
+                            init_model_params, loss_and_grads, quantize_base)
+from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, lr_at
 from qlorakit.tasks import synthetic_token_task
 from qlorakit.trainer import (TraceEntry, evaluate_accuracy, planned_steps,
                               read_trace_csv, train, write_trace_csv)
@@ -123,6 +123,80 @@ def test_input_validation(small_spec):
         train([], params, small_spec, adapters, cfg)
     with pytest.raises(InputError, match="adapters"):
         train(make_batch(small_spec, 4), params, small_spec, {}, cfg)
+
+
+def public_train(dataset, params, spec, adapters, cfg):
+    """train's loop on the public loss_and_grads and adamw_step; the losses."""
+    flat = trainer.flatten_adapters(adapters)
+    state = OptimizerState.for_params(flat, cfg)
+    total = planned_steps(len(dataset), cfg)
+    window = cfg.batch_size * cfg.grad_accum_steps
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), window):
+            batch = [dataset[int(i)] for i in order[start:start + window]]
+            loss, grads = loss_and_grads(params, spec, batch, adapters)
+            adamw_step(flat, grads, state, lr_at(len(losses), total, cfg), cfg)
+            losses.append(loss)
+    return losses
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+@pytest.mark.parametrize("base", ["dense", "q4"])
+@pytest.mark.parametrize("lengths", ["equal", "mixed"])
+@pytest.mark.parametrize("targets", ["q-v", "all-six"])
+def test_train_is_bit_identical_to_the_public_loss_and_adamw_loop(bits, base, lengths,
+                                                                  targets):
+    spec = ToyModelSpec(vocab_size=23, d_model=8, n_layers=2, n_heads=2, d_ff=12,
+                        n_classes=3, max_seq_len=6,
+                        adapter_targets=LAYER_ROLES if targets == "all-six"
+                        else ("attn_q", "attn_v"))
+    rng = np.random.default_rng(21)
+    data = [(rng.integers(0, spec.vocab_size,
+                          size=spec.max_seq_len if lengths == "equal"
+                          else int(rng.integers(1, spec.max_seq_len + 1))),
+             int(rng.integers(0, spec.n_classes))) for _ in range(21)]
+    cfg_kwargs = dict(rank=2, alpha=4.0, seed=6, warmup_steps=1, epochs=2,
+                      learning_rate=5e-2, state_bits=bits)
+    runs = []
+    for run in (train, public_train):
+        params, adapters, cfg = fresh(spec, cfg_kwargs)
+        if base == "q4":
+            params = quantize_base(params, spec, block_size=16)
+        out = run(data, params, spec, adapters, cfg)
+        losses = [e.loss for e in out.trace] if run is train else out
+        runs.append((np.array(losses).tobytes(), adapter_bytes(adapters)))
+    assert runs[0] == runs[1]
+    # the adapters did train, and the windows covered every example twice
+    assert runs[0][1] != adapter_bytes(fresh(spec, cfg_kwargs)[1])
+    assert len(runs[0][0]) == 8 * 6
+
+
+@pytest.mark.parametrize("bad", ["token-range", "float-token", "bool-token",
+                                 "label-range", "float-label", "bool-label"])
+def test_train_rejects_a_bad_last_example_before_step_0(small_spec, monkeypatch, bad):
+    data = make_batch(small_spec, 21, seed=5)
+    tokens, label = data[-1]
+    data[-1] = {"token-range": (np.append(tokens[:-1], small_spec.vocab_size), label),
+                "float-token": (tokens.astype(np.float64), label),
+                "bool-token": ([True] + tokens[1:].tolist(), label),
+                "label-range": (tokens, small_spec.n_classes),
+                "float-label": (tokens, 1.5),
+                "bool-label": (tokens, True)}[bad]
+    params, adapters, cfg = fresh(small_spec, dict(rank=2, alpha=4.0, warmup_steps=1))
+    with pytest.raises(InputError) as public:
+        loss_and_grads(params, small_spec, data[-8:], adapters)
+    before = adapter_bytes(adapters)
+    calls = {"loss_and_grads": 0, "adamw_step": 0}
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counting(calls, name, getattr(trainer, name)))
+    with pytest.raises(InputError) as trained:
+        train(data, params, small_spec, adapters, cfg)
+    assert str(trained.value) == str(public.value)
+    assert calls == {"loss_and_grads": 0, "adamw_step": 0}
+    assert adapter_bytes(adapters) == before
 
 
 def test_warmup_must_fit_in_planned_steps(small_spec):
