@@ -107,13 +107,13 @@ def merge(w: Matrix, adapter: LoraAdapter) -> Matrix:
 
 @dataclass
 class QLoraLinear:
-    """y = x @ W + scaling * (x @ B) @ A over a frozen base W.
+    """y = x @ W' over a frozen base W, with W' = W + (alpha / r) B A.
 
     The base is a dense matrix (LoRA) or a Q4BlockMatrix (QLoRA); a 4-bit
-    base is dequantized once, when the layer is built, into `weight`.
-    Without an adapter the layer is the plain base product. With one, the
-    low-rank branch runs factor-wise, because backward needs x @ B;
-    forward-only callers build the layer on merge(weight, adapter) instead.
+    base is dequantized once, when the layer is built. `weight` holds W'
+    (merge, LoRA §4.1), or W itself without an adapter, and the layer runs
+    that one product in training and inference alike. An adapter trained
+    in place leaves W' stale until `remerge` recomputes it.
     """
 
     base: np.ndarray | Q4BlockMatrix
@@ -123,43 +123,36 @@ class QLoraLinear:
     def __post_init__(self):
         w = (quant.dequantize_4bit(self.base) if isinstance(self.base, Q4BlockMatrix)
              else self.base)
-        ad = self.adapter
-        if ad is not None and w.shape != (ad.d_in, ad.d_out):
-            raise ShapeError(
-                f"base {w.shape[0]}x{w.shape[1]} does not match "
-                f"adapter {ad.d_in}x{ad.d_out}"
-            )
-        self.weight = w
+        self._w = w
+        self.weight = w if self.adapter is None else merge(w, self.adapter)
+
+    def remerge(self) -> None:
+        """W' from the adapter's current factors, in place; bit-identical
+        to merge(W, adapter)."""
+        np.add(self._w, lora_delta(self.adapter), out=self.weight)
 
     def forward(self, x):
-        """y for x of shape (..., d_in), plus the cache backward needs
-        (None without an adapter). Leading axes run as one matrix product."""
+        """y for x of shape (..., d_in), plus the cache backward needs: the
+        input as rows (None without an adapter). Leading axes run as one
+        matrix product."""
         x2 = x.reshape(-1, x.shape[-1])
         y = x2 @ self.weight
-        ad = self.adapter
-        cache = None
-        if ad is not None:
-            u = x2 @ ad.b_factor
-            y += ad.scaling * (u @ ad.a_factor)
-            cache = (x2, u)
-        return y.reshape(*x.shape[:-1], y.shape[-1]), cache
+        return (y.reshape(*x.shape[:-1], y.shape[-1]),
+                None if self.adapter is None else x2)
 
     def backward(self, dy, cache, grads, name: str, need_dx: bool = True):
         """dx for upstream (None unless need_dx); adds the factor gradients,
-        summed over every leading axis, into grads[name + "/a" | "/b"]."""
+        summed over every leading axis, into grads[name + "/a" | "/b"]:
+        with G = x^T dy, dA = s B^T G and dB = s G A^T."""
         dy2 = dy.reshape(-1, dy.shape[-1])
         ad = self.adapter
         if ad is not None:
-            x2, u = cache
-            s = ad.scaling
-            grads[name + "/a"] += s * (u.T @ dy2)
-            t = dy2 @ ad.a_factor.T
-            grads[name + "/b"] += s * (x2.T @ t)
+            g = cache.T @ dy2
+            grads[name + "/a"] += ad.scaling * (ad.b_factor.T @ g)
+            grads[name + "/b"] += ad.scaling * (g @ ad.a_factor.T)
         if not need_dx:
             return None
         dx = dy2 @ self.weight.T
-        if ad is not None:
-            dx += s * (t @ ad.b_factor.T)
         return dx.reshape(*dy.shape[:-1], dx.shape[-1])
 
 

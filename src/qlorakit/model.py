@@ -25,7 +25,7 @@ import numpy as np
 
 from . import quant
 from .errors import ConfigError, InputError
-from .lora import LoraAdapter, QLoraLinear, flatten_adapters, lora_init, merge
+from .lora import LoraAdapter, QLoraLinear, flatten_adapters, lora_init
 from .matrix import softmax
 from .quant import DEFAULT_BLOCK_SIZE, Q4BlockMatrix, q4_to_bytes, quantize_4bit
 
@@ -261,7 +261,8 @@ def dense_base(params: ModelParams) -> ModelParams:
 def adapted_layers(params: ModelParams, spec: ToyModelSpec,
                    adapters: Mapping[str, LoraAdapter] | None) -> dict[str, QLoraLinear]:
     """One QLoraLinear per weight product, adapters and params checked against
-    spec; 4-bit bases dequantize here. Adapters trained in place stay current."""
+    spec; 4-bit bases dequantize here. Each adapted layer holds its merged
+    weight, so an adapter trained in place needs QLoraLinear.remerge."""
     adapters = adapters or {}
     allowed = set(spec.adapter_names())
     for name, ad in adapters.items():
@@ -281,19 +282,28 @@ def adapted_layers(params: ModelParams, spec: ToyModelSpec,
             if name.rsplit(".", 1)[-1] in QUANTIZED_ROLES}
 
 
-def _integers(values, arr: np.ndarray) -> bool:
-    """arr = np.asarray(values) holds integers; a bool among list items counts."""
-    return arr.dtype.kind in "iu" and (isinstance(values, np.ndarray) or not any(
-        isinstance(v, (bool, np.bool_)) for v in values))
+def _token_ids(tokens) -> np.ndarray | None:
+    """tokens as a flat int64 array, or None unless every id is an integer.
+
+    An array goes by its dtype. A list's items are type-checked: a bool
+    among ints is refused, while a mix of ints and np.uint64, which numpy
+    promotes to float64, is taken as the integers it holds.
+    """
+    arr = np.asarray(tokens).ravel()
+    if not isinstance(tokens, np.ndarray):
+        if any(isinstance(v, (bool, np.bool_)) for v in tokens):
+            return None
+        if arr.dtype.kind == "f" and all(isinstance(v, (int, np.integer)) for v in tokens):
+            arr = np.array([int(v) for v in tokens])
+    return arr.astype(np.int64, copy=False) if arr.dtype.kind in "iu" else None
 
 
 def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
-    arr = np.asarray(tokens).ravel()
-    if arr.size < 1:
+    if np.size(tokens) < 1:
         raise InputError("token sequence must be non-empty")
-    if not _integers(tokens, arr):
+    toks = _token_ids(tokens)
+    if toks is None:
         raise InputError("token ids must be integers, not bools, floats or strings")
-    toks = arr.astype(np.int64, copy=False)
     if toks.size > spec.max_seq_len:
         raise InputError(
             f"sequence length {toks.size} exceeds max_seq_len {spec.max_seq_len}"
@@ -308,9 +318,8 @@ def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
     """_check_tokens for every sequence, as one dtype, length and min/max
     check over their concatenation. A batch that fails reruns the per-sequence
     check, so the error is the first bad sequence's, in input order."""
-    arrs = [np.asarray(tokens).ravel() for tokens in sequences]
-    if arrs and all(_integers(t, a) for t, a in zip(sequences, arrs)):
-        toks = [a.astype(np.int64, copy=False) for a in arrs]
+    toks = [_token_ids(tokens) for tokens in sequences]
+    if toks and all(t is not None for t in toks):
         lengths = np.array([t.size for t in toks])
         if lengths.min() >= 1 and lengths.max() <= spec.max_seq_len:
             flat = np.concatenate(toks)
@@ -439,7 +448,7 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
         # softmax jacobian applied row-wise over the key axis:
         # dscores = attn * (dattn - sum(dattn * attn))
         dscores = dctxh @ vh.swapaxes(-1, -2)
-        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+        dscores -= np.einsum("...k,...k->...", dscores, attn)[..., None]
         dscores *= attn
         dheads = {"q": lambda: (dscores @ kh) * inv_sqrt,
                   "k": lambda: (dscores.swapaxes(-1, -2) @ qh) * inv_sqrt,
@@ -462,16 +471,16 @@ def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
     rows, each padded to its longest member with padded keys masked out of
     attention and pooling, so every row depends only on its own tokens; each
     distinct sequence therefore runs once and its logits fill all its rows.
-    A 4-bit base dequantizes once per call. Without a backward, nothing
-    needs x @ B, so each adapted layer runs its merged weight W + delta
-    (LoRA §4.1): the plain base model's products, equal to the factor-wise
-    layer up to rounding.
+    A 4-bit base dequantizes once per call, and each adapted layer runs its
+    merged weight W + delta (LoRA §4.1).
     """
-    toks = _check_batch(sequences, spec)
+    return _logits(params, spec, _check_batch(sequences, spec), adapters)
+
+
+def _logits(params: ModelParams, spec: ToyModelSpec, toks: Sequence[np.ndarray],
+            adapters: Mapping[str, LoraAdapter] | None) -> np.ndarray:
+    """forward_batch on sequences _check_batch has already checked."""
     layers = adapted_layers(params, spec, adapters)
-    for name, layer in layers.items():
-        if layer.adapter is not None:
-            layers[name] = QLoraLinear(merge(layer.weight, layer.adapter))
     # the key holds the length too (8 bytes a token), so a prefix is its own key
     slot: dict[bytes, int] = {}
     rows = np.array([slot.setdefault(t.tobytes(), len(slot)) for t in toks], dtype=np.intp)

@@ -207,9 +207,11 @@ def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
     return params, state
 
 
-def adamw_step_flat(state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
+def adamw_step_flat(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple[float, float]:
     """adamw_step on the flat buffers of OptimizerState.bind, run once over
-    them; it zeroes the gradients after use, ready for the next step's."""
+    them; it zeroes the gradients after use, ready for the next step's.
+    Returns the L2 norms of the gradient and of the adaptive update (the
+    step before weight decay)."""
     g = state._grad
     if not np.isfinite(g).all():
         bad = next(name for name, size, off in state.layout
@@ -236,5 +238,7 @@ def adamw_step_flat(state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
     if cfg.weight_decay:
         state._param *= 1.0 - lr * cfg.weight_decay
     state._param -= step
+    grad_norm = float(np.sqrt(np.dot(g, g)))
     g.fill(0.0)
     state.step_count = t
+    return grad_norm, float(np.sqrt(np.dot(step, step)))

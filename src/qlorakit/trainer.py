@@ -11,7 +11,7 @@ matters; both stay because checkpoints and configs carry them.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InputError, NumericError
 from .fileio import atomic_write, read_lines
 from .lora import LoraAdapter, flatten_adapters
-from .model import (ModelParams, ToyModelSpec, adapted_layers, base_fingerprint,
-                    check_examples, dense_base, forward_batch)
+from .model import (ModelParams, ToyModelSpec, _logits, adapted_layers, base_fingerprint,
+                    check_examples, dense_base)
 from .model import forward  # noqa: F401  (trainer.forward: one-sequence logits)
 from .optim import OptimizerState, TrainConfig, lr_at
 # train's per-window and per-step calls: the public functions minus their
@@ -31,9 +31,20 @@ from .optim import adamw_step_flat as adamw_step
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One optimizer step: its 0-based epoch, the examples consumed through
+    it, and the L2 norms of the window's mean gradient and of the adaptive
+    update (before weight decay)."""
+
     step: int
+    epoch: int
+    examples_seen: int
     lr: float
     loss: float
+    grad_norm: float
+    update_norm: float
+
+
+TRACE_HEADER = ",".join(f.name for f in fields(TraceEntry))
 
 
 @dataclass
@@ -66,6 +77,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     before = base_fingerprint(params)
     base = dense_base(params)  # a 4-bit base dequantizes once, not per step
     layers = adapted_layers(base, spec, adapters)
+    merged = [layers[name] for name in adapters]
     # factors move into views of the state's flat buffer; windows add into grads
     flat, grads = state.bind(flat)
     for name, ad in adapters.items():
@@ -74,8 +86,8 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
 
     t0 = time.perf_counter()
     trace: list[TraceEntry] = []
-    step = 0
-    for _epoch in range(cfg.epochs):
+    step = seen = 0
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, window):
             batch = [examples[int(i)] for i in order[start:start + window]]
@@ -83,8 +95,11 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at optimizer step {step}")
             lr = lr_at(step, total_steps, cfg)
-            adamw_step(state, lr, cfg)
-            trace.append(TraceEntry(step=step, lr=lr, loss=loss))
+            grad_norm, update_norm = adamw_step(state, lr, cfg)
+            for layer in merged:
+                layer.remerge()
+            seen += len(batch)
+            trace.append(TraceEntry(step, epoch, seen, lr, loss, grad_norm, update_norm))
             step += 1
     wall = time.perf_counter() - t0
 
@@ -113,21 +128,23 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
 
 
 def write_trace_csv(trace: Sequence[TraceEntry], path) -> None:
-    lines = ["step,lr,loss"]
-    lines.extend(f"{e.step},{e.lr!r},{e.loss!r}" for e in trace)
+    lines = [TRACE_HEADER]
+    lines.extend(",".join(map(repr, astuple(e))) for e in trace)
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> list[TraceEntry]:
     rows = [line.strip() for line in read_lines(path) if line.strip()]
-    if not rows or rows[0] != "step,lr,loss":
+    if not rows or rows[0] != TRACE_HEADER:
         raise InputError(f"{path}: not a loss-trace CSV")
     out = []
     for row in rows[1:]:
         try:
-            s, lr, loss = row.split(",")
-            out.append(TraceEntry(step=int(s), lr=float(lr), loss=float(loss)))
+            step, epoch, seen, *reals = row.split(",")
+            if len(reals) != 4:
+                raise ValueError(f"{len(reals) + 3} cells, expected 7")
+            out.append(TraceEntry(int(step), int(epoch), int(seen), *map(float, reals)))
         except ValueError as exc:
             raise InputError(f"{path}: bad trace row {row!r}: {exc}") from exc
     return out
@@ -136,9 +153,11 @@ def read_trace_csv(path) -> list[TraceEntry]:
 def evaluate_accuracy(params: ModelParams, spec: ToyModelSpec,
                       adapters: Mapping[str, LoraAdapter] | None,
                       dataset: Sequence[tuple]) -> float:
-    """Fraction of examples whose argmax logit matches the gold class."""
+    """Fraction of examples whose argmax logit matches the gold class; tokens
+    and labels are checked as loss_and_grads checks them."""
     if len(dataset) == 0:
         raise InputError("dataset must be non-empty")
-    logits = forward_batch(params, spec, [tokens for tokens, _ in dataset], adapters)
-    labels = np.array([int(label) for _, label in dataset])
+    examples = check_examples(dataset, spec)
+    logits = _logits(params, spec, [tokens for tokens, _ in examples], adapters)
+    labels = np.array([label for _, label in examples], dtype=np.int64)
     return int(np.sum(np.argmax(logits, axis=1) == labels)) / len(dataset)

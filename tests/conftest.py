@@ -1,11 +1,14 @@
-"""Shared fixtures: small model specs and dataset builders used across
-the test modules. Everything is seeded; no test depends on wall clock,
-network, or filesystem state outside tmp_path.
+"""Shared fixtures: small model specs, dataset builders and the
+factor-wise reference for the adapted layer, used across the test modules.
+Everything is seeded; no test depends on wall clock, network, or
+filesystem state outside tmp_path.
 """
 
 import numpy as np
 import pytest
 
+from qlorakit import model
+from qlorakit.lora import flatten_adapters
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
 
 
@@ -43,3 +46,68 @@ def make_batch(spec, n, seed=0, seq_len=None):
         (rng.integers(0, spec.vocab_size, size=t), int(rng.integers(0, spec.n_classes)))
         for _ in range(n)
     ]
+
+
+class FactorWiseLinear:
+    """Reference adapted layer: y = x @ W + s * (x @ B) @ A, the low-rank
+    branch run factor by factor and never merged into W."""
+
+    def __init__(self, weight, adapter):
+        self.weight, self.adapter = weight, adapter
+
+    def forward(self, x):
+        x2 = x.reshape(-1, x.shape[-1])
+        y = x2 @ self.weight
+        ad, cache = self.adapter, None
+        if ad is not None:
+            u = x2 @ ad.b_factor
+            y += ad.scaling * (u @ ad.a_factor)
+            cache = (x2, u)
+        return y.reshape(*x.shape[:-1], y.shape[-1]), cache
+
+    def backward(self, dy, cache, grads, name, need_dx=True):
+        dy2 = dy.reshape(-1, dy.shape[-1])
+        ad = self.adapter
+        if ad is not None:
+            x2, u = cache
+            s = ad.scaling
+            grads[name + "/a"] += s * (u.T @ dy2)
+            t = dy2 @ ad.a_factor.T
+            grads[name + "/b"] += s * (x2.T @ t)
+        if not need_dx:
+            return None
+        dx = dy2 @ self.weight.T
+        if ad is not None:
+            dx += s * (t @ ad.b_factor.T)
+        return dx.reshape(*dy.shape[:-1], dx.shape[-1])
+
+
+def factor_wise_layers(params, spec, adapters):
+    """model.adapted_layers' layers, each as a FactorWiseLinear."""
+    weights = model.dense_base(params).weights
+    return {name: FactorWiseLinear(weights[name], (adapters or {}).get(name))
+            for name in model.adapted_layers(params, spec, adapters)}
+
+
+def factor_wise_logits(params, spec, sequences, adapters):
+    """forward_batch's logits from the factor-wise layers, every row run."""
+    toks = [np.asarray(s, dtype=np.int64) for s in sequences]
+    layers = factor_wise_layers(params, spec, adapters)
+    logits = np.empty((len(toks), spec.n_classes))
+    for idx, pass_toks, valid in model._passes(toks):
+        logits[idx], _ = model._forward_pass(params.weights, layers, spec, pass_toks,
+                                             valid, need_tape=False)
+    return logits
+
+
+def factor_wise_loss_and_grads(params, spec, batch, adapters):
+    """loss_and_grads computed on the factor-wise layers."""
+    grads = {k: np.zeros_like(v)
+             for k, v in flatten_adapters(adapters).items()}
+    return model.loss_and_grads_into(params, spec, model.check_examples(batch, spec),
+                                     factor_wise_layers(params, spec, adapters), grads)
+
+
+def max_relative_error(actual, reference):
+    """max |actual - reference| over max |reference|."""
+    return float(np.max(np.abs(actual - reference)) / np.max(np.abs(reference)))

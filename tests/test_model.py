@@ -13,14 +13,14 @@ import pytest
 
 from qlorakit import model, quant
 from qlorakit.errors import ConfigError, InputError
-from qlorakit.lora import QLoraLinear, merge
 from qlorakit.matrix import softmax
 from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpec,
                             base_fingerprint, forward, forward_batch, init_adapters,
                             init_model_params, loss_and_grads, quantize_base)
 from qlorakit.quant import Q4BlockMatrix, dequantize_4bit
 
-from conftest import make_batch
+from conftest import (factor_wise_logits, factor_wise_loss_and_grads, make_batch,
+                      max_relative_error)
 
 
 def test_spec_validation():
@@ -92,7 +92,8 @@ def test_integer_token_dtypes_give_the_int64_logits(small_setup):
     spec, params, adapters, _ = small_setup
     expected = forward_batch(params, spec, [[1, 2, 3], [4, 5]], adapters)
     for seqs in ([np.array([1, 2, 3], dtype=np.uint8), np.array([4, 5], dtype=np.int32)],
-                 [[np.int16(1), 2, 3], (4, np.uint8(5))]):
+                 [[np.int16(1), 2, 3], (4, np.uint8(5))],
+                 [[1, 2, 3], (4, np.uint64(5))]):  # numpy promotes this pair to float64
         assert np.array_equal(forward_batch(params, spec, seqs, adapters), expected)
 
 
@@ -395,14 +396,6 @@ def test_forward_batch_runs_each_distinct_sequence_once(small_setup, monkeypatch
     assert calls == []
 
 
-def merged_layers(params, spec, adapters):
-    """The layers forward_batch runs: each adapted one as its merged weight."""
-    layers = model.adapted_layers(params, spec, adapters)
-    return {name: layer if layer.adapter is None
-            else QLoraLinear(merge(layer.weight, layer.adapter))
-            for name, layer in layers.items()}
-
-
 def run_passes(params, spec, layers, seqs):
     logits = np.empty((len(seqs), spec.n_classes))
     for idx, pass_toks, valid in model._passes(seqs):
@@ -420,7 +413,7 @@ def test_merged_inference_matches_the_factor_wise_layers(small_setup, monkeypatc
     if base == "q4":
         params = quantize_base(params, spec, block_size=16)
     seqs = list({s.tobytes(): s for s in mixed_length_sequences(spec, seed=19)}.values())
-    factor_wise = run_passes(params, spec, model.adapted_layers(params, spec, adapters), seqs)
+    factor_wise = factor_wise_logits(params, spec, seqs, adapters)
     base_bytes = base_fingerprint(params)
     factor_bytes = {k: (ad.b_factor.tobytes(), ad.a_factor.tobytes())
                     for k, ad in adapters.items()}
@@ -434,6 +427,32 @@ def test_merged_inference_matches_the_factor_wise_layers(small_setup, monkeypatc
     assert base_fingerprint(params) == base_bytes
     assert {k: (ad.b_factor.tobytes(), ad.a_factor.tobytes())
             for k, ad in adapters.items()} == factor_bytes
+
+
+@pytest.mark.parametrize("base", ["dense", "q4"])
+def test_merged_layers_match_the_factor_wise_reference(base):
+    """Merged W' changes the order of the adapted layer's arithmetic, not its
+    value: logits, loss and gradients stay within 1e-12 relative."""
+    spec = ToyModelSpec(vocab_size=23, d_model=8, n_layers=2, n_heads=2, d_ff=12,
+                        n_classes=3, max_seq_len=6, adapter_targets=LAYER_ROLES)
+    params = init_model_params(spec, seed=7, profile="standard")
+    if base == "q4":
+        params = quantize_base(params, spec, block_size=16)
+    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=11)
+    rng = np.random.default_rng(20)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    seqs = mixed_length_sequences(spec, seed=21)
+    logits = forward_batch(params, spec, seqs, adapters)
+    assert max_relative_error(logits, factor_wise_logits(params, spec, seqs, adapters)) <= 1e-12
+    batch = [(s, int(rng.integers(0, spec.n_classes))) for s in seqs[:40]]
+    assert len({s.size for s, _ in batch}) > 1
+    loss, grads = loss_and_grads(params, spec, batch, adapters)
+    ref_loss, ref_grads = factor_wise_loss_and_grads(params, spec, batch, adapters)
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    assert sorted(grads) == sorted(ref_grads) and len(grads) == 2 * 2 * len(LAYER_ROLES)
+    for key in grads:
+        assert max_relative_error(grads[key], ref_grads[key]) <= 1e-12, key
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
@@ -460,7 +479,7 @@ def test_all_distinct_forward_batch_keeps_the_undeduplicated_arithmetic(small_se
     for ad in adapters.values():
         ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
     seqs = list({s.tobytes(): s for s in mixed_length_sequences(spec, seed=17)}.values())
-    expected = run_passes(params, spec, merged_layers(params, spec, adapters), seqs)
+    expected = run_passes(params, spec, model.adapted_layers(params, spec, adapters), seqs)
     assert np.array_equal(forward_batch(params, spec, seqs, adapters), expected)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlorakit.errors import ConfigError, InputError, NumericError
-from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, lr_at
+from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, adamw_step_flat, lr_at
 from qlorakit.quant import Q8Vector, dequantize_8bit
 
 
@@ -107,6 +107,29 @@ def test_trajectory_matches_reference_full_precision():
         adamw_step(params, {"p": 2.0 * (params["p"] - 3.0)}, state, 1e-1, cfg)
     expected = reference_adamw(0.0, lambda p: 2.0 * (p - 3.0), cfg, 1e-1, 50)
     assert params["p"][0] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+def test_flat_step_returns_the_gradient_and_update_norms(bits):
+    """The update norm is that of the adaptive step alone, before decay."""
+    cfg = TrainConfig(learning_rate=0.1, weight_decay=0.05, state_bits=bits)
+    rng = np.random.default_rng(8)
+    params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=70)}
+    grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    state = OptimizerState.for_params(params, cfg)
+    flat, flat_grads = state.bind(params)
+    for k, g in grads.items():
+        flat_grads[k][...] = g
+    before = {k: v.copy() for k, v in flat.items()}
+    grad_norm, update_norm = adamw_step_flat(state, 0.1, cfg)
+    g = np.concatenate([grads[k].ravel() for k in sorted(grads)])
+    assert grad_norm == pytest.approx(np.linalg.norm(g), rel=1e-14)
+    step = np.concatenate([(before[k] * (1.0 - 0.1 * cfg.weight_decay) - flat[k]).ravel()
+                           for k in sorted(flat)])
+    assert update_norm == pytest.approx(np.linalg.norm(step), rel=1e-12)
+    # the first step of Adam moves every coordinate by about lr
+    assert update_norm == pytest.approx(0.1 * np.sqrt(g.size), rel=1e-6)
+    assert not state._grad.any()
 
 
 def test_quadratic_converges_full_precision():

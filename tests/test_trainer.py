@@ -209,13 +209,31 @@ def test_warmup_must_fit_in_planned_steps(small_spec):
         train(data, params, small_spec, adapters, cfg)
 
 
+def test_trace_records_epoch_examples_seen_and_optimizer_norms(small_spec):
+    data = make_batch(small_spec, 21, seed=4)  # windows of 8: 8, 8 and 5 examples
+    kwargs = dict(rank=2, alpha=4.0, seed=3, warmup_steps=1, epochs=2)
+    params, adapters, cfg = fresh(small_spec, kwargs)
+    trace = train(data, params, small_spec, adapters, cfg).trace
+    assert [(e.step, e.epoch, e.examples_seen) for e in trace] == [
+        (0, 0, 8), (1, 0, 16), (2, 0, 21), (3, 1, 29), (4, 1, 37), (5, 1, 42)]
+    params, adapters, cfg = fresh(small_spec, kwargs)
+    first = [data[int(i)] for i in np.random.default_rng(cfg.seed).permutation(21)[:8]]
+    _, grads = loss_and_grads(params, small_spec, first, adapters)
+    norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+    assert trace[0].grad_norm == pytest.approx(norm, rel=1e-12)
+    assert all(e.grad_norm > 0 and 0 < e.update_norm < np.inf for e in trace)
+
+
 def test_trace_csv_roundtrip(tmp_path):
-    trace = [TraceEntry(step=0, lr=4e-5, loss=1.3862943611198906),
-             TraceEntry(step=1, lr=8e-5, loss=1.2)]
+    trace = [TraceEntry(step=0, epoch=0, examples_seen=8, lr=4e-5, loss=1.3862943611198906,
+                        grad_norm=0.25, update_norm=1.1e-4),
+             TraceEntry(step=1, epoch=1, examples_seen=15, lr=8e-5, loss=1.2,
+                        grad_norm=3.0000000000000004, update_norm=2e-4)]
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert read_trace_csv(path) == trace
-    assert path.read_text().splitlines()[0] == "step,lr,loss"
+    assert (path.read_text().splitlines()[0]
+            == "step,epoch,examples_seen,lr,loss,grad_norm,update_norm")
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n1,2,3\n")
     with pytest.raises(InputError, match="loss-trace"):
@@ -229,6 +247,18 @@ def test_evaluate_accuracy_bounds(small_setup):
     assert acc == evaluate_accuracy(params, spec, adapters, batch)
     with pytest.raises(InputError):
         evaluate_accuracy(params, spec, adapters, [])
+
+
+@pytest.mark.parametrize("label,match", [(1.7, "not an integer"), (True, "not an integer"),
+                                         (7, "outside")])
+def test_evaluate_accuracy_refuses_labels_as_loss_and_grads_does(small_setup, label, match):
+    spec, params, adapters, batch = small_setup
+    data = batch + [(batch[0][0], label)]
+    with pytest.raises(InputError, match=match) as public:
+        loss_and_grads(params, spec, data, adapters)
+    with pytest.raises(InputError) as evaluated:
+        evaluate_accuracy(params, spec, adapters, data)
+    assert str(evaluated.value) == str(public.value)
 
 
 def test_dataset_not_mutated_by_training(small_spec):
