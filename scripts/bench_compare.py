@@ -12,11 +12,12 @@ PYTHONDONTWRITEBYTECODE set, an uncompiled tree recompiles on every
 import and reads setup_s about 0.04 s high.
 
 Pair i of the k-th workload listed runs seed `--seed-base + 100 k + i` on
-both sides; even pairs run the parent first, odd pairs the change first. The file holds the
-environment, every run's metrics, and per metric each side's median and
-quartiles, the pairs the change won, lost and tied, and whether the
-gain rule holds: at least 9 of 10 pairs won and medians apart by more
-than the parent's interquartile range.
+both sides; even pairs run the parent first, odd pairs the change first.
+The file holds the environment, the line count of `src/qlorakit/*.py` in
+each tree (`src_lines`), every run's metrics, and per metric each side's
+median and quartiles, the pairs the change won, lost and tied, and
+whether the gain rule holds: at least 9 of 10 pairs won and medians
+apart by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def compare(parent: list[float], change: list[float], better: str,
         out["bound"] = bound
         out["within_bound"] = -gain <= bound * abs(pmed)
     return out
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's src/qlorakit/*.py, as `cat ... | wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "qlorakit").glob("*.py"))
 
 
 def compile_tree(tree: Path) -> None:
@@ -135,7 +142,8 @@ def main(argv=None) -> int:
                               capture_output=True, text=True).stdout.strip()
         report = {"label": args.label, "parent": parent_sha,
                   "change": f"working tree on {head}",
-                  "seconds": args.seconds, "workloads": {}}
+                  "seconds": args.seconds, "workloads": {},
+                  "src_lines": {"parent": src_lines(parent_tree), "change": src_lines(ROOT)}}
         for w_index, (workload, pairs) in enumerate(plan):
             runs = {"parent": [], "change": []}
             for i in range(pairs):

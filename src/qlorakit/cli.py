@@ -33,7 +33,7 @@ from . import qagen
 from . import tasks
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
-from .fileio import atomic_write, json_int, read_json, read_lines
+from .fileio import atomic_write, json_int, read_json, read_lines, write_jsonl
 from .lora import load_adapters, save_adapters
 from .matrix import as_matrix
 from .model import base_fingerprint, init_adapters, init_model_params, quantize_base
@@ -95,7 +95,7 @@ def cmd_make_scenarios(args) -> int:
     scenarios = tasks.synthetic_scenarios(
         args.n, cfgmod.derive_seed(cfg.seed, "scenarios"))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    qagen.write_scenarios_jsonl(args.out, scenarios)
+    write_jsonl(args.out, scenarios)
     print(f"make-scenarios: wrote {len(scenarios)} scenarios to {args.out}")
     return 0
 
@@ -110,8 +110,8 @@ def cmd_gen_data(args) -> int:
                                     max_retries=cfg.max_retries,
                                     max_concurrency=cfg.max_concurrency)
     os.makedirs(args.out, exist_ok=True)
-    qagen.write_records_jsonl(os.path.join(args.out, CORPUS_FILE), result.records)
-    qagen.write_rejects_jsonl(os.path.join(args.out, REJECTS_FILE), result.rejects)
+    write_jsonl(os.path.join(args.out, CORPUS_FILE), result.records)
+    write_jsonl(os.path.join(args.out, REJECTS_FILE), result.rejects)
     ev.write_label_files(os.path.join(args.out, LABELS_DIR), tasks.DEFAULT_LABEL_SETS)
     _write_json(os.path.join(args.out, "gen_summary.json"),
                 {"stats": result.stats, "config": cfgmod.config_dict(cfg)})
@@ -308,10 +308,9 @@ def cmd_eval(args) -> int:
         golds.append(ev.normalize_answer(record.answer, ls))
         guesses.append(ev.normalize_answer(preds[key], ls))
 
-    reports = {}
-    for category, (golds, guesses) in sorted(by_cat.items()):
-        cm = ev.build_confusion(guesses, golds, label_sets[category])
-        reports[category] = ev.compute_metrics(cm, args.mode)
+    cms = {category: ev.build_confusion(guesses, golds, label_sets[category])
+           for category, (golds, guesses) in sorted(by_cat.items())}
+    reports = {category: ev.compute_metrics(cm, args.mode) for category, cm in cms.items()}
     results = {args.model_name: reports}
 
     os.makedirs(args.out, exist_ok=True)
@@ -335,6 +334,12 @@ def cmd_eval(args) -> int:
             for cat, r in reports.items()
         },
     })
+    # rows are gold, columns predicted; unknown is the last label of both
+    _write_json(os.path.join(args.out, f"confusion_{args.model_name}.json"), {
+        cat: {"labels": list(cm.labels), "counts": cm.counts.tolist(),
+              "gold_unknown_rate": int(cm.counts[-1].sum()) / cm.total,
+              "predicted_unknown_rate": int(cm.counts[:, -1].sum()) / cm.total}
+        for cat, cm in cms.items()})
     print(table, end="")
     return 0
 

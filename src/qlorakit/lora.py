@@ -132,28 +132,20 @@ class QLoraLinear:
         np.add(self._w, lora_delta(self.adapter), out=self.weight)
 
     def forward(self, x):
-        """y for x of shape (..., d_in), plus the cache backward needs: the
-        input as rows (None without an adapter). Leading axes run as one
-        matrix product."""
-        x2 = x.reshape(-1, x.shape[-1])
-        y = x2 @ self.weight
-        return (y.reshape(*x.shape[:-1], y.shape[-1]),
-                None if self.adapter is None else x2)
+        """y = x @ W' for input rows x (n, d_in); backward takes x as its cache."""
+        return x @ self.weight
 
-    def backward(self, dy, cache, grads, name: str, need_dx: bool = True):
-        """dx for upstream (None unless need_dx); adds the factor gradients,
-        summed over every leading axis, into grads[name + "/a" | "/b"]:
-        with G = x^T dy, dA = s B^T G and dB = s G A^T."""
-        dy2 = dy.reshape(-1, dy.shape[-1])
+    def backward(self, dy, x, grads, name: str, need_dx: bool = True):
+        """dx (n, d_in) for upstream rows dy (n, d_out), or None unless
+        need_dx. With an adapter, adds the factor gradients over all rows of
+        x into grads[name + "/a" | "/b"]: with G = x^T dy, dA = s B^T G and
+        dB = s G A^T."""
         ad = self.adapter
         if ad is not None:
-            g = cache.T @ dy2
+            g = x.T @ dy
             grads[name + "/a"] += ad.scaling * (ad.b_factor.T @ g)
             grads[name + "/b"] += ad.scaling * (g @ ad.a_factor.T)
-        if not need_dx:
-            return None
-        dx = dy2 @ self.weight.T
-        return dx.reshape(*dy.shape[:-1], dx.shape[-1])
+        return dy @ self.weight.T if need_dx else None
 
 
 def qlora_forward(x: Matrix, layer: QLoraLinear) -> Matrix:
@@ -164,7 +156,7 @@ def qlora_forward(x: Matrix, layer: QLoraLinear) -> Matrix:
         raise ShapeError(
             f"input {x.shape[0]}x{x.shape[1]} does not feed a {d_in}x{d_out} layer"
         )
-    return layer.forward(x)[0]
+    return layer.forward(x)
 
 
 def flatten_adapters(adapters: Mapping[str, LoraAdapter]) -> dict[str, np.ndarray]:

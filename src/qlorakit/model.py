@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import quant
 from .errors import ConfigError, InputError
 from .lora import LoraAdapter, QLoraLinear, flatten_adapters, lora_init
 from .matrix import softmax
@@ -246,18 +245,6 @@ def keep_freed_heap() -> bool:
 keep_freed_heap()
 
 
-def dense_base(params: ModelParams) -> ModelParams:
-    """The same base with every Q4 entry dequantized to float64.
-
-    Callers that run one base through many passes build this once; the
-    dense copy of the criterion-07 shapes holds 132,096 B against 9,288 B
-    of Q4 payload.
-    """
-    return ModelParams(weights={
-        name: quant.dequantize_4bit(value) if isinstance(value, Q4BlockMatrix) else value
-        for name, value in params.weights.items()})
-
-
 def adapted_layers(params: ModelParams, spec: ToyModelSpec,
                    adapters: Mapping[str, LoraAdapter] | None) -> dict[str, QLoraLinear]:
     """One QLoraLinear per weight product, adapters and params checked against
@@ -283,19 +270,20 @@ def adapted_layers(params: ModelParams, spec: ToyModelSpec,
 
 
 def _token_ids(tokens) -> np.ndarray | None:
-    """tokens as a flat int64 array, or None unless every id is an integer.
+    """tokens as a flat integer array, or None unless every id is an integer.
 
     An array goes by its dtype. A list's items are type-checked: a bool
-    among ints is refused, while a mix of ints and np.uint64, which numpy
-    promotes to float64, is taken as the integers it holds.
+    among ints is refused, while ints that numpy would promote to float64 or
+    object (a mix with np.uint64, or ids past int64) are kept exactly, as
+    Python ints. The ids are not cast yet, so a range check sees their values.
     """
     arr = np.asarray(tokens).ravel()
     if not isinstance(tokens, np.ndarray):
         if any(isinstance(v, (bool, np.bool_)) for v in tokens):
             return None
-        if arr.dtype.kind == "f" and all(isinstance(v, (int, np.integer)) for v in tokens):
-            arr = np.array([int(v) for v in tokens])
-    return arr.astype(np.int64, copy=False) if arr.dtype.kind in "iu" else None
+        if arr.dtype.kind in "fO" and all(isinstance(v, (int, np.integer)) for v in tokens):
+            return np.array([int(v) for v in tokens], dtype=object)
+    return arr if arr.dtype.kind in "iu" else None
 
 
 def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
@@ -311,7 +299,7 @@ def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
     if toks.min() < 0 or toks.max() >= spec.vocab_size:
         bad = int(toks[(toks < 0) | (toks >= spec.vocab_size)][0])
         raise InputError(f"token id {bad} outside [0, {spec.vocab_size})")
-    return toks
+    return toks.astype(np.int64, copy=False)
 
 
 def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
@@ -324,7 +312,7 @@ def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
         if lengths.min() >= 1 and lengths.max() <= spec.max_seq_len:
             flat = np.concatenate(toks)
             if flat.min() >= 0 and flat.max() < spec.vocab_size:
-                return toks
+                return [t.astype(np.int64, copy=False) for t in toks]
     return [_check_tokens(t, spec) for t in sequences]
 
 
@@ -368,99 +356,91 @@ def _passes(toks: Sequence[np.ndarray]):
         yield np.array(idx), batch, valid
 
 
-def _split_heads(x, spec: ToyModelSpec):
-    """(B, T, d) -> (B, H, T, dh)."""
-    b, t, _ = x.shape
-    return x.reshape(b, t, spec.n_heads, spec.head_dim).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    """(B, H, T, dh) -> (B, T, d)."""
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
-
-
 def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: bool):
     """Logits (B, n_classes) for a (B, T) token array, plus the backward tape.
 
-    With a valid mask, padded keys get a -inf score bias before the softmax
-    and the mean pool runs over valid positions only, so no real row reads
-    a padded one. In-place sums keep the formulas' order and spare the tape.
+    Activations are (B*T, d) rows throughout, so each projection is one
+    matrix product; the (B, H, T, dh) head views exist only inside
+    attention. With a valid mask, padded keys get a -inf score bias before
+    the softmax and the mean pool runs over valid positions only, so no
+    real row reads a padded one. In-place sums keep the formulas' order
+    and spare the tape, which holds per layer every array backward reads,
+    each once: the layers' input rows, the head views and the attention.
     """
-    inv_sqrt = spec.head_dim ** -0.5
+    b, t = toks.shape
+    heads = (b, t, spec.n_heads, spec.head_dim)
+    inv_sqrt = heads[3] ** -0.5
     key_bias = None if valid is None else np.where(valid, 0.0, -np.inf)[:, None, None, :]
     x = weights["tok_emb"][toks]
-    x += weights["pos_emb"][:toks.shape[1]]
+    x += weights["pos_emb"][:t]
+    x = x.reshape(b * t, spec.d_model)
     tape = []
     for i in range(spec.n_layers):
         pre = f"layers.{i}."
         x_in = x
-        q, cq = layers[pre + "attn_q"].forward(x_in)
-        k, ck = layers[pre + "attn_k"].forward(x_in)
-        v, cv = layers[pre + "attn_v"].forward(x_in)
-        qh, kh, vh = (_split_heads(a, spec) for a in (q, k, v))
+        qh = layers[pre + "attn_q"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
+        kh = layers[pre + "attn_k"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
+        vh = layers[pre + "attn_v"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
         scores = qh @ kh.swapaxes(-1, -2)
         scores *= inv_sqrt
         if key_bias is not None:
             scores += key_bias
         attn = softmax(scores, axis=-1)
-        ctx = _merge_heads(attn @ vh)
-        x_mid, co = layers[pre + "attn_o"].forward(ctx)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(b * t, spec.d_model)
+        x_mid = layers[pre + "attn_o"].forward(ctx)
         x_mid += x_in
-        up, cu = layers[pre + "ffn_up"].forward(x_mid)
-        hidden = np.maximum(up, 0.0)
-        x, cd = layers[pre + "ffn_down"].forward(hidden)
+        hidden = np.maximum(layers[pre + "ffn_up"].forward(x_mid), 0.0)
+        x = layers[pre + "ffn_down"].forward(hidden)
         x += x_mid
         if need_tape:
-            tape.append({
-                "qh": qh, "kh": kh, "vh": vh, "attn": attn, "up": up,
-                "cq": cq, "ck": ck, "cv": cv, "co": co, "cu": cu, "cd": cd,
-            })
+            tape.append((x_in, qh, kh, vh, attn, ctx, x_mid, hidden))
+    x = x.reshape(b, t, spec.d_model)
     if valid is None:
         pooled = x.mean(axis=1)
     else:
         pooled = np.sum(x * valid[:, :, None], axis=1) / valid.sum(axis=1, keepdims=True)
-    logits, _ = layers["head"].forward(pooled)
-    return logits, tape
+    return layers["head"].forward(pooled), (pooled, *tape)
 
 
 def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
     """Accumulate adapter gradients into grads; padded rows get exactly zero."""
-    inv_sqrt = spec.head_dim ** -0.5
-
-    def back(name, dy, cache, need_dx=True):
-        return layers[name].backward(dy, cache, grads, name, need_dx)
-
-    dpooled = back("head", dlogits, None)
-    if valid is None:
-        dx = np.repeat(dpooled[:, None, :] / t, t, axis=1)
-    else:
-        dx = (dpooled / valid.sum(axis=1, keepdims=True))[:, None, :] * valid[:, :, None]
+    b = dlogits.shape[0]
+    heads = (b, t, spec.n_heads, spec.head_dim)
+    inv_sqrt = heads[3] ** -0.5
+    pooled, *records = tape
+    dpooled = layers["head"].backward(dlogits, pooled, grads, "head")
+    counts = t if valid is None else valid.sum(axis=1, keepdims=True)
+    dx = np.repeat(dpooled / counts, t, axis=0)
+    if valid is not None:
+        dx *= valid.reshape(b * t, 1)
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
-        rec = tape[i]
-        dup = back(pre + "ffn_down", dx, rec["cd"])
-        dup *= rec["up"] > 0.0
-        dx_mid = back(pre + "ffn_up", dup, rec["cu"])
+        x_in, qh, kh, vh, attn, ctx, x_mid, hidden = records[i]
+        dhidden = layers[pre + "ffn_down"].backward(dx, hidden, grads, pre + "ffn_down")
+        dhidden *= hidden > 0.0
+        dx_mid = layers[pre + "ffn_up"].backward(dhidden, x_mid, grads, pre + "ffn_up")
         dx_mid += dx
-        dctxh = _split_heads(back(pre + "attn_o", dx_mid, rec["co"]), spec)
-        attn, qh, kh, vh = rec["attn"], rec["qh"], rec["kh"], rec["vh"]
+        dctx = layers[pre + "attn_o"].backward(dx_mid, ctx, grads, pre + "attn_o")
+        dctxh = dctx.reshape(heads).transpose(0, 2, 1, 3)
         # softmax jacobian applied row-wise over the key axis:
         # dscores = attn * (dattn - sum(dattn * attn))
         dscores = dctxh @ vh.swapaxes(-1, -2)
         dscores -= np.einsum("...k,...k->...", dscores, attn)[..., None]
         dscores *= attn
-        dheads = {"q": lambda: (dscores @ kh) * inv_sqrt,
-                  "k": lambda: (dscores.swapaxes(-1, -2) @ qh) * inv_sqrt,
-                  "v": lambda: attn.swapaxes(-1, -2) @ dctxh}
         dx = dx_mid
-        for r, dhead in dheads.items():
-            layer = pre + "attn_" + r
+        for role, left, right, scale in (("attn_q", dscores, kh, inv_sqrt),
+                                         ("attn_k", dscores.swapaxes(-1, -2), qh, inv_sqrt),
+                                         ("attn_v", attn.swapaxes(-1, -2), dctxh, None)):
+            layer = layers[pre + role]
+            if i == 0 and layer.adapter is None:
+                continue  # layer 0's input gradient would reach only the frozen embeddings
+            dhead = left @ right
+            if scale is not None:
+                dhead *= scale
+            dy = dhead.transpose(0, 2, 1, 3).reshape(b * t, spec.d_model)
+            dx_in = layer.backward(dy, x_in, grads, pre + role, need_dx=i > 0)
             if i > 0:
-                dx += back(layer, _merge_heads(dhead()), rec["c" + r])
-            elif layers[layer].adapter is not None:
-                # layer 0's input gradient would reach only the frozen embeddings
-                back(layer, _merge_heads(dhead()), rec["c" + r], need_dx=False)
+                dx += dx_in
 
 
 def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,

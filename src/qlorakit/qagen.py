@@ -27,8 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
-from .fileio import (atomic_write, json_object, read_dataclass_jsonl, read_lines,
-                     write_jsonl)
+from .fileio import atomic_write, json_object, read_dataclass_jsonl, read_lines
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
@@ -463,10 +462,6 @@ def split_dataset(records: Sequence[QARecord], test_fraction: float,
 
 # ---- file formats ----
 
-def write_scenarios_jsonl(path, scenarios: Sequence[ScenarioAnnotation]) -> None:
-    write_jsonl(path, scenarios)
-
-
 def read_scenarios_jsonl(path) -> list[ScenarioAnnotation]:
     out = read_dataclass_jsonl(path, ScenarioAnnotation, "scenario")
     seen = set()
@@ -477,16 +472,8 @@ def read_scenarios_jsonl(path) -> list[ScenarioAnnotation]:
     return out
 
 
-def write_records_jsonl(path, records: Sequence[QARecord]) -> None:
-    write_jsonl(path, records)
-
-
 def read_records_jsonl(path) -> list[QARecord]:
     return read_dataclass_jsonl(path, QARecord, "record")
-
-
-def write_rejects_jsonl(path, rejects: Sequence[RejectRecord]) -> None:
-    write_jsonl(path, rejects)
 
 
 def write_manifest(path, ids: Sequence[str]) -> None:

@@ -20,7 +20,7 @@ from .errors import InputError, NumericError
 from .fileio import atomic_write, read_lines
 from .lora import LoraAdapter, flatten_adapters
 from .model import (ModelParams, ToyModelSpec, _logits, adapted_layers, base_fingerprint,
-                    check_examples, dense_base)
+                    check_examples)
 from .model import forward  # noqa: F401  (trainer.forward: one-sequence logits)
 from .optim import OptimizerState, TrainConfig, lr_at
 # train's per-window and per-step calls: the public functions minus their
@@ -75,8 +75,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     state = OptimizerState.for_params(flat, cfg)
     rng = np.random.default_rng(cfg.seed)
     before = base_fingerprint(params)
-    base = dense_base(params)  # a 4-bit base dequantizes once, not per step
-    layers = adapted_layers(base, spec, adapters)
+    layers = adapted_layers(params, spec, adapters)  # a 4-bit base dequantizes here, once
     merged = [layers[name] for name in adapters]
     # factors move into views of the state's flat buffer; windows add into grads
     flat, grads = state.bind(flat)
@@ -91,7 +90,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
         order = rng.permutation(n)
         for start in range(0, n, window):
             batch = [examples[int(i)] for i in order[start:start + window]]
-            loss, _ = loss_and_grads(base, spec, batch, layers, grads)
+            loss, _ = loss_and_grads(params, spec, batch, layers, grads)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at optimizer step {step}")
             lr = lr_at(step, total_steps, cfg)

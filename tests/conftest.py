@@ -56,37 +56,31 @@ class FactorWiseLinear:
         self.weight, self.adapter = weight, adapter
 
     def forward(self, x):
-        x2 = x.reshape(-1, x.shape[-1])
-        y = x2 @ self.weight
-        ad, cache = self.adapter, None
-        if ad is not None:
-            u = x2 @ ad.b_factor
-            y += ad.scaling * (u @ ad.a_factor)
-            cache = (x2, u)
-        return y.reshape(*x.shape[:-1], y.shape[-1]), cache
-
-    def backward(self, dy, cache, grads, name, need_dx=True):
-        dy2 = dy.reshape(-1, dy.shape[-1])
+        y = x @ self.weight
         ad = self.adapter
         if ad is not None:
-            x2, u = cache
+            y += ad.scaling * ((x @ ad.b_factor) @ ad.a_factor)
+        return y
+
+    def backward(self, dy, x, grads, name, need_dx=True):
+        ad = self.adapter
+        if ad is not None:
             s = ad.scaling
-            grads[name + "/a"] += s * (u.T @ dy2)
-            t = dy2 @ ad.a_factor.T
-            grads[name + "/b"] += s * (x2.T @ t)
+            grads[name + "/a"] += s * ((x @ ad.b_factor).T @ dy)
+            t = dy @ ad.a_factor.T
+            grads[name + "/b"] += s * (x.T @ t)
         if not need_dx:
             return None
-        dx = dy2 @ self.weight.T
+        dx = dy @ self.weight.T
         if ad is not None:
             dx += s * (t @ ad.b_factor.T)
-        return dx.reshape(*dy.shape[:-1], dx.shape[-1])
+        return dx
 
 
 def factor_wise_layers(params, spec, adapters):
     """model.adapted_layers' layers, each as a FactorWiseLinear."""
-    weights = model.dense_base(params).weights
-    return {name: FactorWiseLinear(weights[name], (adapters or {}).get(name))
-            for name in model.adapted_layers(params, spec, adapters)}
+    return {name: FactorWiseLinear(layer.weight, (adapters or {}).get(name))
+            for name, layer in model.adapted_layers(params, spec, None).items()}
 
 
 def factor_wise_logits(params, spec, sequences, adapters):

@@ -15,12 +15,12 @@ import pytest
 from qlorakit.cli import main
 from qlorakit.evalharness import (MODES, UNKNOWN, LabelSet, build_confusion,
                                   compute_metrics, render_report)
+from qlorakit.fileio import write_jsonl
 from qlorakit.lora import QLoraLinear, lora_delta, lora_init, merge, qlora_forward
 from qlorakit.model import (ModelParams, ToyModelSpec, init_adapters,
                             init_model_params, loss_and_grads, quantize_base)
 from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, lr_at
-from qlorakit.qagen import (MockLLMClient, generate_dataset,
-                            write_records_jsonl, write_rejects_jsonl)
+from qlorakit.qagen import MockLLMClient, generate_dataset
 from qlorakit.quant import (Q4BlockMatrix, dequantize_4bit, dequantize_8bit,
                             pack_nibbles, q4_to_bytes, quantize_4bit,
                             unpack_nibbles)
@@ -276,8 +276,8 @@ def test_criterion_10_generation_cardinality_and_retry(tmp_path):
         blobs = []
         for tag, res in (("a", result), ("b", rerun)):
             rec, rej = tmp_path / f"r{tag}{n}.jsonl", tmp_path / f"j{tag}{n}.jsonl"
-            write_records_jsonl(rec, res.records)
-            write_rejects_jsonl(rej, res.rejects)
+            write_jsonl(rec, res.records)
+            write_jsonl(rej, res.rejects)
             blobs.append(rec.read_bytes() + rej.read_bytes())
         assert blobs[0] == blobs[1]
 

@@ -2,6 +2,7 @@
 seed derivation, subcommand behavior, exit codes, and artifact
 reproducibility. CLI calls run in-process through main()."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -14,9 +15,12 @@ from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
                              parse_set_overrides, train_config_from)
 from qlorakit.errors import ConfigError
+from qlorakit.evalharness import (UNKNOWN, build_confusion, normalize_answer, read_label_dir,
+                                  read_predictions_jsonl, write_predictions_jsonl)
+from qlorakit.fileio import write_jsonl
 from qlorakit.lora import load_adapters, save_adapters
 from qlorakit.optim import TrainConfig
-from qlorakit.qagen import LLMClientSpec
+from qlorakit.qagen import LLMClientSpec, read_records_jsonl
 from qlorakit.tasks import synthetic_token_task
 from qlorakit.trainer import read_trace_csv
 
@@ -249,6 +253,47 @@ def test_corpus_pipeline_predict_eval_report(tmp_path, capsys):
     assert report_csv == (evals / "metrics_lora-toy.csv").read_text()
     meta = read_json(evals / "eval_summary_lora-toy.json")
     assert set(meta["metrics"]) == {"scene", "agent", "suggested_action", "risk"}
+
+
+def test_eval_writes_per_task_confusion_matrices(tmp_path):
+    scen, data = tmp_path / "scenarios.jsonl", tmp_path / "data"
+    assert main(["make-scenarios", "--n", "12", "--out", str(scen), "--seed", "4"]) == 0
+    assert main(["gen-data", "--scenarios", str(scen), "--out", str(data), "--seed", "4"]) == 0
+    gold = read_records_jsonl(data / "corpus.jsonl")
+    # every third answer is one no label matches, so both unknown rates are nonzero
+    preds = tmp_path / "preds.jsonl"
+    write_predictions_jsonl(preds, [(r.scenario_id, r.pair_index,
+                                     "no idea" if i % 3 == 0 else r.answer)
+                                    for i, r in enumerate(gold)])
+    gold[1] = dataclasses.replace(gold[1], answer="something else")
+    write_jsonl(data / "corpus.jsonl", gold)
+    blobs = []
+    for out in ("evals_a", "evals_b"):
+        assert main(["eval", "--preds", str(preds), "--gold", str(data / "corpus.jsonl"),
+                     "--labels", str(data / "labels"), "--out", str(tmp_path / out),
+                     "--seed", "0", "--model-name", "lora-toy"]) == 0
+        blobs.append((tmp_path / out / "confusion_lora-toy.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    confusion = json.loads(blobs[0])
+    assert blobs[0].decode() == json.dumps(confusion, indent=2, sort_keys=True) + "\n"
+    metrics = read_json(tmp_path / "evals_a" / "eval_summary_lora-toy.json")["metrics"]
+    assert sorted(confusion) == sorted(metrics)
+    answers = read_predictions_jsonl(preds)
+    label_sets = read_label_dir(data / "labels")
+    for task, entry in confusion.items():
+        ls = label_sets[task]
+        records = [r for r in gold if r.category == task]  # fewer than 500: all sampled
+        expected = build_confusion(
+            [normalize_answer(answers[r.scenario_id, r.pair_index], ls) for r in records],
+            [normalize_answer(r.answer, ls) for r in records], ls)
+        counts = np.array(entry["counts"])
+        assert entry["labels"] == list(ls.labels) + [UNKNOWN]
+        assert counts.sum() == metrics[task]["sample_count"] == len(records)
+        assert np.array_equal(counts, expected.counts)
+        assert entry["gold_unknown_rate"] == counts[-1].sum() / len(records)
+        assert entry["predicted_unknown_rate"] == counts[:, -1].sum() / len(records)
+    assert sum(e["predicted_unknown_rate"] for e in confusion.values()) > 0
+    assert sum(e["gold_unknown_rate"] for e in confusion.values()) > 0
 
 
 def test_a_records_prediction_does_not_depend_on_its_call_mates(tmp_path):

@@ -4,6 +4,7 @@ freezing, and quantization of the base."""
 
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from qlorakit import model, quant
 from qlorakit.errors import ConfigError, InputError
+from qlorakit.lora import QLoraLinear
 from qlorakit.matrix import softmax
 from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpec,
                             base_fingerprint, forward, forward_batch, init_adapters,
@@ -69,6 +71,17 @@ def test_token_validation(small_setup):
         forward(params, spec, [0] * (spec.max_seq_len + 1), adapters)
     with pytest.raises(InputError, match="outside"):
         forward(params, spec, [spec.vocab_size], adapters)
+    # ids past int64 are range-checked before any cast, so each names its real value
+    for tokens, bad in (([2**70], 2**70), ((4, np.uint64(2**64 - 1)), 2**64 - 1),
+                        (np.array([2**64 - 1], dtype=np.uint64), 2**64 - 1),
+                        ([2**63], 2**63)):
+        message = re.escape(f"token id {bad} outside [0, {spec.vocab_size})")
+        with pytest.raises(InputError, match=message):
+            forward(params, spec, tokens, adapters)
+        with pytest.raises(InputError, match=message):
+            forward_batch(params, spec, [[1, 2], tokens], adapters)
+        with pytest.raises(InputError, match=message):
+            loss_and_grads(params, spec, [([1, 2], 0), (tokens, 1)], adapters)
 
 
 @pytest.mark.parametrize("tokens", [
@@ -453,6 +466,36 @@ def test_merged_layers_match_the_factor_wise_reference(base):
     assert sorted(grads) == sorted(ref_grads) and len(grads) == 2 * 2 * len(LAYER_ROLES)
     for key in grads:
         assert max_relative_error(grads[key], ref_grads[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("lengths", [(5, 5, 5), (1, 3, 6, 6, 2)], ids=["equal", "mixed"])
+def test_adapted_layers_see_only_row_matrices(small_setup, monkeypatch, lengths):
+    """The pass keeps activations as (B*T, d) rows: every adapted-layer call
+    of forward_batch and loss_and_grads takes and returns 2-D arrays."""
+    spec, params, adapters, _ = small_setup
+    ndims = []
+    real_forward, real_backward = QLoraLinear.forward, QLoraLinear.backward
+
+    def forward_spy(self, x):
+        y = real_forward(self, x)
+        ndims.append((x.ndim, y.ndim))
+        return y
+
+    def backward_spy(self, dy, x, grads, name, need_dx=True):
+        dx = real_backward(self, dy, x, grads, name, need_dx)
+        ndims.append((dy.ndim, x.ndim) + (() if dx is None else (dx.ndim,)))
+        return dx
+
+    monkeypatch.setattr(QLoraLinear, "forward", forward_spy)
+    monkeypatch.setattr(QLoraLinear, "backward", backward_spy)
+    rng = np.random.default_rng(22)
+    seqs = [rng.integers(0, spec.vocab_size, size=t) for t in lengths]
+    forward_batch(params, spec, seqs, adapters)
+    n_forward = len(ndims)
+    loss_and_grads(params, spec, [(s, i % spec.n_classes) for i, s in enumerate(seqs)],
+                   adapters)
+    assert n_forward > 0 and len(ndims) > 2 * n_forward
+    assert all(n == 2 for call in ndims for n in call)
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])

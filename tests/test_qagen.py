@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 from qlorakit.cli import main
 from qlorakit.errors import (ConfigError, InputError, QAParseError,
                              TransportError)
+from qlorakit.fileio import write_jsonl
 from qlorakit.qagen import (CATEGORIES, HttpLLMClient, LLMClientSpec,
                             MockLLMClient, QARecord, RejectRecord,
                             ScenarioAnnotation, build_prompt,
                             generate_dataset, parse_qa_response,
                             read_manifest, read_records_jsonl,
                             read_scenarios_jsonl, split_dataset,
-                            write_manifest, write_records_jsonl,
-                            write_rejects_jsonl, write_scenarios_jsonl)
+                            write_manifest)
 
 
 def scenario(i=0, **kwargs):
@@ -432,7 +432,7 @@ def test_http_bodies_that_fail_to_decode_are_retried_then_rejected(stub):
 
 def test_gen_data_http_exits_3_when_nothing_survives(stub, tmp_path, capsys):
     scen = tmp_path / "scenarios.jsonl"
-    write_scenarios_jsonl(scen, [scenario(0), scenario(1)])
+    write_jsonl(scen, [scenario(0), scenario(1)])
     argv = ["gen-data", "--scenarios", str(scen), "--backend", "http",
             "--set", f"endpoint={stub.url}", "--set", "credential_env=QA_TEST_KEY",
             "--set", "timeout_s=0.2", "--set", "max_retries=0"]
@@ -490,14 +490,14 @@ def test_client_spec_validation():
 def test_scenario_jsonl_roundtrip(tmp_path):
     scenarios = [scenario(i) for i in range(3)]
     path = tmp_path / "scenarios.jsonl"
-    write_scenarios_jsonl(path, scenarios)
+    write_jsonl(path, scenarios)
     assert read_scenarios_jsonl(path) == scenarios
     # extra is stored sorted: the order it arrives in does not reach the file
     unsorted = [scenario(i, extra={"zone": "school", "agent": "cyclist"}) for i in range(3)]
     assert list(unsorted[0].extra) == ["agent", "zone"]
     shuffled = tmp_path / "shuffled.jsonl"
-    write_scenarios_jsonl(shuffled, unsorted)
-    write_scenarios_jsonl(path, [scenario(i, extra={"agent": "cyclist", "zone": "school"})
+    write_jsonl(shuffled, unsorted)
+    write_jsonl(path, [scenario(i, extra={"agent": "cyclist", "zone": "school"})
                                  for i in range(3)])
     assert shuffled.read_bytes() == path.read_bytes()
     # extra may be left out; every other key is required
@@ -511,7 +511,7 @@ def test_scenario_jsonl_roundtrip(tmp_path):
             with pytest.raises(InputError, match=f"missing scenario key '{key}'"):
                 read_scenarios_jsonl(partial)
     dup = tmp_path / "dup.jsonl"
-    write_scenarios_jsonl(dup, [scenarios[0], scenarios[0]])
+    write_jsonl(dup, [scenarios[0], scenarios[0]])
     with pytest.raises(InputError, match="duplicate scenario_id"):
         read_scenarios_jsonl(dup)
 
@@ -519,7 +519,7 @@ def test_scenario_jsonl_roundtrip(tmp_path):
 def test_records_jsonl_roundtrip_and_bad_rows(tmp_path):
     result = generate_dataset([scenario(0)], MockLLMClient(seed=0))
     path = tmp_path / "corpus.jsonl"
-    write_records_jsonl(path, result.records)
+    write_jsonl(path, result.records)
     assert read_records_jsonl(path) == result.records
 
     bad = tmp_path / "bad.jsonl"
@@ -542,7 +542,7 @@ def test_records_jsonl_roundtrip_and_bad_rows(tmp_path):
 
 def test_rejects_and_manifest_files(tmp_path):
     rej = tmp_path / "rejects.jsonl"
-    write_rejects_jsonl(rej, [RejectRecord("s-1", 3, "parse failure: x")])
+    write_jsonl(rej, [RejectRecord("s-1", 3, "parse failure: x")])
     assert json.loads(rej.read_text())["attempts"] == 3
     man = tmp_path / "ids.txt"
     write_manifest(man, ["a", "b"])

@@ -67,3 +67,18 @@ def test_bench_compare_statistics():
     single = compare([2.0], [1.0], "lower")
     assert single["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert single["won"] == 1 and single["gain_rule_met"]
+
+
+def test_bench_compare_counts_src_lines_per_tree(tmp_path):
+    src_lines = load_bench_compare().src_lines
+    for name, files in {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+                        "change": {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"}}.items():
+        package = tmp_path / name / "src" / "qlorakit"
+        package.mkdir(parents=True)
+        for file, text in files.items():
+            (package / file).write_text(text)
+    (tmp_path / "change" / "src" / "other.py").write_text("outside the package\n")
+    assert src_lines(tmp_path / "parent") == 3
+    assert src_lines(tmp_path / "change") == 1
+    assert src_lines(ROOT) == sum(p.read_text().count("\n")
+                                  for p in (ROOT / "src" / "qlorakit").glob("*.py"))
