@@ -17,7 +17,10 @@ The file holds the environment, the line count of `src/qlorakit/*.py` in
 each tree (`src_lines`), every run's metrics, and per metric each side's
 median and quartiles, the pairs the change won, lost and tied, and
 whether the gain rule holds: at least 9 of 10 pairs won and medians
-apart by more than the parent's interquartile range.
+apart by more than the parent's interquartile range. The arguments are
+checked before the first run: `--out-dir` must be an existing directory,
+each workload must be named in BENCHMARK.json and PAIRS (default 10) must
+be a positive integer; otherwise the script exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -115,6 +118,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def parse_plan(runs: list[str], workloads: set[str], out_dir: str) -> list[tuple[str, int]]:
+    """(workload, pairs) per WORKLOAD:PAIRS item; ValueError names the first bad argument."""
+    if not Path(out_dir).is_dir():
+        raise ValueError(f"--out-dir {out_dir} is not an existing directory")
+    plan = []
+    for item in runs:
+        workload, _, pairs = item.partition(":")
+        pairs = pairs or "10"
+        if workload not in workloads:
+            raise ValueError(f"unknown workload {workload!r} in {item!r}; "
+                             f"BENCHMARK.json names {', '.join(sorted(workloads))}")
+        if not pairs.isdecimal() or int(pairs) < 1:
+            raise ValueError(f"PAIRS in {item!r} must be a positive integer")
+        plan.append((workload, int(pairs)))
+    return plan
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -126,10 +146,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    plan = []
-    for item in args.runs:
-        workload, _, pairs = item.partition(":")
-        plan.append((workload, int(pairs or 10)))
+    try:
+        plan = parse_plan(args.runs, {w["name"] for w in spec["workloads"]}, args.out_dir)
+    except ValueError as exc:
+        ap.exit(2, f"bench_compare: {exc}\n")
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp) / "tree"

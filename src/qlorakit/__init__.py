@@ -1,6 +1,8 @@
 """qlorakit: desk-scale LoRA/QLoRA fine-tuning with a QA data pipeline
 and a multiclass evaluation harness."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      QlorakitError, ShapeError, TransportError)
 from .evalharness import (ConfusionMatrix, LabelSet, MetricReport,
@@ -23,21 +25,6 @@ from .trainer import TrainResult, evaluate_accuracy, train
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATEGORIES", "ConfigError", "ConfusionMatrix", "GenerationResult",
-    "InputError", "LLMClientSpec", "LabelSet", "LoraAdapter", "Matrix",
-    "MetricReport", "MockLLMClient", "ModelParams", "NumericError",
-    "OptimizerState", "Q4BlockMatrix", "Q8Vector", "QARecord",
-    "QAParseError", "QLoraLinear", "QlorakitError", "ScenarioAnnotation",
-    "ShapeError", "ToyModelSpec", "TrainConfig", "TrainResult",
-    "TransportError", "adamw_step", "as_matrix", "base_fingerprint",
-    "build_confusion", "build_prompt", "compute_metrics",
-    "dequantize_4bit", "dequantize_8bit", "evaluate_accuracy",
-    "footprint_report", "forward", "forward_batch", "generate_dataset", "init_adapters",
-    "init_model_params", "load_adapters", "lora_delta", "lora_init",
-    "loss_and_grads", "lr_at", "merge", "normalize_answer", "pack_nibbles",
-    "parse_qa_response", "q4_from_bytes", "q4_to_bytes", "qlora_forward",
-    "quantize_4bit", "quantize_8bit", "quantize_base", "render_report",
-    "sample_eval_set", "save_adapters", "softmax",
-    "split_dataset", "train", "unpack_nibbles",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

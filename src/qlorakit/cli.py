@@ -34,10 +34,12 @@ from . import tasks
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
 from .fileio import atomic_write, json_int, read_json, read_lines, write_jsonl
-from .lora import load_adapters, save_adapters
+from .lora import flatten_adapters, load_adapters, save_adapters
 from .matrix import as_matrix
-from .model import base_fingerprint, init_adapters, init_model_params, quantize_base
-from .quant import (DEFAULT_BLOCK_SIZE, dequantize_4bit, footprint_report,
+from .model import (QUANTIZED_ROLES, base_fingerprint, init_adapters, init_model_params,
+                    quantize_base)
+from .optim import OptimizerState
+from .quant import (DEFAULT_BLOCK_SIZE, Q4BlockMatrix, dequantize_4bit, footprint_report,
                     quantize_4bit)
 from .trainer import evaluate_accuracy, train, write_trace_csv
 
@@ -139,8 +141,9 @@ def cmd_make_synthetic(args) -> int:
         n_classes=cfg.n_classes, seq_len=args.seq_len, purity=args.purity,
         seed=cfgmod.derive_seed(cfg.seed, "task"))
     os.makedirs(args.out, exist_ok=True)
-    tasks.write_token_examples(os.path.join(args.out, "train.jsonl"), train_set)
-    tasks.write_token_examples(os.path.join(args.out, "test.jsonl"), test_set)
+    for name, examples in (("train.jsonl", train_set), ("test.jsonl", test_set)):
+        write_jsonl(os.path.join(args.out, name),
+                    (tasks.TokenExample(toks.tolist(), label) for toks, label in examples))
     _write_json(os.path.join(args.out, "task.json"), {
         "vocab_size": cfg.vocab_size,
         "n_classes": cfg.n_classes,
@@ -155,21 +158,32 @@ def cmd_make_synthetic(args) -> int:
 
 
 def _aggregate_footprint(params) -> dict:
-    from .quant import Q4BlockMatrix
+    reps = [footprint_report(v) for v in params.weights.values() if isinstance(v, Q4BlockMatrix)]
+    dense, code, scale, total = (sum(rep[key] for rep in reps) for key in (
+        "dense_bytes", "code_bytes", "scale_bytes", "total_bytes"))
+    payload = code + scale
+    return {"dense_bytes": dense, "quant_payload_bytes": payload, "quant_total_bytes": total,
+            "payload_ratio": dense / payload if payload else 0.0,
+            "total_ratio": dense / total if total else 0.0}
 
-    dense = payload = total = 0
-    for value in params.weights.values():
-        if isinstance(value, Q4BlockMatrix):
-            rep = footprint_report(value)
-            dense += rep["dense_bytes"]
-            payload += rep["code_bytes"] + rep["scale_bytes"]
-            total += rep["total_bytes"]
+
+def _memory(params, adapters, tcfg, block_size: int) -> dict:
+    """Storage bytes: quantize_base's matrices (float64, Q4 payload), adapters, AdamW state."""
+    sizes = [w.size if isinstance(w, np.ndarray) else w.n_elements
+             for name, w in params.weights.items() if name.rsplit(".", 1)[-1] in QUANTIZED_ROLES]
+    flat = flatten_adapters(adapters)
+    state = {}
+    for width in (8, 32):
+        st = OptimizerState.for_params(flat, dataclasses.replace(tcfg, state_bits=width))
+        state[width] = sum(m.nbytes if isinstance(m, np.ndarray) else m.codes.nbytes
+                           + m.scales.nbytes for m in (st.first_flat, st.second_flat))
     return {
-        "dense_bytes": dense,
-        "quant_payload_bytes": payload,
-        "quant_total_bytes": total,
-        "payload_ratio": dense / payload if payload else 0.0,
-        "total_ratio": dense / total if total else 0.0,
+        "adapter_bytes": sum(v.nbytes for v in flat.values()),
+        "base_dense_bytes": 8 * sum(sizes),
+        "base_q4_payload_bytes": sum((n + 1) // 2 + 4 * -(-n // block_size) for n in sizes),
+        "optimizer_state_bytes": state[tcfg.state_bits],
+        "optimizer_state_bytes_8bit": state[8],
+        "optimizer_state_bytes_32bit": state[32],
     }
 
 
@@ -212,7 +226,6 @@ def cmd_train(args) -> int:
         raise InputError(f"{data} holds neither {CORPUS_FILE} nor train.jsonl")
 
     params = _frozen_base(cfg, spec)
-    footprint = _aggregate_footprint(params) if cfg.qlora else None
     adapters = init_adapters(spec, cfg.rank, cfg.alpha,
                              cfgmod.derive_seed(cfg.seed, "adapters"))
     tcfg = cfgmod.train_config_from(cfg)
@@ -231,8 +244,9 @@ def cmd_train(args) -> int:
     summary["config"] = cfgmod.config_dict(cfg)
     summary["mode"] = mode
     summary["labels"] = labels
-    if footprint is not None:
-        summary["base_footprint"] = footprint
+    summary["memory"] = _memory(params, adapters, tcfg, cfg.block_size)
+    if cfg.qlora:
+        summary["base_footprint"] = _aggregate_footprint(params)
     if mode == "token" and test_examples:
         summary["test_accuracy"] = evaluate_accuracy(params, spec, adapters,
                                                      test_examples)
@@ -275,7 +289,7 @@ def cmd_predict(args) -> int:
         raise InputError(f"no records selected for split {args.split!r}")
     rows = tasks.predict_answers(params, spec, adapters, records, union)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    ev.write_predictions_jsonl(args.out, rows)
+    write_jsonl(args.out, (ev.Prediction(*row) for row in rows))
     print(f"predict: wrote {len(rows)} predictions to {args.out}")
     return 0
 

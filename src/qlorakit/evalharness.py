@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .fileio import atomic_write, read_dataclass_jsonl, read_lines, write_jsonl
+from .fileio import atomic_write, read_dataclass_jsonl, read_lines
 from .qagen import CATEGORIES
 
 UNKNOWN = "unknown"
@@ -302,11 +302,6 @@ class Prediction:
     scenario_id: str
     pair_index: int
     raw_answer: str
-
-
-def write_predictions_jsonl(path, rows: Sequence[tuple]) -> None:
-    """rows: (scenario_id, pair_index, raw_answer) triples."""
-    write_jsonl(path, (Prediction(sid, int(idx), answer) for sid, idx, answer in rows))
 
 
 def read_predictions_jsonl(path) -> dict[tuple, str]:

@@ -31,10 +31,10 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     per-pass temporaries, and fewer of them keep the allocator from
     returning and re-faulting heap pages between passes.
 
-    The row max is an elementwise maximum over a key-major copy (a plain
-    transpose: np.moveaxis costs as much as the reduce). numpy reduces a
-    short last axis one row at a time, about 3x slower. A max is exact in
-    any order, so the result is bit-identical either way.
+    The max is an elementwise maximum over a key-major copy (a plain
+    transpose), since numpy reduces a short last axis row by row, about 3x
+    slower, and a max is exact in any order. An axis-0 contiguous input is
+    key-major already and needs no copy, and every step runs full rows.
     """
     z = np.asarray(z, dtype=np.float64)
     axis = range(z.ndim)[axis]  # a negative axis counts from the end; IndexError past it

@@ -356,21 +356,29 @@ def _passes(toks: Sequence[np.ndarray]):
         yield np.array(idx), batch, valid
 
 
+def _product(shape, order, left, right) -> np.ndarray:
+    """left @ right into a new C-contiguous `shape` array, through its `order` view."""
+    out = np.empty(shape)
+    np.matmul(left, right, out=out.transpose(order))
+    return out
+
+
 def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: bool):
     """Logits (B, n_classes) for a (B, T) token array, plus the backward tape.
 
     Activations are (B*T, d) rows throughout, so each projection is one
     matrix product; the (B, H, T, dh) head views exist only inside
-    attention. With a valid mask, padded keys get a -inf score bias before
-    the softmax and the mean pool runs over valid positions only, so no
-    real row reads a padded one. In-place sums keep the formulas' order
-    and spare the tape, which holds per layer every array backward reads,
-    each once: the layers' input rows, the head views and the attention.
+    attention, whose scores are key-major (T_k, B, H, T_q), so the softmax
+    and its Jacobian reduce over the leading axis. With a valid mask, padded
+    keys get a -inf score bias and the mean pool runs over valid positions
+    only, so no real row reads a padded one. The tape holds per layer the
+    head views, the attention, the ReLU output and each adapted layer's
+    input rows (None where a layer has no adapter: backward reads none).
     """
     b, t = toks.shape
     heads = (b, t, spec.n_heads, spec.head_dim)
     inv_sqrt = heads[3] ** -0.5
-    key_bias = None if valid is None else np.where(valid, 0.0, -np.inf)[:, None, None, :]
+    key_bias = None if valid is None else np.where(valid.T, 0.0, -np.inf)[:, :, None, None]
     x = weights["tok_emb"][toks]
     x += weights["pos_emb"][:t]
     x = x.reshape(b * t, spec.d_model)
@@ -381,25 +389,27 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: b
         qh = layers[pre + "attn_q"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
         kh = layers[pre + "attn_k"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
         vh = layers[pre + "attn_v"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
-        scores = qh @ kh.swapaxes(-1, -2)
+        scores = _product((t, b, heads[2], t), (1, 2, 0, 3), kh, qh.swapaxes(-1, -2))
         scores *= inv_sqrt
         if key_bias is not None:
             scores += key_bias
-        attn = softmax(scores, axis=-1)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(b * t, spec.d_model)
+        attn = softmax(scores, axis=0)
+        ctx = _product(heads, (0, 2, 1, 3), attn.transpose(1, 2, 3, 0), vh).reshape(b * t, -1)
         x_mid = layers[pre + "attn_o"].forward(ctx)
         x_mid += x_in
         hidden = np.maximum(layers[pre + "ffn_up"].forward(x_mid), 0.0)
         x = layers[pre + "ffn_down"].forward(hidden)
         x += x_mid
         if need_tape:
-            tape.append((x_in, qh, kh, vh, attn, ctx, x_mid, hidden))
+            tape.append((qh, kh, vh, attn, hidden) + tuple(
+                rows if layers[pre + role].adapter is not None else None
+                for role, rows in zip(LAYER_ROLES, (x_in, x_in, x_in, ctx, x_mid, hidden))))
     x = x.reshape(b, t, spec.d_model)
     if valid is None:
         pooled = x.mean(axis=1)
     else:
         pooled = np.sum(x * valid[:, :, None], axis=1) / valid.sum(axis=1, keepdims=True)
-    return layers["head"].forward(pooled), (pooled, *tape)
+    return layers["head"].forward(pooled), tape
 
 
 def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
@@ -407,38 +417,37 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
     b = dlogits.shape[0]
     heads = (b, t, spec.n_heads, spec.head_dim)
     inv_sqrt = heads[3] ** -0.5
-    pooled, *records = tape
-    dpooled = layers["head"].backward(dlogits, pooled, grads, "head")
+    dpooled = layers["head"].backward(dlogits, None, grads, "head")  # no adapter targets it
     counts = t if valid is None else valid.sum(axis=1, keepdims=True)
     dx = np.repeat(dpooled / counts, t, axis=0)
     if valid is not None:
         dx *= valid.reshape(b * t, 1)
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
-        x_in, qh, kh, vh, attn, ctx, x_mid, hidden = records[i]
-        dhidden = layers[pre + "ffn_down"].backward(dx, hidden, grads, pre + "ffn_down")
+        qh, kh, vh, attn, hidden, x_q, x_k, x_v, x_o, x_up, x_down = tape[i]
+        dhidden = layers[pre + "ffn_down"].backward(dx, x_down, grads, pre + "ffn_down")
         dhidden *= hidden > 0.0
-        dx_mid = layers[pre + "ffn_up"].backward(dhidden, x_mid, grads, pre + "ffn_up")
+        dx_mid = layers[pre + "ffn_up"].backward(dhidden, x_up, grads, pre + "ffn_up")
         dx_mid += dx
-        dctx = layers[pre + "attn_o"].backward(dx_mid, ctx, grads, pre + "attn_o")
+        dctx = layers[pre + "attn_o"].backward(dx_mid, x_o, grads, pre + "attn_o")
         dctxh = dctx.reshape(heads).transpose(0, 2, 1, 3)
-        # softmax jacobian applied row-wise over the key axis:
-        # dscores = attn * (dattn - sum(dattn * attn))
-        dscores = dctxh @ vh.swapaxes(-1, -2)
-        dscores -= np.einsum("...k,...k->...", dscores, attn)[..., None]
+        # softmax jacobian over the key axis, the leading one:
+        # dscores = attn * (dattn - sum_k(dattn * attn))
+        dscores = _product(attn.shape, (1, 2, 0, 3), vh, dctxh.swapaxes(-1, -2))
+        dscores -= np.einsum("kbhq,kbhq->bhq", dscores, attn)
         dscores *= attn
         dx = dx_mid
-        for role, left, right, scale in (("attn_q", dscores, kh, inv_sqrt),
-                                         ("attn_k", dscores.swapaxes(-1, -2), qh, inv_sqrt),
-                                         ("attn_v", attn.swapaxes(-1, -2), dctxh, None)):
-            layer = layers[pre + role]
-            if i == 0 and layer.adapter is None:
+        for role, x_role, left, right, scale in (
+                ("attn_q", x_q, dscores.transpose(1, 2, 3, 0), kh, inv_sqrt),
+                ("attn_k", x_k, dscores.transpose(1, 2, 0, 3), qh, inv_sqrt),
+                ("attn_v", x_v, attn.transpose(1, 2, 0, 3), dctxh, None)):
+            if i == 0 and x_role is None:
                 continue  # layer 0's input gradient would reach only the frozen embeddings
-            dhead = left @ right
+            dhead = _product(heads, (0, 2, 1, 3), left, right)
             if scale is not None:
                 dhead *= scale
-            dy = dhead.transpose(0, 2, 1, 3).reshape(b * t, spec.d_model)
-            dx_in = layer.backward(dy, x_in, grads, pre + role, need_dx=i > 0)
+            dx_in = layers[pre + role].backward(dhead.reshape(b * t, -1), x_role, grads,
+                                                pre + role, need_dx=i > 0)
             if i > 0:
                 dx += dx_in
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .evalharness import UNKNOWN, LabelSet, normalize_answer, normalize_text
-from .fileio import read_dataclass_jsonl, write_jsonl
+from .fileio import read_dataclass_jsonl
 from .model import ModelParams, ToyModelSpec, forward_batch
 from .qagen import CATEGORIES, QARecord, ScenarioAnnotation
 
@@ -159,11 +159,6 @@ class TokenExample:
     """One line of a token task's train.jsonl / test.jsonl."""
     tokens: list[int]
     label: int
-
-
-def write_token_examples(path, examples: Sequence[tuple]) -> None:
-    write_jsonl(path, [TokenExample([int(t) for t in tokens], int(label))
-                       for tokens, label in examples])
 
 
 def read_token_examples(path) -> list[tuple]:

@@ -1,5 +1,6 @@
-"""Shared fixtures: small model specs, dataset builders and the
-factor-wise reference for the adapted layer, used across the test modules.
+"""Shared fixtures: small model specs, dataset builders, the factor-wise
+reference for the adapted layer and a naive per-sequence reference for the
+whole model, used across the test modules.
 Everything is seeded; no test depends on wall clock, network, or
 filesystem state outside tmp_path.
 """
@@ -100,6 +101,41 @@ def factor_wise_loss_and_grads(params, spec, batch, adapters):
              for k, v in flatten_adapters(adapters).items()}
     return model.loss_and_grads_into(params, spec, model.check_examples(batch, spec),
                                      factor_wise_layers(params, spec, adapters), grads)
+
+
+def naive_logits(params, spec, sequences, adapters):
+    """Logits one sequence at a time, unpadded and unmasked, on the
+    factor-wise layers, with each head's attention as the row formula
+    softmax(q k^T / sqrt(dh)) v over the sequence's own keys: a reference
+    for the batched, padded, key-major pass."""
+    layers = factor_wise_layers(params, spec, adapters)
+    dh = spec.head_dim
+    logits = []
+    for seq in sequences:
+        toks = np.asarray(seq, dtype=np.int64)
+        x = params.weights["tok_emb"][toks] + params.weights["pos_emb"][:toks.size]
+        for i in range(spec.n_layers):
+            pre = f"layers.{i}."
+            q, k, v = (layers[pre + role].forward(x) for role in ("attn_q", "attn_k", "attn_v"))
+            ctx = np.empty_like(x)
+            for h in range(spec.n_heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+                e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                ctx[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+            x = x + layers[pre + "attn_o"].forward(ctx)
+            hidden = np.maximum(layers[pre + "ffn_up"].forward(x), 0.0)
+            x = x + layers[pre + "ffn_down"].forward(hidden)
+        logits.append(layers["head"].forward(x.mean(axis=0, keepdims=True))[0])
+    return np.array(logits)
+
+
+def naive_loss(params, spec, batch, adapters):
+    """Mean cross-entropy of naive_logits over (tokens, label) pairs."""
+    logits = naive_logits(params, spec, [tokens for tokens, _ in batch], adapters)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-np.mean(log_p[np.arange(len(batch)), [label for _, label in batch]]))
 
 
 def max_relative_error(actual, reference):

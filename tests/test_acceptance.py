@@ -390,11 +390,11 @@ def test_criterion_12_end_to_end_pipeline(tmp_path, capsys):
     # self-evaluation: predictions copied from gold must score 100.00
     # everywhere; run it over the full corpus so every canonical label has
     # gold support (macro counts absent classes as 0 by design)
-    from qlorakit.evalharness import write_predictions_jsonl
+    from qlorakit.evalharness import Prediction
     from qlorakit.qagen import read_records_jsonl
     gold = read_records_jsonl(data / "corpus.jsonl")
-    write_predictions_jsonl(tmp_path / "self.jsonl",
-                            [(r.scenario_id, r.pair_index, r.answer) for r in gold])
+    write_jsonl(tmp_path / "self.jsonl",
+                [Prediction(r.scenario_id, r.pair_index, r.answer) for r in gold])
     assert main(["eval", "--preds", str(tmp_path / "self.jsonl"),
                  "--gold", str(data / "corpus.jsonl"),
                  "--labels", str(data / "labels"), "--out", str(evals),

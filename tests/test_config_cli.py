@@ -15,8 +15,8 @@ from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
                              parse_set_overrides, train_config_from)
 from qlorakit.errors import ConfigError
-from qlorakit.evalharness import (UNKNOWN, build_confusion, normalize_answer, read_label_dir,
-                                  read_predictions_jsonl, write_predictions_jsonl)
+from qlorakit.evalharness import (UNKNOWN, Prediction, build_confusion, normalize_answer,
+                                  read_label_dir, read_predictions_jsonl)
 from qlorakit.fileio import write_jsonl
 from qlorakit.lora import load_adapters, save_adapters
 from qlorakit.optim import TrainConfig
@@ -214,6 +214,29 @@ def test_qlora_train_reports_base_footprint(tmp_path):
     assert fp["quant_total_bytes"] < fp["dense_bytes"]
 
 
+def test_train_summary_carries_a_deterministic_memory_block(tmp_path):
+    """On the criterion-07 shapes (the CLI defaults) the block holds the
+    figures perfbench's memory_breakdown reports; reruns write the summary
+    byte-identically apart from its wall_time_s line."""
+    data = tmp_path / "task"
+    assert main(["make-synthetic", "--out", str(data), "--n-train", "32",
+                 "--n-test", "8", "--seed", "3"]) == 0
+    runs = {}
+    for name, extra in (("lora", []), ("lora-again", []),
+                        ("qlora", ["--qlora", "--set", "state_bits=32"])):
+        out = tmp_path / name
+        assert main(["train", "--data", str(data), "--out", str(out), "--seed", "3",
+                     "--set", "warmup_steps=2"] + extra) == 0
+        runs[name] = out / "summary.json"
+    base = {"adapter_bytes": 32768, "base_dense_bytes": 132096, "base_q4_payload_bytes": 9288,
+            "optimizer_state_bytes_8bit": 8704, "optimizer_state_bytes_32bit": 65536}
+    assert read_json(runs["lora"])["memory"] == {**base, "optimizer_state_bytes": 8704}
+    assert read_json(runs["qlora"])["memory"] == {**base, "optimizer_state_bytes": 65536}
+    kept = [[line for line in runs[name].read_bytes().splitlines()
+             if not line.lstrip().startswith(b'"wall_time_s"')] for name in ("lora", "lora-again")]
+    assert kept[0] == kept[1] and any(b'"memory"' in line for line in kept[0])
+
+
 def corpus_pipeline(tmp_path, n=16, seed=11, overrides=("epochs=1",)):
     scen = tmp_path / "scenarios.jsonl"
     data = tmp_path / "data"
@@ -262,9 +285,9 @@ def test_eval_writes_per_task_confusion_matrices(tmp_path):
     gold = read_records_jsonl(data / "corpus.jsonl")
     # every third answer is one no label matches, so both unknown rates are nonzero
     preds = tmp_path / "preds.jsonl"
-    write_predictions_jsonl(preds, [(r.scenario_id, r.pair_index,
-                                     "no idea" if i % 3 == 0 else r.answer)
-                                    for i, r in enumerate(gold)])
+    write_jsonl(preds, [Prediction(r.scenario_id, r.pair_index,
+                                   "no idea" if i % 3 == 0 else r.answer)
+                        for i, r in enumerate(gold)])
     gold[1] = dataclasses.replace(gold[1], answer="something else")
     write_jsonl(data / "corpus.jsonl", gold)
     blobs = []

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.evalharness import (METRIC_ROWS, MODES, UNKNOWN,
-                                  ConfusionMatrix, LabelSet, MetricReport,
+                                  ConfusionMatrix, LabelSet, MetricReport, Prediction,
                                   build_confusion, compute_metrics,
                                   normalize_answer, normalize_text,
                                   parse_report_csv, read_label_dir,
                                   read_predictions_jsonl, render_report,
                                   render_tables, report_cells,
-                                  sample_eval_set, write_label_files,
-                                  write_predictions_jsonl)
+                                  sample_eval_set, write_label_files)
+from qlorakit.fileio import write_jsonl
 
 YES_NO = LabelSet("risk", ("yes", "no"))
 ABC = LabelSet("agent", ("a", "b", "c"))
@@ -290,13 +290,13 @@ def test_label_files_roundtrip(tmp_path):
 
 def test_predictions_roundtrip_and_duplicate_keys(tmp_path):
     path = tmp_path / "preds.jsonl"
-    write_predictions_jsonl(path, [("s-1", 1, "yes"), ("s-1", 2, "no")])
+    write_jsonl(path, [Prediction("s-1", 1, "yes"), Prediction("s-1", 2, "no")])
     assert path.read_text().splitlines()[0] == (
         '{"scenario_id": "s-1", "pair_index": 1, "raw_answer": "yes"}')
     assert read_predictions_jsonl(path) == {("s-1", 1): "yes", ("s-1", 2): "no"}
     path.write_text('{"scenario_id": "s-1", "pair_index": 1}\n')
     with pytest.raises(InputError, match="preds.jsonl: missing prediction key 'raw_answer'"):
         read_predictions_jsonl(path)
-    write_predictions_jsonl(path, [("s-1", 1, "yes"), ("s-1", 1, "no")])
+    write_jsonl(path, [Prediction("s-1", 1, "yes"), Prediction("s-1", 1, "no")])
     with pytest.raises(InputError, match="duplicate"):
         read_predictions_jsonl(path)

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from qlorakit.evalharness import write_predictions_jsonl
-from qlorakit.fileio import atomic_write
+from qlorakit.evalharness import Prediction
+from qlorakit.fileio import atomic_write, write_jsonl
 
 
 def test_complete_write_replaces_the_file(tmp_path):
@@ -23,12 +23,12 @@ def test_complete_write_replaces_the_file(tmp_path):
 
 def test_failed_writer_leaves_old_file_and_no_temp(tmp_path):
     path = tmp_path / "preds.jsonl"
-    write_predictions_jsonl(path, [("scn-1", 0, "yes")])
+    write_jsonl(path, [Prediction("scn-1", 0, "yes")])
     old = path.read_bytes()
     # the second row cannot be serialized, after the first was written
-    rows = [("scn-1", 0, "no"), ("scn-1", 1, object())]
+    rows = [Prediction("scn-1", 0, "no"), Prediction("scn-1", 1, object())]
     with pytest.raises(TypeError):
-        write_predictions_jsonl(path, rows)
+        write_jsonl(path, rows)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["preds.jsonl"]
 

@@ -22,7 +22,7 @@ from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpe
 from qlorakit.quant import Q4BlockMatrix, dequantize_4bit
 
 from conftest import (factor_wise_logits, factor_wise_loss_and_grads, make_batch,
-                      max_relative_error)
+                      max_relative_error, naive_logits, naive_loss)
 
 
 def test_spec_validation():
@@ -468,10 +468,61 @@ def test_merged_layers_match_the_factor_wise_reference(base):
         assert max_relative_error(grads[key], ref_grads[key]) <= 1e-12, key
 
 
+@pytest.mark.parametrize("base", ["dense", "q4"])
+def test_batched_pass_matches_the_naive_per_sequence_attention(base):
+    """Length-sorted passes, the padded-key mask and the key-major softmax
+    give each sequence the logits and loss of a plain per-sequence, per-head
+    row softmax, within 1e-12 relative."""
+    spec = ToyModelSpec(vocab_size=23, d_model=8, n_layers=2, n_heads=2, d_ff=12,
+                        n_classes=3, max_seq_len=6, adapter_targets=LAYER_ROLES)
+    params = init_model_params(spec, seed=7, profile="standard")
+    if base == "q4":
+        params = quantize_base(params, spec, block_size=16)
+    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=11)
+    rng = np.random.default_rng(23)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    seqs = mixed_length_sequences(spec, seed=24)
+    assert max_relative_error(forward_batch(params, spec, seqs, adapters),
+                              naive_logits(params, spec, seqs, adapters)) <= 1e-12
+    batch = [(s, int(rng.integers(0, spec.n_classes))) for s in seqs[:40]]
+    assert len({s.size for s, _ in batch}) > 1
+    loss, _ = loss_and_grads(params, spec, batch, adapters)
+    ref = naive_loss(params, spec, batch, adapters)
+    assert abs(loss - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("lengths", [(5, 5, 5), (1, 3, 6, 6, 2)], ids=["equal", "mixed"])
+def test_attention_scores_reach_the_softmax_key_major(small_setup, monkeypatch, lengths):
+    """Scores are built as C-contiguous (T_k, B, H, T_q) arrays and the
+    softmax runs along axis 0, where it needs no copy; the only other
+    softmax call is the loss's, over the (B, n_classes) logits."""
+    spec, params, adapters, _ = small_setup
+    calls = []
+
+    def softmax_spy(z, axis=-1):
+        calls.append((z.shape, z.flags.c_contiguous, axis))
+        return softmax(z, axis=axis)
+
+    monkeypatch.setattr(model, "softmax", softmax_spy)
+    rng = np.random.default_rng(25)
+    seqs = [rng.integers(0, spec.vocab_size, size=t) for t in lengths]
+    b, t = len(lengths), max(lengths)
+    forward_batch(params, spec, seqs, adapters)
+    attention = [((t, b, spec.n_heads, t), True, 0)] * spec.n_layers
+    assert calls == attention
+    calls.clear()
+    loss_and_grads(params, spec, [(s, i % spec.n_classes) for i, s in enumerate(seqs)],
+                   adapters)
+    assert calls == attention + [((b, spec.n_classes), True, -1)]
+
+
 @pytest.mark.parametrize("lengths", [(5, 5, 5), (1, 3, 6, 6, 2)], ids=["equal", "mixed"])
 def test_adapted_layers_see_only_row_matrices(small_setup, monkeypatch, lengths):
     """The pass keeps activations as (B*T, d) rows: every adapted-layer call
-    of forward_batch and loss_and_grads takes and returns 2-D arrays."""
+    of forward_batch and loss_and_grads takes and returns 2-D arrays. The
+    tape keeps a layer's input rows only where backward reads them: x is
+    None exactly for the layers without an adapter."""
     spec, params, adapters, _ = small_setup
     ndims = []
     real_forward, real_backward = QLoraLinear.forward, QLoraLinear.backward
@@ -483,7 +534,9 @@ def test_adapted_layers_see_only_row_matrices(small_setup, monkeypatch, lengths)
 
     def backward_spy(self, dy, x, grads, name, need_dx=True):
         dx = real_backward(self, dy, x, grads, name, need_dx)
-        ndims.append((dy.ndim, x.ndim) + (() if dx is None else (dx.ndim,)))
+        assert (x is None) == (self.adapter is None), name
+        ndims.append((dy.ndim,) + (() if x is None else (x.ndim,))
+                     + (() if dx is None else (dx.ndim,)))
         return dx
 
     monkeypatch.setattr(QLoraLinear, "forward", forward_spy)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -82,3 +84,32 @@ def test_bench_compare_counts_src_lines_per_tree(tmp_path):
     assert src_lines(tmp_path / "change") == 1
     assert src_lines(ROOT) == sum(p.read_text().count("\n")
                                   for p in (ROOT / "src" / "qlorakit").glob("*.py"))
+
+
+@pytest.mark.parametrize("args", [
+    ["--out", "{tmp}/BENCH_x.json", "--runs", "train-lora:2"],
+    ["--out-dir", "{tmp}/missing", "--runs", "train-lora:2"],
+    ["--runs", "train-lora:2", "train-lorax:2"],
+    ["--runs", "train-lora:0"],
+    ["--runs", "corpus-pipeline:-1"],
+    ["--runs", "train-qlora:x"],
+], ids=["out-abbrev-to-a-file", "missing-out-dir", "unknown-workload", "zero-pairs",
+        "negative-pairs", "non-integer-pairs"])
+def test_bench_compare_checks_its_arguments_before_any_run(tmp_path, monkeypatch, capsys,
+                                                           args):
+    module = load_bench_compare()
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("a benchmark step ran before the arguments were checked")
+
+    monkeypatch.setattr(module, "export_parent", never)
+    monkeypatch.setattr(module, "run_once", never)
+    argv = ["--label", "x"] + [a.format(tmp=tmp_path) for a in args]
+    if "--out" not in args and "--out-dir" not in args:
+        argv += ["--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bench_compare: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

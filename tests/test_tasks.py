@@ -8,13 +8,14 @@ import pytest
 
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.evalharness import LabelSet, normalize_text
+from qlorakit.fileio import write_jsonl
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
 from qlorakit.qagen import MockLLMClient, build_prompt, generate_dataset
 from qlorakit.tasks import (AGENTS, CLEAR_ACTION, DEFAULT_LABEL_SETS,
-                            RISK_ACTIONS, ROAD_TYPES, corpus_to_examples,
+                            RISK_ACTIONS, ROAD_TYPES, TokenExample, corpus_to_examples,
                             predict_answers, read_token_examples,
                             synthetic_scenarios, synthetic_token_task,
-                            tokenize, union_labels, write_token_examples)
+                            tokenize, union_labels)
 
 
 def default_label_sets():
@@ -116,7 +117,7 @@ def test_token_example_file_roundtrip(tmp_path):
     examples = [(np.array([1, 2, 3], dtype=np.int64), 0),
                 (np.array([4], dtype=np.int64), 2)]
     path = tmp_path / "train.jsonl"
-    write_token_examples(path, examples)
+    write_jsonl(path, [TokenExample(toks.tolist(), label) for toks, label in examples])
     assert path.read_text() == ('{"tokens": [1, 2, 3], "label": 0}\n'
                                 '{"tokens": [4], "label": 2}\n')
     loaded = read_token_examples(path)
