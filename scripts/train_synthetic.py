@@ -25,12 +25,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     cfg = load_config(overrides={"seed": args.seed})
-    spec = model_spec_from(cfg, n_classes=4)
+    spec = model_spec_from(cfg)
     train_cfg = train_config_from(cfg)
     train_set, test_set = synthetic_token_task(
-        args.n_train, args.n_test, seed=derive_seed(cfg.seed, "task"))
+        args.n_train, args.n_test, vocab_size=cfg.vocab_size, n_classes=cfg.n_classes,
+        seed=derive_seed(cfg.seed, "task"))
     print(f"task: {len(train_set)} train / {len(test_set)} test, "
-          f"4 token-pattern classes")
+          f"{cfg.n_classes} token-pattern classes")
 
     for variant in ("lora", "qlora"):
         params = init_model_params(spec, seed=derive_seed(cfg.seed, "model"))

@@ -36,10 +36,10 @@ from .errors import (ConfigError, InputError, NumericError, QAParseError,
 from .fileio import atomic_write, json_int, read_json, read_lines, write_jsonl
 from .lora import flatten_adapters, load_adapters, save_adapters
 from .matrix import as_matrix
-from .model import (QUANTIZED_ROLES, base_fingerprint, init_adapters, init_model_params,
-                    quantize_base)
+from .model import (QUANTIZED_ROLES, base_fingerprint, check_examples, init_adapters,
+                    init_model_params, quantize_base)
 from .optim import OptimizerState
-from .quant import (DEFAULT_BLOCK_SIZE, Q4BlockMatrix, dequantize_4bit, footprint_report,
+from .quant import (DEFAULT_BLOCK_SIZE, dequantize_4bit, footprint_report, q4_nbytes,
                     quantize_4bit)
 from .trainer import evaluate_accuracy, train, write_trace_csv
 
@@ -157,16 +157,6 @@ def cmd_make_synthetic(args) -> int:
     return 0
 
 
-def _aggregate_footprint(params) -> dict:
-    reps = [footprint_report(v) for v in params.weights.values() if isinstance(v, Q4BlockMatrix)]
-    dense, code, scale, total = (sum(rep[key] for rep in reps) for key in (
-        "dense_bytes", "code_bytes", "scale_bytes", "total_bytes"))
-    payload = code + scale
-    return {"dense_bytes": dense, "quant_payload_bytes": payload, "quant_total_bytes": total,
-            "payload_ratio": dense / payload if payload else 0.0,
-            "total_ratio": dense / total if total else 0.0}
-
-
 def _memory(params, adapters, tcfg, block_size: int) -> dict:
     """Storage bytes: quantize_base's matrices (float64, Q4 payload), adapters, AdamW state."""
     sizes = [w.size if isinstance(w, np.ndarray) else w.n_elements
@@ -180,7 +170,7 @@ def _memory(params, adapters, tcfg, block_size: int) -> dict:
     return {
         "adapter_bytes": sum(v.nbytes for v in flat.values()),
         "base_dense_bytes": 8 * sum(sizes),
-        "base_q4_payload_bytes": sum((n + 1) // 2 + 4 * -(-n // block_size) for n in sizes),
+        "base_q4_payload_bytes": sum(sum(q4_nbytes(n, block_size)) for n in sizes),
         "optimizer_state_bytes": state[tcfg.state_bits],
         "optimizer_state_bytes_8bit": state[8],
         "optimizer_state_bytes_32bit": state[32],
@@ -222,6 +212,8 @@ def cmd_train(args) -> int:
         test_path = os.path.join(data, "test.jsonl")
         test_examples = (tasks.read_token_examples(test_path)
                          if os.path.exists(test_path) else None)
+        if test_examples:  # checked before step 0, so a bad label costs no training run
+            check_examples(test_examples, spec)
     else:
         raise InputError(f"{data} holds neither {CORPUS_FILE} nor train.jsonl")
 
@@ -245,8 +237,6 @@ def cmd_train(args) -> int:
     summary["mode"] = mode
     summary["labels"] = labels
     summary["memory"] = _memory(params, adapters, tcfg, cfg.block_size)
-    if cfg.qlora:
-        summary["base_footprint"] = _aggregate_footprint(params)
     if mode == "token" and test_examples:
         summary["test_accuracy"] = evaluate_accuracy(params, spec, adapters,
                                                      test_examples)
@@ -393,47 +383,38 @@ def _load_weight_matrix(path) -> np.ndarray:
         raise InputError(f"{path}: not a weight matrix: {exc}") from exc
 
 
+_INSPECT_TEXT = """\
+matrix: {rows}x{cols}  block_size: {block_size}  blocks: {n_blocks}
+scales: min={scale_min} mean={scale_mean} max={scale_max}
+max round-trip error: {max_roundtrip_error}
+error bound (max scale / 2): {error_bound_half_max_scale}
+bytes: codes={code_bytes} scales={scale_bytes} header={header_bytes} total={total_bytes}
+dense 32-bit bytes: {dense_bytes}
+reduction (payload): {payload_ratio:.2f}x
+reduction (total): {total_ratio:.2f}x"""
+
+
 def cmd_inspect_quant(args) -> int:
+    """One value table, as Python ints and floats, that both formats print."""
     w = _load_weight_matrix(args.weights)
     q = quantize_4bit(w, args.block)
-    deq = dequantize_4bit(q)
-    max_err = float(np.max(np.abs(deq - w)))
     scales = q.scales.astype(np.float64)
     rep = footprint_report(q)
-    pairs = [
-        ("rows", q.rows),
-        ("cols", q.cols),
-        ("block_size", q.block_size),
-        ("n_blocks", q.n_blocks),
-        ("scale_min", float(scales.min())),
-        ("scale_mean", float(scales.mean())),
-        ("scale_max", float(scales.max())),
-        ("max_roundtrip_error", max_err),
-        ("error_bound_half_max_scale", float(scales.max()) / 2.0),
-        ("code_bytes", rep["code_bytes"]),
-        ("scale_bytes", rep["scale_bytes"]),
-        ("header_bytes", rep["header_bytes"]),
-        ("total_bytes", rep["total_bytes"]),
-        ("dense_bytes", rep["dense_bytes"]),
-        ("payload_ratio", rep["payload_ratio"]),
-        ("total_ratio", rep["total_ratio"]),
-    ]
+    values = {key: rep[key] for key in ("rows", "cols", "block_size", "n_blocks")}
+    values.update(
+        scale_min=float(scales.min()),
+        scale_mean=float(scales.mean()),
+        scale_max=float(scales.max()),
+        max_roundtrip_error=float(np.max(np.abs(dequantize_4bit(q) - w))),
+        error_bound_half_max_scale=float(scales.max()) / 2.0,
+    )
+    values.update(rep)  # the byte counts follow, in footprint_report's order
     if args.format == "csv":
         print("key,value")
-        for key, value in pairs:
-            print(f"{key},{value!r}" if isinstance(value, float) else f"{key},{value}")
+        for key, value in values.items():
+            print(f"{key},{value}")
     else:
-        print(f"matrix: {q.rows}x{q.cols}  block_size: {q.block_size}  "
-              f"blocks: {q.n_blocks}")
-        print(f"scales: min={scales.min()!r} mean={scales.mean()!r} "
-              f"max={scales.max()!r}")
-        print(f"max round-trip error: {max_err!r}")
-        print(f"error bound (max scale / 2): {scales.max() / 2.0!r}")
-        print(f"bytes: codes={rep['code_bytes']} scales={rep['scale_bytes']} "
-              f"header={rep['header_bytes']} total={rep['total_bytes']}")
-        print(f"dense 32-bit bytes: {rep['dense_bytes']}")
-        print(f"reduction (payload): {rep['payload_ratio']:.2f}x")
-        print(f"reduction (total): {rep['total_ratio']:.2f}x")
+        print(_INSPECT_TEXT.format(**values))
     return 0
 
 

@@ -43,6 +43,12 @@ def _n_blocks(n: int, block_size: int) -> int:
     return -(-n // block_size)
 
 
+def q4_nbytes(n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, int]:
+    """(code bytes, scale bytes) that n weights take in the Q4 layout:
+    two codes per byte and one float32 scale per block."""
+    return (n + 1) // 2, 4 * _n_blocks(n, block_size)
+
+
 def _blocks(flat: np.ndarray, block_size: int) -> np.ndarray:
     """(n_blocks, block_size) view of flat when its length is a block
     multiple, else a copy zero-padded up to the next one."""
@@ -103,7 +109,7 @@ def pack_nibbles(codes) -> np.ndarray:
 def unpack_nibbles(packed, n_codes: int) -> np.ndarray:
     """Inverse of pack_nibbles; n_codes tells how many codes are real."""
     packed = np.asarray(packed, dtype=np.uint8).ravel()
-    if packed.size != (n_codes + 1) // 2:
+    if packed.size != q4_nbytes(n_codes)[0]:
         raise InputError(
             f"packed length {packed.size} does not hold {n_codes} codes"
         )
@@ -231,8 +237,7 @@ def dequantize_8bit(q: Q8Vector) -> np.ndarray:
 
 def footprint_report(q: Q4BlockMatrix) -> dict:
     """Byte accounting vs dense 32-bit storage of the same matrix."""
-    code_bytes = (q.n_elements + 1) // 2
-    scale_bytes = 4 * q.n_blocks
+    code_bytes, scale_bytes = q4_nbytes(q.n_elements, q.block_size)
     total = HEADER_BYTES + code_bytes + scale_bytes
     dense_bytes = 4 * q.n_elements
     return {
@@ -261,9 +266,7 @@ def q4_from_bytes(buf: bytes) -> Q4BlockMatrix:
     rows, cols, block_size = struct.unpack("<III", buf[4:HEADER_BYTES])
     if rows < 1 or cols < 1 or block_size < 1:
         raise InputError(f"Q4BM header has bad dims {rows}x{cols} block {block_size}")
-    n = rows * cols
-    code_bytes = (n + 1) // 2
-    scale_bytes = 4 * _n_blocks(n, block_size)
+    code_bytes, scale_bytes = q4_nbytes(rows * cols, block_size)
     if len(buf) != HEADER_BYTES + code_bytes + scale_bytes:
         raise InputError(
             f"Q4BM stream length {len(buf)} does not match header "

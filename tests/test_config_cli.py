@@ -6,11 +6,12 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from qlorakit.cli import main
+from qlorakit.cli import _frozen_base, main
 from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
                              parse_set_overrides, train_config_from)
@@ -21,6 +22,7 @@ from qlorakit.fileio import write_jsonl
 from qlorakit.lora import load_adapters, save_adapters
 from qlorakit.optim import TrainConfig
 from qlorakit.qagen import LLMClientSpec, read_records_jsonl
+from qlorakit.quant import Q4BlockMatrix
 from qlorakit.tasks import synthetic_token_task
 from qlorakit.trainer import read_trace_csv
 
@@ -209,9 +211,34 @@ def test_qlora_train_reports_base_footprint(tmp_path):
                  "--n-test", "8", "--seed", "4"]) == 0
     assert main(["train", "--data", str(data), "--out", str(run), "--qlora",
                  "--seed", "4", "--set", "warmup_steps=2"]) == 0
-    fp = read_json(run / "summary.json")["base_footprint"]
-    assert fp["payload_ratio"] >= 6.0
-    assert fp["quant_total_bytes"] < fp["dense_bytes"]
+    summary = read_json(run / "summary.json")
+    assert "base_footprint" not in summary
+    mem = summary["memory"]
+    assert mem["base_dense_bytes"] / mem["base_q4_payload_bytes"] >= 6.0
+    # the payload figure is the bytes of the arrays the rebuilt Q4 base holds
+    cfg = load_config(overrides=summary["config"])
+    quantized = [w for w in _frozen_base(cfg, model_spec_from(cfg)).weights.values()
+                 if isinstance(w, Q4BlockMatrix)]
+    assert quantized
+    assert mem["base_q4_payload_bytes"] == sum(q.packed.nbytes + q.scales.nbytes
+                                               for q in quantized)
+
+
+def test_train_checks_the_held_out_set_before_training(tmp_path, capsys):
+    """A bad test.jsonl label fails the run before step 0, leaving no artifact."""
+    data = tmp_path / "task"
+    run = tmp_path / "run"
+    assert main(["make-synthetic", "--out", str(data), "--n-train", "16",
+                 "--n-test", "4", "--seed", "5"]) == 0
+    test = data / "test.jsonl"
+    rows = [json.loads(line) for line in test.read_text().splitlines()]
+    rows[-1]["label"] = 9
+    test.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(run), "--seed", "5",
+                 "--set", "warmup_steps=1"]) == 2
+    assert capsys.readouterr().err == "error: input: label 9 outside [0, 4)\n"
+    assert not run.exists() or not any(run.iterdir())
 
 
 def test_train_summary_carries_a_deterministic_memory_block(tmp_path):
@@ -462,6 +489,42 @@ def test_inspect_quant_text_and_csv(tmp_path, capsys):
                 capsys.readouterr().out.strip().splitlines()[1:])
     assert rows["rows"] == "4" and rows["cols"] == "4"
     assert float(rows["max_roundtrip_error"]) <= float(rows["error_bound_half_max_scale"])
+
+
+_INSPECT_TEXT = re.compile(
+    r"matrix: (?P<rows>\S+)x(?P<cols>\S+)  block_size: (?P<block_size>\S+)  "
+    r"blocks: (?P<n_blocks>\S+)\n"
+    r"scales: min=(?P<scale_min>\S+) mean=(?P<scale_mean>\S+) max=(?P<scale_max>\S+)\n"
+    r"max round-trip error: (?P<max_roundtrip_error>\S+)\n"
+    r"error bound \(max scale / 2\): (?P<error_bound_half_max_scale>\S+)\n"
+    r"bytes: codes=(?P<code_bytes>\S+) scales=(?P<scale_bytes>\S+) "
+    r"header=(?P<header_bytes>\S+) total=(?P<total_bytes>\S+)\n"
+    r"dense 32-bit bytes: (?P<dense_bytes>\S+)\n"
+    r"reduction \(payload\): (?P<payload_ratio>\S+)x\n"
+    r"reduction \(total\): (?P<total_ratio>\S+)x\n")
+
+
+@pytest.mark.parametrize("shape, block", [((64, 64), 64), ((7, 9), 8)])
+def test_inspect_quant_text_and_csv_carry_the_same_numbers(tmp_path, capsys, shape, block):
+    npy = tmp_path / "w.npy"
+    np.save(npy, np.random.default_rng(11).normal(size=shape))
+    argv = ["inspect-quant", "--weights", str(npy), "--block", str(block)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "csv"]) == 0
+    csv = capsys.readouterr().out
+    assert "np." not in text and "np." not in csv
+    lines = csv.splitlines()
+    assert lines[0] == "key,value"
+    rows = dict(line.split(",", 1) for line in lines[1:])
+    m = _INSPECT_TEXT.fullmatch(text)
+    assert m, text
+    parsed = m.groupdict()
+    assert parsed.keys() == rows.keys()
+    for key, value in parsed.items():
+        # the ratios print to two decimals in text, every other value in full
+        want = f"{float(rows[key]):.2f}" if key.endswith("_ratio") else rows[key]
+        assert value == want, key
 
 
 def test_split_manifests_partition_the_corpus(tmp_path):

@@ -15,7 +15,7 @@ from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP,
                             _absmax_quantize, _blockwise_dequantize,
                             Q8Vector, dequantize_4bit, dequantize_8bit,
                             footprint_report, pack_nibbles, q4_from_bytes,
-                            q4_to_bytes, quantize_4bit, quantize_8bit,
+                            q4_nbytes, q4_to_bytes, quantize_4bit, quantize_8bit,
                             round_half_away, unpack_nibbles)
 
 
@@ -133,6 +133,21 @@ def test_memory_footprint_formula():
 
     tiny = quantize_4bit(np.ones((1, 1)), block_size=64)
     assert footprint_report(tiny)["total_bytes"] == HEADER_BYTES + 1 + 4 == 21
+
+
+@pytest.mark.parametrize("rows, cols, block", [
+    (64, 64, 64),  # whole blocks, even count
+    (7, 9, 8),     # odd count, short last block
+    (3, 5, 4),     # odd count, short last block
+    (5, 13, 16),   # odd count, short last block
+    (2, 6, 12),    # one whole block
+    (1, 1, 64),    # one weight in a mostly empty block
+])
+def test_q4_nbytes_matches_the_quantized_arrays(rows, cols, block):
+    q = quantize_4bit(np.random.default_rng(rows * cols).normal(size=(rows, cols)), block)
+    code_bytes, scale_bytes = q4_nbytes(rows * cols, block)
+    assert (code_bytes, scale_bytes) == (q.packed.nbytes, q.scales.nbytes)
+    assert len(q4_to_bytes(q)) == HEADER_BYTES + code_bytes + scale_bytes
 
 
 def test_quantize_input_validation():
