@@ -17,7 +17,10 @@ The file holds the environment, the line count of `src/qlorakit/*.py` in
 each tree (`src_lines`), every run's metrics, and per metric each side's
 median and quartiles, the pairs the change won, lost and tied, and
 whether the gain rule holds: at least 9 of 10 pairs won and medians
-apart by more than the parent's interquartile range. The arguments are
+apart by more than the parent's interquartile range. After writing the
+file the script prints one summary line per workload and end-to-end
+metric: both medians, their ratio, pairs won, and the bound and gain
+verdicts. The arguments are
 checked before the first run: `--out-dir` must be an existing directory,
 each workload must be named in BENCHMARK.json and PAIRS (default 10) must
 be a positive integer; otherwise the script exits 2 with one line.
@@ -118,6 +121,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def summary_lines(report: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a report."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for name, m in entry["metrics"].items():
+            ratio = "-" if m["median_ratio"] is None else f"x{m['median_ratio']:.3f}"
+            lines.append(f"{workload} {name}: parent {m['parent']['median']:.6g} "
+                         f"change {m['change']['median']:.6g} {ratio} "
+                         f"won {m['won']}/{m['pairs']} within_bound {m.get('within_bound')} "
+                         f"gain_rule_met {m['gain_rule_met']}")
+    return lines
+
+
 def parse_plan(runs: list[str], workloads: set[str], out_dir: str) -> list[tuple[str, int]]:
     """(workload, pairs) per WORKLOAD:PAIRS item; ValueError names the first bad argument."""
     if not Path(out_dir).is_dir():
@@ -191,6 +207,7 @@ def main(argv=None) -> int:
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
+    print("\n".join(summary_lines(report)))
     return 0
 
 

@@ -164,9 +164,8 @@ def _memory(params, adapters, tcfg, block_size: int) -> dict:
     flat = flatten_adapters(adapters)
     state = {}
     for width in (8, 32):
-        st = OptimizerState.for_params(flat, dataclasses.replace(tcfg, state_bits=width))
-        state[width] = sum(m.nbytes if isinstance(m, np.ndarray) else m.codes.nbytes
-                           + m.scales.nbytes for m in (st.first_flat, st.second_flat))
+        m = OptimizerState.for_params(flat, dataclasses.replace(tcfg, state_bits=width)).moments
+        state[width] = m.nbytes if isinstance(m, np.ndarray) else m.codes.nbytes + m.scales.nbytes
     return {
         "adapter_bytes": sum(v.nbytes for v in flat.values()),
         "base_dense_bytes": 8 * sum(sizes),

@@ -7,16 +7,16 @@ Schedule (peak = learning_rate, W = warmup_steps, T = total optimizer steps):
              decays toward zero; the last step still has lr > 0)
 
 8-bit state: moments are stored as blockwise absmax int8 (block 64) and
-dequantized / updated / requantized every step. The second moment is
+dequantized / updated in place / requantized every step. The second moment is
 stored via its square root: storing v itself doubles the dynamic range
 inside a block, small-but-active coordinates flush to code 0 while their
 first moment survives, and m_hat / (sqrt(v_hat) + eps) then produces
 huge updates. In the sqrt domain both moments share dynamic range, and
 wherever sqrt(v) flushes to zero, m flushes too.
 
-Flat layout: each moment of all parameters lives in one flat buffer, so a
-step is one moment update and one dequantize / quantize per moment, not
-one per parameter. Parameters sit in sorted-name order; each segment
+Flat layout: both moments of all parameters live in one flat buffer, so a
+step is one moment update, one dequantize and one quantize. Parameters sit
+in sorted-name order, first moments then second; each segment
 starts on a block_size boundary and is zero-padded up to the next one.
 Blocks therefore never straddle two parameters, and zero padding never
 changes a block's absmax, so quantizing the whole buffer gives the same
@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .quant import DEFAULT_BLOCK_SIZE, Q8Vector, dequantize_8bit, quantize_8bit
+from .quant import DEFAULT_BLOCK_SIZE, Q8_TOP, Q8Vector, dequantize_8bit, quantize_8bit
 
 
 @dataclass
@@ -94,12 +94,17 @@ def lr_at(step: int, total_optimizer_steps: int, cfg: TrainConfig) -> float:
     return peak * (total_optimizer_steps - step) / (total_optimizer_steps - cfg.warmup_steps)
 
 
+# the largest |value| an 8-bit moment block holds; beyond it a gradient entry
+# is refused at either state width
+GRAD_LIMIT = Q8_TOP * float(np.finfo(np.float32).max)
+
+
 @dataclass
 class OptimizerState:
-    """Adam moments for all parameters in one flat buffer per moment: a
-    Q8Vector when state_bits is 8 (`second` then holds the quantized
-    *square root* of the second moment, see module docstring), a float64
-    array when it is 32.
+    """Adam moments for all parameters in one flat buffer, first moments then
+    second: a Q8Vector when state_bits is 8 (its second half holds the
+    quantized *square root* of v, see module docstring), a float64 array
+    when it is 32. `first_flat` / `second_flat` are its halves.
 
     `layout` lists (name, size, offset) in sorted-name order; every
     offset is a multiple of block_size and the gaps are zero padding.
@@ -109,15 +114,14 @@ class OptimizerState:
     state_bits: int
     block_size: int
     layout: tuple
-    first_flat: Q8Vector | np.ndarray
-    second_flat: Q8Vector | np.ndarray
+    moments: Q8Vector | np.ndarray
     step_count: int = 0
 
     def __post_init__(self):
         # flat parameter and gradient buffers in layout order, reused every
         # step; not fields, so they are not counted as optimizer state
-        flat = self.first_flat
-        n = flat.length if isinstance(flat, Q8Vector) else flat.size
+        m = self.moments
+        n = (m.length if isinstance(m, Q8Vector) else m.size) // 2
         self._param, self._grad = np.zeros(n), np.zeros(n)
 
     @classmethod
@@ -130,14 +134,11 @@ class OptimizerState:
             size = int(np.size(params[name]))
             layout.append((name, size, offset))
             offset += -(-size // block_size) * block_size
-        zeros = np.zeros(offset, dtype=np.float64)
+        moments = np.zeros(2 * offset)
         if cfg.state_bits == 8:
-            first = quantize_8bit(zeros, block_size)
-            second = quantize_8bit(zeros, block_size)
-        else:
-            first, second = zeros, zeros.copy()
+            moments = quantize_8bit(moments, block_size)
         return cls(state_bits=cfg.state_bits, block_size=block_size,
-                   layout=tuple(layout), first_flat=first, second_flat=second)
+                   layout=tuple(layout), moments=moments)
 
     def bind(self, params: Mapping[str, np.ndarray]) -> tuple[dict, dict]:
         """Copy the params this state was built for into its flat parameter
@@ -149,21 +150,28 @@ class OptimizerState:
                      for flat in (self._param, self._grad))
 
     @property
+    def first_flat(self) -> Q8Vector | np.ndarray:
+        return self._part(0, self._param.size)
+
+    @property
+    def second_flat(self) -> Q8Vector | np.ndarray:
+        return self._part(self._param.size, self._param.size)
+
+    @property
     def first(self) -> dict:
-        return self._views(self.first_flat)
+        return {name: self._part(off, size) for name, size, off in self.layout}
 
     @property
     def second(self) -> dict:
-        return self._views(self.second_flat)
+        return {name: self._part(self._param.size + off, size) for name, size, off in self.layout}
 
-    def _views(self, flat) -> dict:
-        if isinstance(flat, np.ndarray):
-            return {name: flat[off:off + size] for name, size, off in self.layout}
-        bs = self.block_size
-        return {name: Q8Vector(length=size, block_size=bs,
-                               codes=flat.codes[off:off + size],
-                               scales=flat.scales[off // bs:(off + size + bs - 1) // bs])
-                for name, size, off in self.layout}
+    def _part(self, start: int, size: int) -> Q8Vector | np.ndarray:
+        """Moment entries [start, start + size); start is a block boundary."""
+        m, bs = self.moments, self.block_size
+        if isinstance(m, np.ndarray):
+            return m[start:start + size]
+        return Q8Vector(length=size, block_size=bs, codes=m.codes[start:start + size],
+                        scales=m.scales[start // bs:-(-(start + size) // bs)])
 
 
 def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
@@ -211,30 +219,32 @@ def adamw_step_flat(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple
     """adamw_step on the flat buffers of OptimizerState.bind, run once over
     them; it zeroes the gradients after use, ready for the next step's.
     Returns the L2 norms of the gradient and of the adaptive update (the
-    step before weight decay)."""
+    step before weight decay). A gradient entry that is NaN or beyond
+    GRAD_LIMIT in magnitude raises NumericError before anything is mutated."""
     g = state._grad
-    if not np.isfinite(g).all():
+    if not np.abs(g).max(initial=0.0) <= GRAD_LIMIT:  # a NaN compares False
         bad = next(name for name, size, off in state.layout
-                   if not np.isfinite(g[off:off + size]).all())
-        raise NumericError(f"non-finite gradient for parameter {bad!r}")
+                   if not np.abs(g[off:off + size]).max(initial=0.0) <= GRAD_LIMIT)
+        raise NumericError(f"non-finite or huge gradient for parameter {bad!r}")
 
     t = state.step_count + 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
+    # m and v: rows of a dequantized copy at 8 bits, of the state itself at 32
     if state.state_bits == 8:
-        m = dequantize_8bit(state.first_flat)
-        root = dequantize_8bit(state.second_flat)
-        v = root * root
+        m, v = mv = dequantize_8bit(state.moments).reshape(2, -1)
+        v *= v
     else:
-        m, v = state.first_flat, state.second_flat
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * g * g
+        m, v = state.moments.reshape(2, -1)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
     step = lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
     if state.state_bits == 8:
-        m = quantize_8bit(m, state.block_size)
-        v = quantize_8bit(np.sqrt(v), state.block_size)
-    state.first_flat, state.second_flat = m, v
+        np.sqrt(v, out=v)
+        state.moments = quantize_8bit(mv.reshape(-1), state.block_size)
     if cfg.weight_decay:
         state._param *= 1.0 - lr * cfg.weight_decay
     state._param -= step

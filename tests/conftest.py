@@ -1,6 +1,7 @@
 """Shared fixtures: small model specs, dataset builders, the factor-wise
-reference for the adapted layer and a naive per-sequence reference for the
-whole model, used across the test modules.
+reference for the adapted layer, a naive per-sequence reference for the
+whole model, and a per-block reference for quantization and the AdamW
+step, used across the test modules.
 Everything is seeded; no test depends on wall clock, network, or
 filesystem state outside tmp_path.
 """
@@ -141,3 +142,51 @@ def naive_loss(params, spec, batch, adapters):
 def max_relative_error(actual, reference):
     """max |actual - reference| over max |reference|."""
     return float(np.max(np.abs(actual - reference)) / np.max(np.abs(reference)))
+
+
+def round_half_away(x):
+    """Round to nearest integer, ties away from zero (np.round ties to even)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def reference_quantize_8bit(v, block_size):
+    """(int8 codes, float32 scales) of v, one absmax block at a time."""
+    codes, scales = [], []
+    for start in range(0, v.size, block_size):
+        block = v[start:start + block_size]
+        scale = np.float32(np.max(np.abs(block)) / 127)
+        ratio = block / np.float64(scale) if scale > 0 else np.zeros_like(block)
+        codes.append(np.clip(round_half_away(ratio), -127, 127).astype(np.int8))
+        scales.append(scale)
+    return np.concatenate(codes), np.array(scales, dtype=np.float32)
+
+
+def reference_dequantize_8bit(codes, scales, block_size):
+    return codes * np.repeat(scales.astype(np.float64), block_size)[:codes.size]
+
+
+def reference_adamw_step_flat(param, g, first, second, t, lr, cfg, block_size):
+    """One AdamW step on flat buffers with each moment kept apart: float64
+    arrays at 32 bits, (codes, scales) pairs at 8, the second of them
+    holding sqrt(v). Mutates param; returns the new first and second
+    moments and the L2 norms of the gradient and of the adaptive update."""
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    if cfg.state_bits == 8:
+        m = reference_dequantize_8bit(*first, block_size)
+        root = reference_dequantize_8bit(*second, block_size)
+        v = root * root
+    else:
+        m, v = first, second
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    step = lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
+    if cfg.state_bits == 8:
+        m = reference_quantize_8bit(m, block_size)
+        v = reference_quantize_8bit(np.sqrt(v), block_size)
+    if cfg.weight_decay:
+        param *= 1.0 - lr * cfg.weight_decay
+    param -= step
+    return m, v, float(np.sqrt(np.dot(g, g))), float(np.sqrt(np.dot(step, step)))

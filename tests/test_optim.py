@@ -1,15 +1,24 @@
 """Optimizer tests: config validation, the warmup/decay schedule, AdamW
-against an independent reference, moment quantization, the flat state
-layout, and the scalar quadratic convergence runs."""
+against an independent reference, the flat step against a per-block
+reference, moment quantization, the flat state layout, and the scalar
+quadratic convergence runs."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlorakit.config import load_config, model_spec_from
 from qlorakit.errors import ConfigError, InputError, NumericError
-from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, adamw_step_flat, lr_at
+from qlorakit.lora import flatten_adapters
+from qlorakit.model import init_adapters
+from qlorakit.optim import (GRAD_LIMIT, OptimizerState, TrainConfig, adamw_step,
+                            adamw_step_flat, lr_at)
 from qlorakit.quant import Q8Vector, dequantize_8bit
+
+from conftest import reference_adamw_step_flat
 
 
 def reference_adamw(p0, grad_fn, cfg, lr, steps):
@@ -221,6 +230,101 @@ def test_joint_flat_state_equals_one_state_per_parameter(sizes, block_size,
     for flat in (joint_state.first_flat, joint_state.second_flat):
         values = flat.codes if isinstance(flat, Q8Vector) else flat
         assert not np.any(values[padding])
+
+
+@pytest.mark.parametrize("bits", [8, 32])
+def test_huge_finite_gradient_is_a_numeric_error_at_both_widths(bits):
+    """Beyond GRAD_LIMIT an 8-bit scale would overflow float32, and near
+    1e154 a 32-bit g * g overflows: both widths refuse it before any
+    mutation and without a numpy warning."""
+    cfg = TrainConfig(state_bits=bits)
+    params = {"a/first": np.ones(3), "b/second": np.ones(2)}
+    state = OptimizerState.for_params(params, cfg)
+    adamw_step(params, {k: np.full_like(v, 0.5) for k, v in params.items()}, state, 0.1, cfg)
+
+    def snapshot():
+        m = state.moments
+        moments = m.tobytes() if bits == 32 else m.codes.tobytes() + m.scales.tobytes()
+        return [v.tobytes() for v in params.values()], moments, state.step_count
+
+    before = snapshot()
+    for huge in (np.nextafter(GRAD_LIMIT, np.inf), 1e41, 1e154, 1e300, np.inf):
+        grads = {"a/first": np.full(3, 0.5), "b/second": np.array([0.5, -huge])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'b/second'"):
+                adamw_step(params, grads, state, 0.1, cfg)
+        assert snapshot() == before
+    # the limit itself still steps
+    adamw_step(params, {"a/first": np.full(3, 0.5), "b/second": np.array([GRAD_LIMIT, 0.0])},
+               state, 0.1, cfg)
+    assert state.step_count == 2 and np.isfinite(params["b/second"]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 150), min_size=1, max_size=3),
+       block_size=st.integers(1, 96), bits=st.sampled_from([8, 32]),
+       magnitude=st.sampled_from([1e-300, 1e-3, 1.0, 1e30]), seed=st.integers(0, 2**16))
+def test_flat_step_is_bit_identical_to_the_per_block_reference(sizes, block_size, bits,
+                                                                magnitude, seed):
+    cfg = TrainConfig(weight_decay=0.01, state_bits=bits)
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": rng.normal(size=k) for i, k in enumerate(sizes)}
+    state = OptimizerState.for_params(params, cfg, block_size)
+    _flat, grads = state.bind(params)
+    param = state._param.copy()
+    n = param.size
+    first = second = ((np.zeros(n, np.int8), np.zeros(n // block_size, np.float32))
+                      if bits == 8 else np.zeros(n))
+    for t, lr in enumerate((1e-2, 3e-3, 1e-3, 5e-4), start=1):
+        for g in grads.values():
+            g[...] = rng.normal(size=g.shape) * magnitude * 10.0 ** rng.integers(-2, 3)
+        g = state._grad.copy()
+        norms = adamw_step_flat(state, lr, cfg)
+        first, second, *want = reference_adamw_step_flat(param, g, first, second, t, lr,
+                                                         cfg, block_size)
+        assert norms == tuple(want)
+        assert state._param.tobytes() == param.tobytes()
+        for half, ref in ((state.first_flat, first), (state.second_flat, second)):
+            if bits == 8:
+                assert half.codes.tobytes() == ref[0].tobytes()
+                assert half.scales.tobytes() == ref[1].tobytes()
+            else:
+                assert half.tobytes() == ref.tobytes()
+
+
+def _arrays(obj):
+    """Every numpy array reachable through obj's attributes, dicts and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item)]
+    if isinstance(obj, dict):
+        return _arrays(list(obj.values()))
+    return _arrays(list(vars(obj).values())) if hasattr(obj, "__dict__") else []
+
+
+def test_8bit_state_keeps_only_codes_and_scales_between_steps():
+    """On the criterion-07 shapes: after a step the 8-bit state holds its
+    moments as int8 codes and float32 scales alone (no float64 copy of
+    them), and the state's bytes stay 8,704 at 8 bits and 65,536 at 32."""
+    rcfg = load_config()
+    flat = flatten_adapters(init_adapters(model_spec_from(rcfg), rank=rcfg.rank,
+                                          alpha=rcfg.alpha, seed=0))
+    rng = np.random.default_rng(7)
+    for bits, want in ((8, 8704), (32, 65536)):
+        cfg = TrainConfig(state_bits=bits)
+        state = OptimizerState.for_params(flat, cfg)
+        _params, grads = state.bind(flat)
+        for _ in range(2):
+            for g in grads.values():
+                g[...] = rng.normal(size=g.shape)
+            adamw_step_flat(state, 1e-3, cfg)
+        scratch = {id(state._param), id(state._grad)}
+        held = [a for a in _arrays(state) if id(a) not in scratch]
+        assert sum(a.nbytes for a in _arrays(state.moments)) == want
+        assert sorted(a.dtype.name for a in held) == (["float32", "int8"] if bits == 8
+                                                      else ["float64"])
 
 
 def test_nan_gradient_raises_numeric_error_naming_parameter():

@@ -16,14 +16,22 @@ from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP,
                             Q8Vector, dequantize_4bit, dequantize_8bit,
                             footprint_report, pack_nibbles, q4_from_bytes,
                             q4_nbytes, q4_to_bytes, quantize_4bit, quantize_8bit,
-                            round_half_away, unpack_nibbles)
+                            unpack_nibbles)
+
+from conftest import round_half_away
 
 
 def test_round_half_away_tie_handling():
+    """A block whose absmax is top has scale 1, so its codes are its
+    values rounded: ties go away from zero at both widths."""
     x = np.array([0.5, -0.5, 1.5, -1.5, 2.5, 2.4, -2.6])
-    assert np.array_equal(round_half_away(x), [1, -1, 2, -2, 3, 2, -3])
+    want = [1, -1, 2, -2, 3, 2, -3]
+    assert np.array_equal(round_half_away(x), want)
+    for top in (Q4_TOP, Q8_TOP):
+        codes, scales = _absmax_quantize(np.append(x, -top), x.size + 1, top)
+        assert scales.tolist() == [1.0] and codes.tolist() == want + [-top]
     # np.round would give 0, 0, 2, -2, 2 on the first five
-    assert not np.array_equal(np.round(x[:5]), round_half_away(x[:5]))
+    assert not np.array_equal(np.round(x[:5]), want[:5])
 
 
 def test_hand_block_example():
@@ -251,3 +259,16 @@ def test_block_view_kernels_match_the_per_element_reference(n, block, top, magni
     assert scales.dtype == np.float32 and np.array_equal(scales, ref_scales)
     deq = _blockwise_dequantize(codes, scales, block)
     assert deq.shape == (n,) and np.array_equal(deq, ref_deq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 70), st.sampled_from([Q4_TOP, Q8_TOP]),
+       st.sampled_from([1e-37, 1e-40, 1e-43, 1e-44, 5e-45]), st.integers(0, 10_000))
+def test_subnormal_float32_scales_match_the_per_element_reference(n, block, top, magnitude,
+                                                                  seed):
+    """absmax / top below float32's normal range: the scale rounds coarsely
+    (codes then reach the clamp) or to zero; codes and scales still match."""
+    flat = np.random.default_rng(seed).normal(size=n) * magnitude
+    codes, scales = _absmax_quantize(flat, block, top)
+    ref_codes, ref_scales, _ = _repeat_reference(flat, block, top)
+    assert np.array_equal(codes, ref_codes) and np.array_equal(scales, ref_scales)

@@ -2,6 +2,7 @@
 input in its own interpreter and exits 0."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
 def run_script(name, *args, cwd):
@@ -113,3 +115,35 @@ def test_bench_compare_checks_its_arguments_before_any_run(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("bench_compare: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_compare_prints_one_summary_line_per_workload_and_metric(tmp_path, monkeypatch,
+                                                                      capsys):
+    module = load_bench_compare()
+
+    def fake_run(tree, workload, seed, seconds):
+        base = 100.0 + seed % 7
+        faster = 1.25 if tree == module.ROOT and workload == "train-qlora" else 1.0
+        metrics = {"train_examples_per_s": base * faster, "peak_rss_mb": 44.0}
+        return {"seed": seed, "exit_code": 0, "env": {}, "correct": True, "attempted": 1,
+                "failed": 0, "metrics": {name: metrics.get(name, 1.0) for name in END_TO_END}}
+
+    monkeypatch.setattr(module, "export_parent", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(module, "run_once", fake_run)
+    assert module.main(["--label", "t", "--runs", "train-qlora:10", "train-lora:2",
+                        "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    summary = out[out.index(f"wrote {tmp_path / 'BENCH_t.json'}") + 1:]
+    assert [line.split(":")[0] for line in summary] == [
+        f"{workload} {name}" for workload in ("train-qlora", "train-lora") for name in END_TO_END]
+    m = report["workloads"]["train-qlora"]["metrics"]["train_examples_per_s"]
+    assert m["won"] == 10 and m["gain_rule_met"]
+    assert summary[END_TO_END.index("train_examples_per_s")] == (
+        f"train-qlora train_examples_per_s: parent {m['parent']['median']:.6g} "
+        f"change {m['change']['median']:.6g} x1.250 won 10/10 within_bound True "
+        f"gain_rule_met True")
+    assert summary[len(END_TO_END) + END_TO_END.index("peak_rss_mb")] == (
+        "train-lora peak_rss_mb: parent 44 change 44 x1.000 won 0/2 "
+        "within_bound True gain_rule_met False")
