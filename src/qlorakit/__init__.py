@@ -19,7 +19,7 @@ from .qagen import (CATEGORIES, GenerationResult, LLMClientSpec,
                     MockLLMClient, QARecord, ScenarioAnnotation, build_prompt,
                     generate_dataset, parse_qa_response, split_dataset)
 from .quant import (Q4BlockMatrix, Q8Vector, dequantize_4bit, dequantize_8bit,
-                    footprint_report, pack_nibbles, q4_from_bytes, q4_to_bytes,
+                    footprint_report, pack_nibbles, q4_to_bytes,
                     quantize_4bit, quantize_8bit, unpack_nibbles)
 from .trainer import TrainResult, evaluate_accuracy, train
 

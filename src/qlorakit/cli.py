@@ -220,6 +220,7 @@ def cmd_train(args) -> int:
     adapters = init_adapters(spec, cfg.rank, cfg.alpha,
                              cfgmod.derive_seed(cfg.seed, "adapters"))
     tcfg = cfgmod.train_config_from(cfg)
+    memory = _memory(params, adapters, tcfg, cfg.block_size)  # before step 0: checks block_size
     result = train(examples, params, spec, adapters, tcfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -235,7 +236,7 @@ def cmd_train(args) -> int:
     summary["config"] = cfgmod.config_dict(cfg)
     summary["mode"] = mode
     summary["labels"] = labels
-    summary["memory"] = _memory(params, adapters, tcfg, cfg.block_size)
+    summary["memory"] = memory
     if mode == "token" and test_examples:
         summary["test_accuracy"] = evaluate_accuracy(params, spec, adapters,
                                                      test_examples)

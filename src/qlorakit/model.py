@@ -270,14 +270,21 @@ def adapted_layers(params: ModelParams, spec: ToyModelSpec,
 
 
 def _token_ids(tokens) -> np.ndarray | None:
-    """tokens as a flat integer array, or None unless every id is an integer.
+    """tokens as a flat integer array, or None unless every id is an integer;
+    a scalar or a nested sequence is an InputError.
 
     An array goes by its dtype. A list's items are type-checked: a bool
     among ints is refused, while ints that numpy would promote to float64 or
     object (a mix with np.uint64, or ids past int64) are kept exactly, as
     Python ints. The ids are not cast yet, so a range check sees their values.
     """
-    arr = np.asarray(tokens).ravel()
+    try:
+        arr = np.asarray(tokens)
+    except ValueError:  # numpy refuses a ragged nested list
+        arr = None
+    if arr is None or arr.ndim != 1:
+        fault = "ragged nested" if arr is None else "scalar" if arr.ndim == 0 else f"{arr.ndim}-D"
+        raise InputError(f"token ids must be one flat run of integers, got {fault} input")
     if not isinstance(tokens, np.ndarray):
         if any(isinstance(v, (bool, np.bool_)) for v in tokens):
             return None
@@ -287,9 +294,9 @@ def _token_ids(tokens) -> np.ndarray | None:
 
 
 def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
+    toks = _token_ids(tokens)
     if np.size(tokens) < 1:
         raise InputError("token sequence must be non-empty")
-    toks = _token_ids(tokens)
     if toks is None:
         raise InputError("token ids must be integers, not bools, floats or strings")
     if toks.size > spec.max_seq_len:
@@ -306,7 +313,10 @@ def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
     """_check_tokens for every sequence, as one dtype, length and min/max
     check over their concatenation. A batch that fails reruns the per-sequence
     check, so the error is the first bad sequence's, in input order."""
-    toks = [_token_ids(tokens) for tokens in sequences]
+    try:
+        toks = [_token_ids(tokens) for tokens in sequences]
+    except InputError:  # the per-sequence check below reports the first fault
+        toks = [None]
     if toks and all(t is not None for t in toks):
         lengths = np.array([t.size for t in toks])
         if lengths.min() >= 1 and lengths.max() <= spec.max_seq_len:

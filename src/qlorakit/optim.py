@@ -104,7 +104,7 @@ class OptimizerState:
     """Adam moments for all parameters in one flat buffer, first moments then
     second: a Q8Vector when state_bits is 8 (its second half holds the
     quantized *square root* of v, see module docstring), a float64 array
-    when it is 32. `first_flat` / `second_flat` are its halves.
+    when it is 32.
 
     `layout` lists (name, size, offset) in sorted-name order; every
     offset is a multiple of block_size and the gaps are zero padding.
@@ -148,14 +148,6 @@ class OptimizerState:
         return tuple({name: flat[off:off + size].reshape(np.shape(params[name]))
                       for name, size, off in self.layout}
                      for flat in (self._param, self._grad))
-
-    @property
-    def first_flat(self) -> Q8Vector | np.ndarray:
-        return self._part(0, self._param.size)
-
-    @property
-    def second_flat(self) -> Q8Vector | np.ndarray:
-        return self._part(self._param.size, self._param.size)
 
     @property
     def first(self) -> dict:

@@ -8,7 +8,7 @@ Scheme, fixed across the package:
   - code_i = round-half-away-from-zero(w_i / scale_b), clamped to
     [-top, top]; code_i = 0 when scale_b = 0
   - 4-bit codes live in [-7, 7]; the -8 bit pattern is never produced
-    and is rejected on load
+    and the Q4BlockMatrix constructor rejects it
   - dequantized value = code_i * scale_b, computed in float64
 
 Serialized Q4 layout (little-endian):
@@ -34,6 +34,8 @@ DEFAULT_BLOCK_SIZE = 64
 
 
 def _n_blocks(n: int, block_size: int) -> int:
+    if block_size < 1:
+        raise InputError(f"block_size must be >= 1, got {block_size}")
     return -(-n // block_size)
 
 
@@ -206,8 +208,6 @@ def quantize_4bit(w, block_size: int = DEFAULT_BLOCK_SIZE) -> Q4BlockMatrix:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise InputError(f"quantize_4bit expects a matrix, got ndim={w.ndim}")
-    if block_size < 1:
-        raise InputError(f"block_size must be >= 1, got {block_size}")
     codes, scales = _absmax_quantize(w.ravel(), block_size, Q4_TOP)
     return Q4BlockMatrix(
         rows=w.shape[0],
@@ -225,8 +225,6 @@ def dequantize_4bit(q: Q4BlockMatrix) -> np.ndarray:
 
 def quantize_8bit(v, block_size: int = DEFAULT_BLOCK_SIZE) -> Q8Vector:
     v = np.asarray(v, dtype=np.float64).ravel()
-    if block_size < 1:
-        raise InputError(f"block_size must be >= 1, got {block_size}")
     codes, scales = _absmax_quantize(v, block_size, Q8_TOP)
     return Q8Vector._from_quantizer(codes, scales, block_size)
 
@@ -258,22 +256,3 @@ def footprint_report(q: Q4BlockMatrix) -> dict:
 def q4_to_bytes(q: Q4BlockMatrix) -> bytes:
     header = Q4_MAGIC + struct.pack("<III", q.rows, q.cols, q.block_size)
     return header + q.packed.tobytes() + q.scales.astype("<f4").tobytes()
-
-
-def q4_from_bytes(buf: bytes) -> Q4BlockMatrix:
-    if len(buf) < HEADER_BYTES or buf[:4] != Q4_MAGIC:
-        raise InputError("not a Q4BM stream")
-    rows, cols, block_size = struct.unpack("<III", buf[4:HEADER_BYTES])
-    if rows < 1 or cols < 1 or block_size < 1:
-        raise InputError(f"Q4BM header has bad dims {rows}x{cols} block {block_size}")
-    code_bytes, scale_bytes = q4_nbytes(rows * cols, block_size)
-    if len(buf) != HEADER_BYTES + code_bytes + scale_bytes:
-        raise InputError(
-            f"Q4BM stream length {len(buf)} does not match header "
-            f"(expected {HEADER_BYTES + code_bytes + scale_bytes})"
-        )
-    packed = np.frombuffer(buf, dtype=np.uint8, count=code_bytes, offset=HEADER_BYTES)
-    scales = np.frombuffer(buf, dtype="<f4", count=scale_bytes // 4,
-                           offset=HEADER_BYTES + code_bytes)
-    return Q4BlockMatrix(rows=rows, cols=cols, block_size=block_size,
-                         packed=packed.copy(), scales=scales.copy())

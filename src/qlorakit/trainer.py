@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write
 from .lora import LoraAdapter, flatten_adapters
 from .model import (ModelParams, ToyModelSpec, _logits, adapted_layers, base_fingerprint,
                     check_examples)
@@ -131,22 +131,6 @@ def write_trace_csv(trace: Sequence[TraceEntry], path) -> None:
     lines.extend(",".join(map(repr, astuple(e))) for e in trace)
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_trace_csv(path) -> list[TraceEntry]:
-    rows = [line.strip() for line in read_lines(path) if line.strip()]
-    if not rows or rows[0] != TRACE_HEADER:
-        raise InputError(f"{path}: not a loss-trace CSV")
-    out = []
-    for row in rows[1:]:
-        try:
-            step, epoch, seen, *reals = row.split(",")
-            if len(reals) != 4:
-                raise ValueError(f"{len(reals) + 3} cells, expected 7")
-            out.append(TraceEntry(int(step), int(epoch), int(seen), *map(float, reals)))
-        except ValueError as exc:
-            raise InputError(f"{path}: bad trace row {row!r}: {exc}") from exc
-    return out
 
 
 def evaluate_accuracy(params: ModelParams, spec: ToyModelSpec,

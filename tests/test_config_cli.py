@@ -2,6 +2,7 @@
 seed derivation, subcommand behavior, exit codes, and artifact
 reproducibility. CLI calls run in-process through main()."""
 
+import csv
 import dataclasses
 import inspect
 import json
@@ -11,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from qlorakit import cli
 from qlorakit.cli import _frozen_base, main
 from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
@@ -24,7 +26,6 @@ from qlorakit.optim import TrainConfig
 from qlorakit.qagen import LLMClientSpec, read_records_jsonl
 from qlorakit.quant import Q4BlockMatrix
 from qlorakit.tasks import synthetic_token_task
-from qlorakit.trainer import read_trace_csv
 
 
 # ---- config ----
@@ -130,6 +131,19 @@ def test_invalid_learning_rate_exits_2(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", [0, -3])
+def test_bad_block_size_on_a_lora_run_exits_2_before_step_0(tmp_path, capsys, monkeypatch,
+                                                           block):
+    assert main(["make-synthetic", "--out", str(tmp_path / "t"),
+                 "--n-train", "8", "--n-test", "4"]) == 0
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+    rc = main(["train", "--data", str(tmp_path / "t"), "--out", str(tmp_path / "run"),
+               "--set", f"block_size={block}"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and f"block_size must be >= 1, got {block}" in err
+    assert not (tmp_path / "run" / "adapters.bin").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(["make-scenarios", "--n", "2", "--out", str(tmp_path / "s.jsonl"),
                "--set", "learning=1"])
@@ -177,9 +191,10 @@ def test_synthetic_train_cli_default_config(tmp_path):
     assert main(["train", "--data", str(data), "--out", str(run),
                  "--seed", "1"]) == 0
     assert (run / "adapters.bin").exists()
-    trace = read_trace_csv(run / "trace.csv")
-    assert len(trace) == 250  # ceil(2000 / 8) steps, one epoch
-    losses = [e.loss for e in trace]
+    with open(run / "trace.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 250  # ceil(2000 / 8) steps, one epoch
+    losses = [float(row[header.index("loss")]) for row in rows]
     assert np.mean(losses[:25]) > np.mean(losses[-25:])  # decreasing in aggregate
     summary = read_json(run / "summary.json")
     assert summary["mode"] == "token"

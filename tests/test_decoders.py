@@ -19,14 +19,11 @@ from qlorakit.errors import ConfigError, InputError
 from qlorakit.evalharness import read_label_set, read_predictions_jsonl
 from qlorakit.lora import lora_init, load_adapters, save_adapters
 from qlorakit.qagen import read_manifest, read_records_jsonl, read_scenarios_jsonl
-from qlorakit.quant import Q4_MAGIC, q4_from_bytes
 from qlorakit.tasks import read_token_examples
-from qlorakit.trainer import TRACE_HEADER, read_trace_csv
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-TRACE = TRACE_HEADER.encode() + b"\n"
 # every key any JSONL reader knows, so fuzzed rows reach field validation
 KEYS = ("scenario_id", "image_ref", "caption", "risk_present", "suggested_action",
         "road_type", "extra", "question", "answer", "category", "pair_index",
@@ -45,7 +42,6 @@ LINES = st.one_of(
     st.text(max_size=30),
     st.lists(st.one_of(st.text(max_size=6), st.integers().map(str),
                        st.floats().map(repr)), max_size=4).map(",".join),
-    st.just(TRACE_HEADER),
     st.integers(1, 3000).map(lambda d: "[" * d + "]" * d),
 ).map(lambda s: s.encode("utf-8", "surrogatepass"))
 FILES = st.one_of(
@@ -59,7 +55,6 @@ READERS = {
     "read_token_examples": read_token_examples,
     "read_predictions_jsonl": read_predictions_jsonl,
     "read_manifest": read_manifest,
-    "read_trace_csv": read_trace_csv,
     "read_label_set": lambda path: read_label_set(path, "risk"),
 }
 
@@ -81,27 +76,6 @@ def _decode_or_input_error(read, path, blob):
 @given(blob=FILES)
 def test_text_readers_raise_only_input_error(tmp_path, reader, blob):
     _decode_or_input_error(READERS[reader], tmp_path / "input", blob)
-
-
-def _q4_stream(rows, cols, block, payload):
-    n = rows * cols
-    size = (n + 1) // 2 + 4 * -(-n // max(block, 1))
-    return (Q4_MAGIC + struct.pack("<III", rows, cols, block)
-            + (payload * (size // max(len(payload), 1) + 1))[:size])
-
-
-@FUZZ
-@given(st.one_of(
-    st.binary(max_size=80),
-    st.binary(max_size=40).map(lambda b: Q4_MAGIC + b),
-    st.builds(_q4_stream, st.integers(0, 4), st.integers(0, 4), st.integers(0, 5),
-              st.binary(min_size=1, max_size=24)),
-))
-def test_q4_from_bytes_raises_only_input_error(blob):
-    try:
-        q4_from_bytes(blob)
-    except InputError:
-        pass
 
 
 @pytest.fixture(scope="module")
@@ -161,12 +135,6 @@ MALFORMED = {
         b'{"scenario_id": "s", "pair_index": 1180591620717411303424, "raw_answer": "a"}\n')),
     "predictions-raw-answer-number": ("read_predictions_jsonl", (
         b'{"scenario_id": "s", "pair_index": 1, "raw_answer": 1}\n')),
-    "trace-short-row": ("read_trace_csv", TRACE + b"1,0,8,0.1,0.2,0.3\n"),
-    "trace-long-row": ("read_trace_csv", TRACE + b"1,0,8,0.1,0.2,0.3,0.4,0.5\n"),
-    "trace-non-int-step": ("read_trace_csv", TRACE + b"x,0,8,0.1,0.2,0.3,0.4\n"),
-    "trace-non-int-examples-seen": ("read_trace_csv", TRACE + b"1,0,8.5,0.1,0.2,0.3,0.4\n"),
-    "trace-old-header": ("read_trace_csv", b"step,lr,loss\n1,0.1,0.2\n"),
-    "trace-bad-utf8": ("read_trace_csv", TRACE + b"\xff,0,8,0.1,0.2,0.3,0.4\n"),
     "manifest-bad-utf8": ("read_manifest", b"s1\n\xfe\n"),
     "labels-bad-utf8": ("read_label_set", b"yes\n\xc3\n"),
     "labels-one-label": ("read_label_set", b"yes\n"),

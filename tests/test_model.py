@@ -86,9 +86,10 @@ def test_token_validation(small_setup):
 
 @pytest.mark.parametrize("tokens", [
     [1.7, 2.2], ["1", "2"], [True, 2], [np.True_, 2], np.array([1.0, 2.0]),
-    np.array([True, False]), np.array(["1", "2"])],
+    np.array([True, False]), np.array(["1", "2"]),
+    5, [[1, 2], [3]], [[1, 2], [3, 4]], np.array([[1, 2], [3, 4]])],
     ids=["floats", "strings", "bool-in-list", "np-bool-in-list", "float-array",
-         "bool-array", "str-array"])
+         "bool-array", "str-array", "scalar", "ragged", "nested-list", "2-d-array"])
 def test_non_integer_tokens_are_refused_not_coerced(small_setup, tokens):
     spec, params, adapters, _ = small_setup
     with pytest.raises(InputError, match="integers") as one:
@@ -99,6 +100,9 @@ def test_non_integer_tokens_are_refused_not_coerced(small_setup, tokens):
     with pytest.raises(InputError) as window:
         loss_and_grads(params, spec, [([1, 2], 0), (tokens, 1)], adapters)
     assert str(window.value) == str(one.value)
+    # an earlier bad sequence's error comes first
+    with pytest.raises(InputError, match="max_seq_len"):
+        forward_batch(params, spec, [[0] * (spec.max_seq_len + 1), tokens], adapters)
 
 
 def test_integer_token_dtypes_give_the_int64_logits(small_setup):

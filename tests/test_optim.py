@@ -183,7 +183,7 @@ def test_non_finite_gradient_names_the_parameter_and_mutates_nothing(bad):
         adamw_step(params, grads, state, 0.1, cfg)
     assert np.array_equal(params["a/first"], np.ones(3))
     assert state.step_count == 0
-    assert not np.any(dequantize_8bit(state.first_flat))
+    assert not np.any(state.moments.codes)
 
 
 def _assert_same_entry(joint, alone):
@@ -227,9 +227,9 @@ def test_joint_flat_state_equals_one_state_per_parameter(sizes, block_size,
     for _name, size, off in joint_state.layout:
         assert off % block_size == 0
         padding[off:off + size] = False
-    for flat in (joint_state.first_flat, joint_state.second_flat):
-        values = flat.codes if isinstance(flat, Q8Vector) else flat
-        assert not np.any(values[padding])
+    m = joint_state.moments
+    for half in (m.codes if bits == 8 else m).reshape(2, -1):
+        assert not np.any(half[padding])
 
 
 @pytest.mark.parametrize("bits", [8, 32])
@@ -285,12 +285,12 @@ def test_flat_step_is_bit_identical_to_the_per_block_reference(sizes, block_size
                                                          cfg, block_size)
         assert norms == tuple(want)
         assert state._param.tobytes() == param.tobytes()
-        for half, ref in ((state.first_flat, first), (state.second_flat, second)):
-            if bits == 8:
-                assert half.codes.tobytes() == ref[0].tobytes()
-                assert half.scales.tobytes() == ref[1].tobytes()
-            else:
-                assert half.tobytes() == ref.tobytes()
+        m = state.moments  # first moments, then second
+        if bits == 8:
+            assert m.codes.tobytes() == first[0].tobytes() + second[0].tobytes()
+            assert m.scales.tobytes() == first[1].tobytes() + second[1].tobytes()
+        else:
+            assert m.tobytes() == first.tobytes() + second.tobytes()
 
 
 def _arrays(obj):

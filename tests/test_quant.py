@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlorakit.errors import InputError
-from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP,
+from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP, Q4BlockMatrix,
                             _absmax_quantize, _blockwise_dequantize,
                             Q8Vector, dequantize_4bit, dequantize_8bit,
-                            footprint_report, pack_nibbles, q4_from_bytes,
-                            q4_nbytes, q4_to_bytes, quantize_4bit, quantize_8bit,
+                            footprint_report, pack_nibbles, q4_nbytes,
+                            q4_to_bytes, quantize_4bit, quantize_8bit,
                             unpack_nibbles)
 
 from conftest import round_half_away
@@ -99,35 +99,17 @@ def test_serialization_roundtrip_and_header():
     assert blob[:4] == Q4_MAGIC
     assert struct.unpack("<III", blob[4:16]) == (9, 13, 16)
     assert len(blob) == footprint_report(q)["total_bytes"]
-    back = q4_from_bytes(blob)
-    assert (back.rows, back.cols, back.block_size) == (9, 13, 16)
-    assert np.array_equal(back.codes(), q.codes())
-    assert np.array_equal(back.scales, q.scales)
-    assert q4_to_bytes(back) == blob
-
-
-def test_deserialization_rejects_corrupt_streams():
-    q = quantize_4bit(np.ones((2, 2)), block_size=4)
-    blob = q4_to_bytes(q)
-    with pytest.raises(InputError, match="not a Q4BM stream"):
-        q4_from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(InputError, match="length"):
-        q4_from_bytes(blob + b"\x00")
-    with pytest.raises(InputError):
-        q4_from_bytes(blob[:10])
 
 
 def test_deserialization_rejects_minus_eight_code():
-    # hand-build a stream whose single code is the forbidden -8 pattern
-    blob = Q4_MAGIC + struct.pack("<III", 1, 1, 4) + bytes([0x08]) + struct.pack("<f", 1.0)
+    # the constructor refuses a packed stream whose single code is the forbidden -8 pattern
     with pytest.raises(InputError, match=r"codes outside \[-7, 7\]"):
-        q4_from_bytes(blob)
+        Q4BlockMatrix(rows=1, cols=1, block_size=4, packed=[0x08], scales=[1.0])
 
 
 def test_zero_scale_block_with_nonzero_code_rejected():
-    blob = Q4_MAGIC + struct.pack("<III", 1, 1, 4) + bytes([0x01]) + struct.pack("<f", 0.0)
     with pytest.raises(InputError, match="zero-scale"):
-        q4_from_bytes(blob)
+        Q4BlockMatrix(rows=1, cols=1, block_size=4, packed=[0x01], scales=[0.0])
 
 
 def test_memory_footprint_formula():
@@ -165,6 +147,11 @@ def test_quantize_input_validation():
         quantize_4bit(np.array([[np.inf]]))
     with pytest.raises(InputError, match="block_size"):
         quantize_4bit(np.zeros((2, 2)), block_size=0)
+    for block in (0, -3):
+        with pytest.raises(InputError, match="block_size"):
+            q4_nbytes(100, block)
+        with pytest.raises(InputError, match="block_size"):
+            quantize_8bit(np.ones(4), block)
 
 
 def test_q4_matrix_is_frozen_and_read_only():
