@@ -20,7 +20,7 @@ whether the gain rule holds: at least 9 of 10 pairs won and medians
 apart by more than the parent's interquartile range. After writing the
 file the script prints one summary line per workload and end-to-end
 metric: both medians, their ratio, pairs won, and the bound and gain
-verdicts. The arguments are
+verdicts; a last line gives both trees' `src_lines`. The arguments are
 checked before the first run: `--out-dir` must be an existing directory,
 each workload must be named in BENCHMARK.json and PAIRS (default 10) must
 be a positive integer; otherwise the script exits 2 with one line.
@@ -122,7 +122,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary_lines(report: dict) -> list[str]:
-    """One line per workload and end-to-end metric of a report."""
+    """One line per workload and end-to-end metric of a report, then the
+    src_lines of both trees."""
     lines = []
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
@@ -131,6 +132,8 @@ def summary_lines(report: dict) -> list[str]:
                          f"change {m['change']['median']:.6g} {ratio} "
                          f"won {m['won']}/{m['pairs']} within_bound {m.get('within_bound')} "
                          f"gain_rule_met {m['gain_rule_met']}")
+    lines.append(f"src_lines: parent {report['src_lines']['parent']} "
+                 f"-> change {report['src_lines']['change']}")
     return lines
 
 

@@ -84,12 +84,6 @@ def _base_sha256(params) -> str:
     return hashlib.sha256(base_fingerprint(params)).hexdigest()
 
 
-def _require_file(path, what: str):
-    if not os.path.exists(path):
-        raise InputError(f"{what} not found: {path}")
-    return path
-
-
 # ---- subcommand handlers ----
 
 def cmd_make_scenarios(args) -> int:
@@ -104,8 +98,7 @@ def cmd_make_scenarios(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args, seed=args.seed, backend=args.backend)
-    scenarios = qagen.read_scenarios_jsonl(_require_file(args.scenarios,
-                                                         "scenarios file"))
+    scenarios = qagen.read_scenarios_jsonl(args.scenarios)
     client_spec = cfgmod.client_spec_from(cfg)
     client = qagen.make_client(client_spec, seed=cfgmod.derive_seed(cfg.seed, "qagen"))
     result = qagen.generate_dataset(scenarios, client,
@@ -124,7 +117,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _load_cfg(args, seed=args.seed, test_fraction=args.test_fraction)
-    records = qagen.read_records_jsonl(_require_file(args.corpus, "corpus file"))
+    records = qagen.read_records_jsonl(args.corpus)
     train_ids, test_ids = qagen.split_dataset(
         records, cfg.test_fraction, cfgmod.derive_seed(cfg.seed, "split"))
     os.makedirs(args.out, exist_ok=True)
@@ -251,8 +244,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    adapters, meta = load_adapters(
-        _require_file(os.path.join(args.run, ADAPTERS_FILE), "adapter checkpoint"))
+    adapters, meta = load_adapters(os.path.join(args.run, ADAPTERS_FILE))
     if meta.get("mode") != "corpus" or not meta.get("labels"):
         raise InputError("predict needs a checkpoint trained on a QA corpus")
     labels, config = meta["labels"], meta.get("config")
@@ -268,12 +260,11 @@ def cmd_predict(args) -> int:
     if meta.get("base_sha256") != _base_sha256(params):
         raise InputError("checkpoint was not trained on the base this config rebuilds "
                          "(base_sha256 missing or different)")
-    records = qagen.read_records_jsonl(
-        _require_file(os.path.join(args.data, CORPUS_FILE), "corpus file"))
+    records = qagen.read_records_jsonl(os.path.join(args.data, CORPUS_FILE))
     if args.split != "all":
         manifest = os.path.join(
             args.data, TEST_IDS if args.split == "test" else TRAIN_IDS)
-        keep = set(qagen.read_manifest(_require_file(manifest, "split manifest")))
+        keep = set(qagen.read_manifest(manifest))
         records = [r for r in records if r.scenario_id in keep]
     if not records:
         raise InputError(f"no records selected for split {args.split!r}")
@@ -287,10 +278,10 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     if not _MODEL_NAME_RE.match(args.model_name):
         raise ConfigError(f"bad model name {args.model_name!r}")
-    preds = ev.read_predictions_jsonl(_require_file(args.preds, "predictions file"))
-    gold = qagen.read_records_jsonl(_require_file(args.gold, "gold records file"))
+    preds = ev.read_predictions_jsonl(args.preds)
+    gold = qagen.read_records_jsonl(args.gold)
     if args.manifest:
-        keep = set(qagen.read_manifest(_require_file(args.manifest, "manifest")))
+        keep = set(qagen.read_manifest(args.manifest))
         gold = [r for r in gold if r.scenario_id in keep]
     if not gold:
         raise InputError("no gold records to evaluate")
@@ -373,13 +364,12 @@ def cmd_report(args) -> int:
 
 
 def _load_weight_matrix(path) -> np.ndarray:
-    _require_file(path, "weights file")
     try:  # numpy reports malformed text, non-npy bytes and non-numbers as ValueError
         with warnings.catch_warnings():  # and text holding no numbers as a UserWarning
             warnings.simplefilter("error", UserWarning)
             return as_matrix(np.load(path) if path.endswith(".npy")
                              else np.loadtxt(path, dtype=np.float64, ndmin=2), "weights")
-    except (ValueError, UserWarning) as exc:
+    except (ValueError, UserWarning, EOFError) as exc:  # EOFError: an empty .npy file
         raise InputError(f"{path}: not a weight matrix: {exc}") from exc
 
 
@@ -523,8 +513,8 @@ def main(argv=None) -> int:
     except QAParseError as exc:
         _err(f"parse: {exc}")
         return 2
-    except FileNotFoundError as exc:
-        _err(f"missing file: {exc.filename or exc}")
+    except OSError as exc:  # a failed os.replace names its target as filename2
+        _err(f"file: {exc.strerror}: {exc.filename2 or exc.filename}")
         return 2
     except TransportError as exc:
         _err(f"transport: {exc}")

@@ -286,13 +286,8 @@ def read_label_set(path, category: str) -> LabelSet:
 def read_label_dir(labels_dir) -> dict[str, LabelSet]:
     import os
 
-    out = {}
-    for category in CATEGORIES:
-        path = os.path.join(labels_dir, f"{category}.txt")
-        if not os.path.exists(path):
-            raise InputError(f"missing label file {path}")
-        out[category] = read_label_set(path, category)
-    return out
+    return {category: read_label_set(os.path.join(labels_dir, f"{category}.txt"), category)
+            for category in CATEGORIES}
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .quant import DEFAULT_BLOCK_SIZE, Q8_TOP, Q8Vector, dequantize_8bit, quantize_8bit
+from .quant import DEFAULT_BLOCK_SIZE, Q8_TOP, Q8Vector, _n_blocks, dequantize_8bit, quantize_8bit
 
 
 @dataclass
@@ -127,13 +127,11 @@ class OptimizerState:
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray], cfg: TrainConfig,
                    block_size: int = DEFAULT_BLOCK_SIZE) -> "OptimizerState":
-        if block_size < 1:
-            raise InputError(f"block_size must be >= 1, got {block_size}")
         layout, offset = [], 0
         for name in sorted(params):
             size = int(np.size(params[name]))
             layout.append((name, size, offset))
-            offset += -(-size // block_size) * block_size
+            offset += _n_blocks(size, block_size) * block_size
         moments = np.zeros(2 * offset)
         if cfg.state_bits == 8:
             moments = quantize_8bit(moments, block_size)

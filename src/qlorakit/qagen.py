@@ -463,13 +463,7 @@ def split_dataset(records: Sequence[QARecord], test_fraction: float,
 # ---- file formats ----
 
 def read_scenarios_jsonl(path) -> list[ScenarioAnnotation]:
-    out = read_dataclass_jsonl(path, ScenarioAnnotation, "scenario")
-    seen = set()
-    for s in out:
-        if s.scenario_id in seen:
-            raise InputError(f"{path}: duplicate scenario_id {s.scenario_id!r}")
-        seen.add(s.scenario_id)
-    return out
+    return read_dataclass_jsonl(path, ScenarioAnnotation, "scenario")
 
 
 def read_records_jsonl(path) -> list[QARecord]:

@@ -143,8 +143,6 @@ class Q4BlockMatrix:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise InputError(f"bad Q4 shape {self.rows}x{self.cols}")
-        if self.block_size < 1:
-            raise InputError(f"block_size must be >= 1, got {self.block_size}")
         packed = np.ascontiguousarray(np.asarray(self.packed, dtype=np.uint8).ravel())
         scales = np.ascontiguousarray(np.asarray(self.scales, dtype=np.float32).ravel())
         codes = unpack_nibbles(packed, self.n_elements)
@@ -179,8 +177,6 @@ class Q8Vector:
     def __post_init__(self):
         if self.length < 0:
             raise InputError(f"bad Q8 length {self.length}")
-        if self.block_size < 1:
-            raise InputError(f"block_size must be >= 1, got {self.block_size}")
         codes = np.ascontiguousarray(np.asarray(self.codes, dtype=np.int8).ravel())
         scales = np.ascontiguousarray(np.asarray(self.scales, dtype=np.float32).ravel())
         if codes.size != self.length:

@@ -59,6 +59,8 @@ def synthetic_token_task(n_train: int = 2000, n_test: int = 500,
     own contiguous vocab slice, with (1 - purity) uniform noise."""
     if n_train < 1 or n_test < 1:
         raise InputError("need at least one train and one test example")
+    if seq_len < 1:
+        raise InputError(f"seq_len must be >= 1, got {seq_len}")
     group = vocab_size // n_classes
     if group < 1:
         raise ConfigError(

@@ -64,8 +64,6 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     """Run cfg.epochs passes over dataset; returns trained adapters, the
     per-step loss trace, and a summary dict."""
     n = len(dataset)
-    if n == 0:
-        raise InputError("dataset must be non-empty")
     if not adapters:
         raise InputError("no adapters attached")
     examples = check_examples(dataset, spec)
@@ -138,8 +136,6 @@ def evaluate_accuracy(params: ModelParams, spec: ToyModelSpec,
                       dataset: Sequence[tuple]) -> float:
     """Fraction of examples whose argmax logit matches the gold class; tokens
     and labels are checked as loss_and_grads checks them."""
-    if len(dataset) == 0:
-        raise InputError("dataset must be non-empty")
     examples = check_examples(dataset, spec)
     logits = _logits(params, spec, [tokens for tokens, _ in examples], adapters)
     labels = np.array([label for _, label in examples], dtype=np.int64)

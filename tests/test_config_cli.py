@@ -4,6 +4,7 @@ reproducibility. CLI calls run in-process through main()."""
 
 import csv
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -12,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from qlorakit import cli
+from qlorakit import cli, fileio
 from qlorakit.cli import _frozen_base, main
 from qlorakit.config import (RunConfig, client_spec_from, config_dict,
                              derive_seed, load_config, model_spec_from,
@@ -112,14 +113,38 @@ def read_json(path):
         return json.load(fh)
 
 
-def test_missing_file_exits_2_with_one_line_error(tmp_path, capsys):
-    rc = main(["gen-data", "--scenarios", str(tmp_path / "nope.jsonl"),
-               "--out", str(tmp_path / "d")])
+# argv, and the path its error must name; in {tmp}, "dir" is a directory and "file" a file
+FILE_FAULTS = {
+    "missing": ("gen-data --scenarios {tmp}/nope.jsonl --out {tmp}/d", "{tmp}/nope.jsonl"),
+    "eval-preds-dir": ("eval --preds {tmp}/dir --gold {tmp}/file --labels {tmp}/dir "
+                       "--out {tmp}/e", "{tmp}/dir"),
+    "gen-data-scenarios-dir": ("gen-data --scenarios {tmp}/dir --out {tmp}/d", "{tmp}/dir"),
+    "inspect-quant-weights-dir": ("inspect-quant --weights {tmp}/dir", "{tmp}/dir"),
+    "make-scenarios-out-dir": ("make-scenarios --n 2 --out {tmp}/dir", "{tmp}/dir"),
+    "make-scenarios-config-dir": ("make-scenarios --n 2 --out {tmp}/s.jsonl --config {tmp}/dir",
+                                  "{tmp}/dir"),
+    "make-scenarios-out-under-file": ("make-scenarios --n 2 --out {tmp}/file/x", "{tmp}/file"),
+    "split-corpus-unreadable": ("split --corpus {tmp}/file --out {tmp}/sp", "{tmp}/file"),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_FAULTS))
+def test_missing_file_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, case):
+    argv, named = (text.replace("{tmp}", str(tmp_path)) for text in FILE_FAULTS[case])
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    if case.endswith("-unreadable"):  # as root, chmod 000 would not stop the read
+
+        def denied(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(fileio, "read_lines", denied)
+    rc = main(argv.split())
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error:")
-    assert "nope.jsonl" in err
-    assert err.count("\n") == 1
+    assert err.startswith("error: file:") and err.count("\n") == 1
+    assert err.endswith(f": {named}\n")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_invalid_learning_rate_exits_2(tmp_path, capsys):

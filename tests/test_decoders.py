@@ -221,6 +221,7 @@ CLI_INPUTS = {
     "inspect-quant-blank": ("inspect-quant", "w.txt", b"  \n\n"),
     "inspect-quant-ragged-rows": ("inspect-quant", "w.txt", b"1 2\n3\n"),
     "inspect-quant-not-npy": ("inspect-quant", "w.npy", b"not an npy file"),
+    "inspect-quant-empty-npy": ("inspect-quant", "w.npy", b""),
     "predict-meta-no-config": ("predict", "adapters.bin", corpus_checkpoint(config=None)),
     "predict-meta-no-n-classes": ("predict", "adapters.bin",
                                   corpus_checkpoint(n_classes=None)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlorakit.cli import main
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.evalharness import (METRIC_ROWS, MODES, UNKNOWN,
                                   ConfusionMatrix, LabelSet, MetricReport, Prediction,
@@ -17,6 +18,7 @@ from qlorakit.evalharness import (METRIC_ROWS, MODES, UNKNOWN,
                                   render_tables, report_cells,
                                   sample_eval_set, write_label_files)
 from qlorakit.fileio import write_jsonl
+from qlorakit.qagen import QARecord
 
 YES_NO = LabelSet("risk", ("yes", "no"))
 ABC = LabelSet("agent", ("a", "b", "c"))
@@ -277,15 +279,23 @@ def test_metric_rows_fixed_order():
 
 # ---- files ----
 
-def test_label_files_roundtrip(tmp_path):
+def test_label_files_roundtrip(tmp_path, capsys):
     sets = {"scene": ("urban street", "highway"), "agent": ("cyclist", "vehicle"),
             "suggested_action": ("brake", "keep going"), "risk": ("yes", "no")}
     write_label_files(tmp_path / "labels", sets)
     loaded = read_label_dir(tmp_path / "labels")
     assert loaded["scene"].labels == ("urban street", "highway")
     (tmp_path / "labels" / "risk.txt").unlink()
-    with pytest.raises(InputError, match="risk.txt"):
+    with pytest.raises(FileNotFoundError, match="risk.txt"):
         read_label_dir(tmp_path / "labels")
+    # through the CLI, the missing label file is one line and exit 2
+    write_jsonl(tmp_path / "gold.jsonl", [QARecord("s-1", "img/1.jpg", "Risk?", "yes", "risk", 1)])
+    write_jsonl(tmp_path / "preds.jsonl", [Prediction("s-1", 1, "yes")])
+    assert main(["eval", "--preds", str(tmp_path / "preds.jsonl"),
+                 "--gold", str(tmp_path / "gold.jsonl"), "--labels", str(tmp_path / "labels"),
+                 "--out", str(tmp_path / "evals")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: file:") and err.count("\n") == 1 and "risk.txt" in err
 
 
 def test_predictions_roundtrip_and_duplicate_keys(tmp_path):

@@ -487,7 +487,7 @@ def test_client_spec_validation():
 
 # ---- files ----
 
-def test_scenario_jsonl_roundtrip(tmp_path):
+def test_scenario_jsonl_roundtrip(tmp_path, capsys):
     scenarios = [scenario(i) for i in range(3)]
     path = tmp_path / "scenarios.jsonl"
     write_jsonl(path, scenarios)
@@ -510,10 +510,16 @@ def test_scenario_jsonl_roundtrip(tmp_path):
         else:
             with pytest.raises(InputError, match=f"missing scenario key '{key}'"):
                 read_scenarios_jsonl(partial)
+    # a file may repeat an id; generate_dataset refuses it before any request
     dup = tmp_path / "dup.jsonl"
     write_jsonl(dup, [scenarios[0], scenarios[0]])
+    assert read_scenarios_jsonl(dup) == [scenarios[0], scenarios[0]]
+    client = types.SimpleNamespace(complete=lambda prompt: pytest.fail("request sent"))
     with pytest.raises(InputError, match="duplicate scenario_id"):
-        read_scenarios_jsonl(dup)
+        generate_dataset(read_scenarios_jsonl(dup), client)
+    assert main(["gen-data", "--scenarios", str(dup), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duplicate scenario_id" in err
 
 
 def test_records_jsonl_roundtrip_and_bad_rows(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlorakit.errors import InputError
+from qlorakit.optim import OptimizerState, TrainConfig
 from qlorakit.quant import (HEADER_BYTES, Q4_MAGIC, Q4_TOP, Q8_TOP, Q4BlockMatrix,
                             _absmax_quantize, _blockwise_dequantize,
                             Q8Vector, dequantize_4bit, dequantize_8bit,
@@ -152,6 +153,14 @@ def test_quantize_input_validation():
             q4_nbytes(100, block)
         with pytest.raises(InputError, match="block_size"):
             quantize_8bit(np.ones(4), block)
+        # one owner, _n_blocks, refuses it for the constructors and the optimizer state too
+        with pytest.raises(InputError, match="block_size must be >= 1"):
+            Q4BlockMatrix(rows=2, cols=2, block_size=block, packed=np.zeros(2), scales=[0.0])
+        with pytest.raises(InputError, match="block_size must be >= 1"):
+            Q8Vector(length=4, block_size=block, codes=np.zeros(4), scales=[0.0])
+        for bits in (8, 32):
+            with pytest.raises(InputError, match="block_size must be >= 1"):
+                OptimizerState.for_params({"w": np.zeros(3)}, TrainConfig(state_bits=bits), block)
 
 
 def test_q4_matrix_is_frozen_and_read_only():

@@ -137,7 +137,10 @@ def test_bench_compare_prints_one_summary_line_per_workload_and_metric(tmp_path,
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     summary = out[out.index(f"wrote {tmp_path / 'BENCH_t.json'}") + 1:]
     assert [line.split(":")[0] for line in summary] == [
-        f"{workload} {name}" for workload in ("train-qlora", "train-lora") for name in END_TO_END]
+        f"{workload} {name}" for workload in ("train-qlora", "train-lora")
+        for name in END_TO_END] + ["src_lines"]
+    # the exported parent tree is empty here, so it counts no lines
+    assert summary[-1] == f"src_lines: parent 0 -> change {module.src_lines(module.ROOT)}"
     m = report["workloads"]["train-qlora"]["metrics"]["train_examples_per_s"]
     assert m["won"] == 10 and m["gain_rule_met"]
     assert summary[END_TO_END.index("train_examples_per_s")] == (

@@ -66,6 +66,9 @@ def test_synthetic_token_task_validation():
         synthetic_token_task(vocab_size=3, n_classes=4)
     with pytest.raises(InputError):
         synthetic_token_task(n_train=0)
+    for seq_len in (0, -1):
+        with pytest.raises(InputError, match=f"seq_len must be >= 1, got {seq_len}"):
+            synthetic_token_task(seq_len=seq_len)
 
 
 def test_synthetic_scenarios_carry_their_labels_in_words():
