@@ -84,13 +84,24 @@ def _base_sha256(params) -> str:
     return hashlib.sha256(base_fingerprint(params)).hexdigest()
 
 
+def _records(path, manifest=None) -> list:
+    """The QA records in path, kept to the scenario ids a manifest lists if
+    one is given; an empty selection is an InputError."""
+    records = qagen.read_records_jsonl(path)
+    if manifest:
+        keep = set(qagen.read_manifest(manifest))
+        records = [r for r in records if r.scenario_id in keep]
+    if not records:
+        raise InputError(f"no records in {path}" + (f" listed in {manifest}" if manifest else ""))
+    return records
+
+
 # ---- subcommand handlers ----
 
 def cmd_make_scenarios(args) -> int:
     cfg = _load_cfg(args, seed=args.seed)
     scenarios = tasks.synthetic_scenarios(
         args.n, cfgmod.derive_seed(cfg.seed, "scenarios"))
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_jsonl(args.out, scenarios)
     print(f"make-scenarios: wrote {len(scenarios)} scenarios to {args.out}")
     return 0
@@ -104,12 +115,11 @@ def cmd_gen_data(args) -> int:
     result = qagen.generate_dataset(scenarios, client,
                                     max_retries=cfg.max_retries,
                                     max_concurrency=cfg.max_concurrency)
-    os.makedirs(args.out, exist_ok=True)
     write_jsonl(os.path.join(args.out, CORPUS_FILE), result.records)
     write_jsonl(os.path.join(args.out, REJECTS_FILE), result.rejects)
     ev.write_label_files(os.path.join(args.out, LABELS_DIR), tasks.DEFAULT_LABEL_SETS)
     _write_json(os.path.join(args.out, "gen_summary.json"),
-                {"stats": result.stats, "config": cfgmod.config_dict(cfg)})
+                {"stats": result.stats, "config": dataclasses.asdict(cfg)})
     print(f"gen-data: {result.stats['records']} records, "
           f"{result.stats['rejected']} rejected -> {args.out}")
     return 0
@@ -120,7 +130,6 @@ def cmd_split(args) -> int:
     records = qagen.read_records_jsonl(args.corpus)
     train_ids, test_ids = qagen.split_dataset(
         records, cfg.test_fraction, cfgmod.derive_seed(cfg.seed, "split"))
-    os.makedirs(args.out, exist_ok=True)
     qagen.write_manifest(os.path.join(args.out, TRAIN_IDS), train_ids)
     qagen.write_manifest(os.path.join(args.out, TEST_IDS), test_ids)
     print(f"split: {len(train_ids)} train / {len(test_ids)} test scenarios -> {args.out}")
@@ -133,7 +142,6 @@ def cmd_make_synthetic(args) -> int:
         n_train=args.n_train, n_test=args.n_test, vocab_size=cfg.vocab_size,
         n_classes=cfg.n_classes, seq_len=args.seq_len, purity=args.purity,
         seed=cfgmod.derive_seed(cfg.seed, "task"))
-    os.makedirs(args.out, exist_ok=True)
     for name, examples in (("train.jsonl", train_set), ("test.jsonl", test_set)):
         write_jsonl(os.path.join(args.out, name),
                     (tasks.TokenExample(toks.tolist(), label) for toks, label in examples))
@@ -178,15 +186,10 @@ def cmd_train(args) -> int:
     labels = None
     if os.path.exists(corpus_path):
         mode = "corpus"
-        records = qagen.read_records_jsonl(corpus_path)
+        manifest = os.path.join(data, TRAIN_IDS)
+        records = _records(corpus_path, manifest if os.path.exists(manifest) else None)
         label_sets = ev.read_label_dir(os.path.join(data, LABELS_DIR))
         union = tasks.union_labels(label_sets)
-        manifest_path = os.path.join(data, TRAIN_IDS)
-        if os.path.exists(manifest_path):
-            keep = set(qagen.read_manifest(manifest_path))
-            records = [r for r in records if r.scenario_id in keep]
-        if not records:
-            raise InputError(f"no training records in {corpus_path}")
         examples, skipped = tasks.corpus_to_examples(
             records, label_sets, union, cfg.vocab_size, cfg.max_seq_len)
         if skipped:
@@ -216,9 +219,8 @@ def cmd_train(args) -> int:
     memory = _memory(params, adapters, tcfg, cfg.block_size)  # before step 0: checks block_size
     result = train(examples, params, spec, adapters, tcfg)
 
-    os.makedirs(args.out, exist_ok=True)
     save_adapters(os.path.join(args.out, ADAPTERS_FILE), result.adapters, meta={
-        "config": cfgmod.config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "mode": mode,
         "labels": labels,
         "n_classes": spec.n_classes,
@@ -226,7 +228,7 @@ def cmd_train(args) -> int:
     })
     write_trace_csv(result.trace, os.path.join(args.out, TRACE_FILE))
     summary = dict(result.summary)
-    summary["config"] = cfgmod.config_dict(cfg)
+    summary["config"] = dataclasses.asdict(cfg)
     summary["mode"] = mode
     summary["labels"] = labels
     summary["memory"] = memory
@@ -260,16 +262,10 @@ def cmd_predict(args) -> int:
     if meta.get("base_sha256") != _base_sha256(params):
         raise InputError("checkpoint was not trained on the base this config rebuilds "
                          "(base_sha256 missing or different)")
-    records = qagen.read_records_jsonl(os.path.join(args.data, CORPUS_FILE))
-    if args.split != "all":
-        manifest = os.path.join(
-            args.data, TEST_IDS if args.split == "test" else TRAIN_IDS)
-        keep = set(qagen.read_manifest(manifest))
-        records = [r for r in records if r.scenario_id in keep]
-    if not records:
-        raise InputError(f"no records selected for split {args.split!r}")
+    manifest = None if args.split == "all" else os.path.join(
+        args.data, TEST_IDS if args.split == "test" else TRAIN_IDS)
+    records = _records(os.path.join(args.data, CORPUS_FILE), manifest)
     rows = tasks.predict_answers(params, spec, adapters, records, union)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_jsonl(args.out, (ev.Prediction(*row) for row in rows))
     print(f"predict: wrote {len(rows)} predictions to {args.out}")
     return 0
@@ -279,15 +275,10 @@ def cmd_eval(args) -> int:
     if not _MODEL_NAME_RE.match(args.model_name):
         raise ConfigError(f"bad model name {args.model_name!r}")
     preds = ev.read_predictions_jsonl(args.preds)
-    gold = qagen.read_records_jsonl(args.gold)
-    if args.manifest:
-        keep = set(qagen.read_manifest(args.manifest))
-        gold = [r for r in gold if r.scenario_id in keep]
-    if not gold:
-        raise InputError("no gold records to evaluate")
+    gold = _records(args.gold, args.manifest)
     gold.sort(key=lambda r: (r.scenario_id, r.pair_index))
     n = args.n if args.n is not None else min(500, len(gold))
-    sampled = ev.sample_eval_set(gold, n, args.seed)
+    sampled = ev.sample_eval_set(gold, n, cfgmod.derive_seed(args.seed, "eval"))
     label_sets = ev.read_label_dir(args.labels)
 
     by_cat: dict[str, tuple[list, list]] = {}
@@ -308,7 +299,6 @@ def cmd_eval(args) -> int:
     reports = {category: ev.compute_metrics(cm, args.mode) for category, cm in cms.items()}
     results = {args.model_name: reports}
 
-    os.makedirs(args.out, exist_ok=True)
     table, csv_text = ev.render_tables(ev.report_cells(results))
     with atomic_write(os.path.join(args.out, f"metrics_{args.model_name}.csv")) as fh:
         fh.write(csv_text)

@@ -118,10 +118,6 @@ def parse_set_overrides(pairs) -> dict:
     return out
 
 
-def config_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def derive_seed(seed: int, tag: str) -> int:
     """Stable component seed from the run seed and a role tag."""
     return (int(seed) * 0x9E3779B1 + zlib.crc32(tag.encode("utf-8"))) % 2**31

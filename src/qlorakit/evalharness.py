@@ -20,6 +20,7 @@ weights as precision and recall.
 
 from __future__ import annotations
 
+import os
 import string
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -265,9 +266,6 @@ def parse_report_csv(text: str) -> dict:
 # ---- file formats ----
 
 def write_label_files(labels_dir, label_sets: Mapping[str, Sequence[str]]) -> None:
-    import os
-
-    os.makedirs(labels_dir, exist_ok=True)
     for category, labels in label_sets.items():
         ls = LabelSet(category=category, labels=tuple(labels))
         with atomic_write(os.path.join(labels_dir, f"{category}.txt")) as fh:
@@ -284,8 +282,6 @@ def read_label_set(path, category: str) -> LabelSet:
 
 
 def read_label_dir(labels_dir) -> dict[str, LabelSet]:
-    import os
-
     return {category: read_label_set(os.path.join(labels_dir, f"{category}.txt"), category)
             for category in CATEGORIES}
 

@@ -1,10 +1,11 @@
 """Atomic artifact writes, checked text reads, and the JSONL row codec.
 
-Every artifact is written to a temp file in its target directory and then
-moved over the target with os.replace, so a reader sees either the old
-file or the complete new one. A writer that fails part-way leaves the
-old file untouched and removes its temp file. (No fsync: this guards
-against failed or interrupted writers, not against power loss.)
+Every artifact is written to a temp file in its target directory, which
+the writer creates if it is missing, and then moved over the target with
+os.replace, so a reader sees either the old file or the complete new
+one. A writer that fails part-way leaves the old file untouched and
+removes its temp file. (No fsync: this guards against failed or
+interrupted writers, not against power loss.)
 
 The readers turn any undecodable content (bytes that are not UTF-8,
 invalid or too deeply nested JSON, a non-integer where an integer
@@ -28,7 +29,9 @@ from .errors import InputError
 
 @contextlib.contextmanager
 def atomic_write(path, binary: bool = False):
-    """Like open(path, "wb" if binary else "w") with UTF-8 text, but atomic."""
+    """Like open(path, "wb" if binary else "w") with UTF-8 text, but atomic,
+    and the target's directory is created first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     head, tail = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(6)}.tmp")
     fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")

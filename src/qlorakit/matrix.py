@@ -30,17 +30,9 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     Works in its one output buffer: attention scores are the largest
     per-pass temporaries, and fewer of them keep the allocator from
     returning and re-faulting heap pages between passes.
-
-    The max is an elementwise maximum over a key-major copy (a plain
-    transpose), since numpy reduces a short last axis row by row, about 3x
-    slower, and a max is exact in any order. An axis-0 contiguous input is
-    key-major already and needs no copy, and every step runs full rows.
     """
     z = np.asarray(z, dtype=np.float64)
-    axis = range(z.ndim)[axis]  # a negative axis counts from the end; IndexError past it
-    keep = z.shape[:axis] + (1,) + z.shape[axis + 1:]
-    key_major = z.transpose(axis, *range(axis), *range(axis + 1, z.ndim))
-    e = z - np.maximum.reduce(np.ascontiguousarray(key_major)).reshape(keep)
+    e = z - z.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e

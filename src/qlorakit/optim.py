@@ -72,7 +72,7 @@ class TrainConfig:
             beta = getattr(self, key)
             if not 0.0 <= beta < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {beta}")
-        if self.adam_epsilon <= 0:
+        if not (np.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
             raise ConfigError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
         if self.state_bits not in (8, 32):
             raise ConfigError(f"state_bits must be 8 or 32, got {self.state_bits}")

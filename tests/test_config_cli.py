@@ -15,16 +15,15 @@ import pytest
 
 from qlorakit import cli, fileio
 from qlorakit.cli import _frozen_base, main
-from qlorakit.config import (RunConfig, client_spec_from, config_dict,
-                             derive_seed, load_config, model_spec_from,
-                             parse_set_overrides, train_config_from)
+from qlorakit.config import (RunConfig, client_spec_from, derive_seed, load_config,
+                             model_spec_from, parse_set_overrides, train_config_from)
 from qlorakit.errors import ConfigError
 from qlorakit.evalharness import (UNKNOWN, Prediction, build_confusion, normalize_answer,
                                   read_label_dir, read_predictions_jsonl)
 from qlorakit.fileio import write_jsonl
 from qlorakit.lora import load_adapters, save_adapters
 from qlorakit.optim import TrainConfig
-from qlorakit.qagen import LLMClientSpec, read_records_jsonl
+from qlorakit.qagen import LLMClientSpec, read_records_jsonl, split_dataset
 from qlorakit.quant import Q4BlockMatrix
 from qlorakit.tasks import synthetic_token_task
 
@@ -97,13 +96,29 @@ def test_spec_builders():
     tcfg = train_config_from(cfg)
     assert tcfg.seed == derive_seed(cfg.seed, "train")
     assert client_spec_from(cfg).backend == "mock"
-    assert config_dict(cfg)["adapter_targets"] == "attn_q, ffn_up"
+    assert dataclasses.asdict(cfg)["adapter_targets"] == "attn_q, ffn_up"
 
 
 def test_component_configs_share_the_run_defaults():
     cfg = load_config()
     assert train_config_from(cfg) == TrainConfig(seed=derive_seed(0, "train"))
     assert client_spec_from(cfg) == LLMClientSpec()
+
+
+# the component that consumes a float field of RunConfig, if not TrainConfig
+FLOAT_CONSUMERS = {
+    "timeout_s": client_spec_from,
+    "test_fraction": lambda cfg: split_dataset([], cfg.test_fraction, seed=0),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                 if type(f.default) is float])
+def test_non_finite_float_values_are_refused(key, value):
+    cfg = load_config(overrides={key: value})
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        FLOAT_CONSUMERS.get(key, train_config_from)(cfg)
 
 
 # ---- CLI plumbing ----
@@ -113,7 +128,8 @@ def read_json(path):
         return json.load(fh)
 
 
-# argv, and the path its error must name; in {tmp}, "dir" is a directory and "file" a file
+# argv, and the path its error must name; the command runs in {tmp}, where "dir" is a
+# directory and "file" a file
 FILE_FAULTS = {
     "missing": ("gen-data --scenarios {tmp}/nope.jsonl --out {tmp}/d", "{tmp}/nope.jsonl"),
     "eval-preds-dir": ("eval --preds {tmp}/dir --gold {tmp}/file --labels {tmp}/dir "
@@ -124,6 +140,7 @@ FILE_FAULTS = {
     "make-scenarios-config-dir": ("make-scenarios --n 2 --out {tmp}/s.jsonl --config {tmp}/dir",
                                   "{tmp}/dir"),
     "make-scenarios-out-under-file": ("make-scenarios --n 2 --out {tmp}/file/x", "{tmp}/file"),
+    "make-scenarios-relative-out-under-file": ("make-scenarios --n 2 --out file/x", "file"),
     "split-corpus-unreadable": ("split --corpus {tmp}/file --out {tmp}/sp", "{tmp}/file"),
 }
 
@@ -133,6 +150,7 @@ def test_missing_file_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch,
     argv, named = (text.replace("{tmp}", str(tmp_path)) for text in FILE_FAULTS[case])
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")
+    monkeypatch.chdir(tmp_path)
     if case.endswith("-unreadable"):  # as root, chmod 000 would not stop the read
 
         def denied(path):
@@ -358,12 +376,13 @@ def test_eval_writes_per_task_confusion_matrices(tmp_path):
     gold[1] = dataclasses.replace(gold[1], answer="something else")
     write_jsonl(data / "corpus.jsonl", gold)
     blobs = []
-    for out in ("evals_a", "evals_b"):
+    # fewer records than the sample size: every seed, -1 too, samples all of them
+    for out, seed in (("evals_a", "0"), ("evals_b", "0"), ("evals_c", "-1")):
         assert main(["eval", "--preds", str(preds), "--gold", str(data / "corpus.jsonl"),
                      "--labels", str(data / "labels"), "--out", str(tmp_path / out),
-                     "--seed", "0", "--model-name", "lora-toy"]) == 0
+                     "--seed", seed, "--model-name", "lora-toy"]) == 0
         blobs.append((tmp_path / out / "confusion_lora-toy.json").read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
     confusion = json.loads(blobs[0])
     assert blobs[0].decode() == json.dumps(confusion, indent=2, sort_keys=True) + "\n"
     metrics = read_json(tmp_path / "evals_a" / "eval_summary_lora-toy.json")["metrics"]

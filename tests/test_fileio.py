@@ -33,6 +33,13 @@ def test_failed_writer_leaves_old_file_and_no_temp(tmp_path):
     assert os.listdir(tmp_path) == ["preds.jsonl"]
 
 
+def test_the_writer_creates_the_target_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "x.jsonl"
+    write_jsonl(path, [Prediction("scn-1", 0, "yes")])
+    assert path.read_text() == '{"scenario_id": "scn-1", "pair_index": 0, "raw_answer": "yes"}\n'
+    assert os.listdir(tmp_path / "a") == ["b"] and os.listdir(path.parent) == ["x.jsonl"]
+
+
 def test_failed_first_write_creates_nothing(tmp_path):
     path = tmp_path / "new.txt"
     with pytest.raises(RuntimeError):

@@ -481,8 +481,23 @@ def test_client_spec_validation():
             LLMClientSpec(backend="http", endpoint=endpoint)
     with pytest.raises(ConfigError, match="backend"):
         LLMClientSpec(backend="grpc")
-    with pytest.raises(ConfigError, match="max_retries"):
-        LLMClientSpec(max_retries=-1)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_retries", -1, "max_retries must be >= 0, got -1"),
+    ("max_concurrency", 0, "max_concurrency must be >= 1, got 0"),
+])
+def test_generation_limits_are_refused_before_any_request(tmp_path, capsys, monkeypatch,
+                                                          key, value, message):
+    monkeypatch.setattr(MockLLMClient, "complete",
+                        lambda self, prompt: pytest.fail("a request was made"))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        generate_dataset([scenario(0)], MockLLMClient(), **{key: value})
+    scen = tmp_path / "scenarios.jsonl"
+    write_jsonl(scen, [scenario(0)])
+    assert main(["gen-data", "--scenarios", str(scen), "--out", str(tmp_path / "d"),
+                 "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
 
 
 # ---- files ----
