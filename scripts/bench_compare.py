@@ -7,9 +7,10 @@ alternating pairs, and write the comparison to BENCH_<label>.json.
 Each side runs the unmodified `perfbench/run.py` of its own tree with
 `--trace 0`, one process at a time. The parent is exported with
 `git archive` into a temporary directory, so the repository's git state
-is untouched. Both trees are byte-compiled first: with
-PYTHONDONTWRITEBYTECODE set, an uncompiled tree recompiles on every
-import and reads setup_s about 0.04 s high.
+is untouched. Every run has PYTHONDONTWRITEBYTECODE=1 and
+PYTHONPYCACHEPREFIX set to a new empty directory, so neither tree's
+`__pycache__` is read or written: both sides compile their sources on
+every fresh import, as a new checkout does.
 
 Pair i of the k-th workload listed runs seed `--seed-base + 100 k + i` on
 both sides; even pairs run the parent first, odd pairs the change first.
@@ -20,17 +21,26 @@ whether the gain rule holds: at least 9 of 10 pairs won and medians
 apart by more than the parent's interquartile range. After writing the
 file the script prints one summary line per workload and end-to-end
 metric: both medians, their ratio, pairs won, and the bound and gain
-verdicts; a last line gives both trees' `src_lines`. The arguments are
-checked before the first run: `--out-dir` must be an existing directory,
-each workload must be named in BENCHMARK.json and PAIRS (default 10) must
-be a positive integer; otherwise the script exits 2 with one line.
+verdicts; a last line gives both trees' `src_lines`.
+
+perfbench normalizes each timing metric by its speed probe, and a phase
+with fewer than 10 probe samples by the whole iteration. So every run
+also keeps the unnormalized medians of perfbench's `raw` block, the file
+compares them per workload (`raw_metrics`), and the summary lines of the
+four timing metrics end with the raw medians and their ratio as a
+cross-check.
+
+The arguments are checked before the first run: `--out-dir` must be an
+existing directory, each workload must be named in BENCHMARK.json and
+PAIRS (default 10) must be a positive integer; otherwise the script exits
+2 with one line.
 """
 
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -39,6 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
+TIMINGS = ("setup_s", "wall_s", "train_examples_per_s", "infer_examples_per_s")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -86,12 +97,6 @@ def src_lines(tree: Path) -> int:
                for path in (tree / "src" / "qlorakit").glob("*.py"))
 
 
-def compile_tree(tree: Path) -> None:
-    for sub in ("src", "perfbench"):
-        if not compileall.compile_dir(str(tree / sub), quiet=1):
-            raise SystemExit(f"byte-compiling {tree / sub} failed")
-
-
 def export_parent(rev: str, dest: Path) -> str:
     sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -104,34 +109,42 @@ def export_parent(rev: str, dest: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache})
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     try:
         result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        raw = next(json.loads(line[4:]) for line in lines if line.startswith("run "))["raw"]
+    except (IndexError, StopIteration, KeyError, json.JSONDecodeError):
         raise SystemExit(f"{tree}: {workload} seed {seed} printed no result:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return {"seed": seed, "exit_code": proc.returncode, "env": env,
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "raw": {k: raw[k] for k in TIMINGS}}
 
 
 def summary_lines(report: dict) -> list[str]:
     """One line per workload and end-to-end metric of a report, then the
     src_lines of both trees."""
+    def medians(m):
+        ratio = "-" if m["median_ratio"] is None else f"x{m['median_ratio']:.3f}"
+        return f"parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} {ratio}"
+
     lines = []
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
-            ratio = "-" if m["median_ratio"] is None else f"x{m['median_ratio']:.3f}"
-            lines.append(f"{workload} {name}: parent {m['parent']['median']:.6g} "
-                         f"change {m['change']['median']:.6g} {ratio} "
-                         f"won {m['won']}/{m['pairs']} within_bound {m.get('within_bound')} "
-                         f"gain_rule_met {m['gain_rule_met']}")
+            line = (f"{workload} {name}: {medians(m)} won {m['won']}/{m['pairs']} "
+                    f"within_bound {m.get('within_bound')} gain_rule_met {m['gain_rule_met']}")
+            if name in entry["raw_metrics"]:
+                line += f" | raw {medians(entry['raw_metrics'][name])}"
+            lines.append(line)
     lines.append(f"src_lines: parent {report['src_lines']['parent']} "
                  f"-> change {report['src_lines']['change']}")
     return lines
@@ -174,8 +187,6 @@ def main(argv=None) -> int:
         parent_tree = Path(tmp) / "tree"
         parent_tree.mkdir()
         parent_sha = export_parent(args.parent, parent_tree)
-        compile_tree(parent_tree)
-        compile_tree(ROOT)
         sides = {"parent": parent_tree, "change": ROOT}
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()
@@ -205,6 +216,11 @@ def main(argv=None) -> int:
                                   [r["metrics"][name] for r in runs["change"]],
                                   m["better"], m.get("bound"))
                     for name, m in metrics.items()},
+                "raw_metrics": {
+                    name: compare([r["raw"][name] for r in runs["parent"]],
+                                  [r["raw"][name] for r in runs["change"]],
+                                  metrics[name]["better"])
+                    for name in TIMINGS},
                 "runs": runs,
             }
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"

@@ -227,11 +227,8 @@ def cmd_train(args) -> int:
         "base_sha256": _base_sha256(params),
     })
     write_trace_csv(result.trace, os.path.join(args.out, TRACE_FILE))
-    summary = dict(result.summary)
-    summary["config"] = dataclasses.asdict(cfg)
-    summary["mode"] = mode
-    summary["labels"] = labels
-    summary["memory"] = memory
+    summary = {**result.summary, "config": dataclasses.asdict(cfg), "mode": mode,
+               "labels": labels, "memory": memory}
     if mode == "token" and test_examples:
         summary["test_accuracy"] = evaluate_accuracy(params, spec, adapters,
                                                      test_examples)

@@ -269,8 +269,7 @@ def write_label_files(labels_dir, label_sets: Mapping[str, Sequence[str]]) -> No
     for category, labels in label_sets.items():
         ls = LabelSet(category=category, labels=tuple(labels))
         with atomic_write(os.path.join(labels_dir, f"{category}.txt")) as fh:
-            for lab in ls.labels:
-                fh.write(lab + "\n")
+            fh.writelines(lab + "\n" for lab in ls.labels)
 
 
 def read_label_set(path, category: str) -> LabelSet:

@@ -13,13 +13,14 @@ belongs) into InputError, so a bad file never escapes untyped.
 
 Every JSONL artifact holds one dataclass row per line, keys being the
 dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
-are the one codec for all of them.
+are the one codec for all of them, at one encoder or decoder call per row.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import secrets
@@ -70,16 +71,6 @@ def read_json(path) -> dict:
     return json_object("".join(read_lines(path)), path)
 
 
-def read_jsonl(path) -> list[dict]:
-    """One JSON object per non-blank line."""
-    rows = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if line:
-            rows.append(json_object(line, f"{path}:{lineno}"))
-    return rows
-
-
 def json_int(value, what: str) -> int:
     """A decoded integer field: an int or integral float within int64;
     bools, strings and anything else are rejected."""
@@ -94,29 +85,43 @@ def json_int(value, what: str) -> int:
 # a field annotation (as written, or the class) -> the JSON type of its values
 _JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list}
 _JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
+_decode = json.JSONDecoder().raw_decode  # json.loads without its per-call checks
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
+_fields = functools.cache(dataclasses.fields)  # looked up once per row type
 
 
 def write_jsonl(path, rows) -> None:
-    """One JSON object per dataclass row, keys in field order."""
+    """One JSON object per dataclass row, keys in field order; one writelines
+    call streams the rows, so the file's text is never held whole."""
     with atomic_write(path) as fh:
-        for row in rows:
-            fh.write(json.dumps({f.name: getattr(row, f.name) for f in dataclasses.fields(row)},
-                                ensure_ascii=False) + "\n")
+        fh.writelines(_encode({f.name: getattr(row, f.name) for f in _fields(type(row))})
+                      + "\n" for row in rows)
 
 
 def read_dataclass_jsonl(path, cls, what: str) -> list:
     """cls instances from rows write_jsonl wrote. An unknown key, a missing
     required key, a value of the wrong JSON type for an int, str, bool or
     list[int] field, and anything cls itself rejects are InputErrors naming
-    the file."""
+    the file. Every line is decoded before any row is checked, so invalid
+    JSON on any line wins over a bad row on an earlier one."""
     fields = dataclasses.fields(cls)
     known = {f.name for f in fields}
     required = {f.name for f in fields if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING}
     typed = [(f.name, _JSON_TYPES[kind]) for f in fields
              if (kind := getattr(f.type, "__name__", f.type)) in _JSON_TYPES]
+    rows = []
+    for lineno, line in enumerate(read_lines(path), 1):
+        if line := line.strip():
+            try:
+                row, end = _decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line) or type(row) is not dict:
+                json_object(line, f"{path}:{lineno}")  # raises json.loads's own message
+            rows.append(row)
     out = []
-    for row in read_jsonl(path):
+    for row in rows:
         try:
             if not known >= row.keys() >= required:
                 unknown = sorted(row.keys() - known)

@@ -53,7 +53,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if not np.isfinite(self.alpha):
@@ -73,7 +73,7 @@ class TrainConfig:
             if not 0.0 <= beta < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {beta}")
         if not (np.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
-            raise ConfigError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+            raise ConfigError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon}")
         if self.state_bits not in (8, 32):
             raise ConfigError(f"state_bits must be 8 or 32, got {self.state_bits}")
 

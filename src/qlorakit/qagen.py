@@ -116,7 +116,7 @@ class LLMClientSpec:
             if not self.credential_env:
                 raise ConfigError("http backend requires a credential env var name")
         if not (np.isfinite(self.timeout_s) and self.timeout_s > 0):
-            raise ConfigError(f"timeout_s must be > 0, got {self.timeout_s}")
+            raise ConfigError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
 
 
 # ---- prompt / response grammar ----
@@ -468,8 +468,7 @@ def read_records_jsonl(path) -> list[QARecord]:
 
 def write_manifest(path, ids: Sequence[str]) -> None:
     with atomic_write(path) as fh:
-        for sid in ids:
-            fh.write(sid + "\n")
+        fh.writelines(sid + "\n" for sid in ids)
 
 
 def read_manifest(path) -> list[str]:

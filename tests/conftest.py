@@ -1,15 +1,21 @@
 """Shared fixtures: small model specs, dataset builders, the factor-wise
 reference for the adapted layer, a naive per-sequence reference for the
 whole model, and a per-block reference for quantization and the AdamW
-step, used across the test modules.
+step, and the per-line JSONL reader the one-pass codec replaced, used
+across the test modules.
 Everything is seeded; no test depends on wall clock, network, or
 filesystem state outside tmp_path.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from qlorakit import model
+from qlorakit.errors import InputError
+from qlorakit.fileio import json_int, read_lines
 from qlorakit.lora import flatten_adapters
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
 
@@ -190,3 +196,55 @@ def reference_adamw_step_flat(param, g, first, second, t, lr, cfg, block_size):
         param *= 1.0 - lr * cfg.weight_decay
     param -= step
     return m, v, float(np.sqrt(np.dot(g, g))), float(np.sqrt(np.dot(step, step)))
+
+
+def reference_read_jsonl(path) -> list[dict]:
+    """Reference JSONL decode: json.loads on each stripped non-blank line,
+    every line decoded before any row is checked."""
+    rows = []
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(value, dict):
+            raise InputError(f"{path}:{lineno}: expected a JSON object")
+        rows.append(value)
+    return rows
+
+
+def reference_read_dataclass_jsonl(path, cls, what: str) -> list:
+    """Reference for fileio.read_dataclass_jsonl: the same row checks, in
+    the same order, on the rows reference_read_jsonl decodes."""
+    types = {"int": int, "str": str, "bool": bool, "list[int]": list}
+    names = {str: "string", bool: "boolean", list: "list"}
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    required = {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    typed = [(f.name, types[kind]) for f in fields
+             if (kind := getattr(f.type, "__name__", f.type)) in types]
+    out = []
+    for row in reference_read_jsonl(path):
+        try:
+            if not known >= row.keys() >= required:
+                unknown = sorted(row.keys() - known)
+                if unknown:
+                    raise InputError(f"unknown {what} key {unknown[0]!r}")
+                raise InputError(f"missing {what} key {min(required - row.keys())!r}")
+            for name, kind in typed:
+                if name not in row:
+                    continue
+                if kind is int:
+                    row[name] = json_int(row[name], name)
+                elif type(row[name]) is not kind:
+                    raise InputError(f"{name} must be a JSON {names[kind]}")
+                elif kind is list:
+                    row[name] = [json_int(value, f"{name} item") for value in row[name]]
+            out.append(cls(**row))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+    return out

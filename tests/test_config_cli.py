@@ -117,8 +117,11 @@ FLOAT_CONSUMERS = {
                                  if type(f.default) is float])
 def test_non_finite_float_values_are_refused(key, value):
     cfg = load_config(overrides={key: value})
-    with pytest.raises(ConfigError, match=f"^{key} must"):
+    with pytest.raises(ConfigError, match=f"^{key} must") as exc:
         FLOAT_CONSUMERS.get(key, train_config_from)(cfg)
+    if key in ("learning_rate", "adam_epsilon", "timeout_s"):
+        # inf is > 0: the message names finiteness, the fault it is refused for
+        assert str(exc.value) == f"{key} must be finite and > 0, got {float(value)}"
 
 
 # ---- CLI plumbing ----

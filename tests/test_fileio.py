@@ -1,12 +1,22 @@
 """Atomic artifact writes: a writer that fails part-way leaves the old
-file byte-identical and no temp file behind."""
+file byte-identical and no temp file behind. The JSONL codec: the writer
+writes json.dumps's bytes, and the reader agrees with the per-line
+reference reader on records and on every error message."""
 
+import dataclasses
+import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_read_dataclass_jsonl
+from qlorakit.errors import InputError
 from qlorakit.evalharness import Prediction
-from qlorakit.fileio import atomic_write, write_jsonl
+from qlorakit.fileio import atomic_write, read_dataclass_jsonl, write_jsonl
+from qlorakit.qagen import QARecord, RejectRecord, ScenarioAnnotation
+from qlorakit.tasks import TokenExample
 
 
 def test_complete_write_replaces_the_file(tmp_path):
@@ -47,3 +57,130 @@ def test_failed_first_write_creates_nothing(tmp_path):
             fh.write("partial")
             raise RuntimeError("writer failed")
     assert os.listdir(tmp_path) == []
+
+
+# ---- the JSONL codec ----
+
+CODEC = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# valid text for the line-text checks, non-ASCII included, no surrogates
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+               min_size=1, max_size=8).filter(str.strip)
+ROWS = st.one_of(
+    st.builds(QARecord, TEXT, TEXT, TEXT, TEXT, st.sampled_from(["scene", "risk"]),
+              st.integers(1, 5)),
+    st.builds(Prediction, TEXT, st.integers(-2**63, 2**63 - 1), TEXT),
+    st.builds(RejectRecord, TEXT, st.integers(0, 9),
+              st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)),
+)
+
+
+def reference_bytes(rows) -> bytes:
+    return b"".join((json.dumps({f.name: getattr(r, f.name) for f in dataclasses.fields(r)},
+                                ensure_ascii=False) + "\n").encode("utf-8") for r in rows)
+
+
+@CODEC
+@given(rows=st.lists(ROWS, max_size=6))
+def test_writer_writes_the_bytes_of_json_dumps(tmp_path, rows):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, rows)
+    assert path.read_bytes() == reference_bytes(rows)
+
+
+def test_writer_of_no_rows_writes_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    write_jsonl(path, iter(()))
+    assert path.read_bytes() == b""
+
+
+def test_raising_row_generator_leaves_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    write_jsonl(path, [Prediction("scn-1", 0, "ja")])
+    old = path.read_bytes()
+
+    def rows():
+        yield Prediction("scn-1", 0, "nein")
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_jsonl(path, rows())
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["preds.jsonl"]
+
+
+VALID = {
+    QARecord: {"scenario_id": "s-1", "image_ref": "img/1.jpg", "question": "Risk?",
+               "answer": "ja", "category": "risk", "pair_index": 2},
+    Prediction: {"scenario_id": "s-1", "pair_index": 2, "raw_answer": "ja"},
+    ScenarioAnnotation: {"scenario_id": "s-1", "image_ref": "img/1.jpg", "caption": "Straße",
+                         "risk_present": True, "suggested_action": "brake",
+                         "road_type": "urban", "extra": {"agent": "cyclist"}},
+    TokenExample: {"tokens": [3, 1, 4], "label": 1},
+}
+# pinned edge values (lone surrogates, integral floats, 2**63, blank text) or any JSON value
+VALUES = st.sampled_from([1.0, 2.5, 2**63, "", " ", "\ud800", "q\udc80?", "scene", "x\ny"]) | \
+    st.recursive(st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+                 | st.text(max_size=6),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+                 max_leaves=5)
+
+
+@st.composite
+def rows_of(draw, cls):
+    """A valid row of cls with a few keys dropped, added or given another value."""
+    row = dict(VALID[cls])
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(row) + ["extra", "bogus"]))
+        if draw(st.booleans()):
+            row.pop(key, None)
+        else:
+            row[key] = draw(VALUES)
+    return row
+
+
+@st.composite
+def files_of(draw, cls):
+    """Lines of rows_of(cls), some padded or blank, and at most one line
+    that is not one JSON object, at any position."""
+    row = rows_of(cls).map(json.dumps)
+    lines = draw(st.lists(st.one_of(
+        row,
+        row.map(lambda r: f" \t{r}\x0c "),  # strip() takes more than JSON whitespace
+        st.sampled_from(["", " ", "\t", "\x0c"])), max_size=4))
+    sep = st.sampled_from(["", " ", "\t", "\x0c", "  "])
+    odd = draw(st.none() | st.one_of(
+        row.map(lambda r: "\ufeff" + r),  # a byte-order mark is not whitespace
+        st.tuples(row, sep, row).map("".join),  # {..} {..}
+        st.tuples(row, sep, st.sampled_from(["garbage", "]", ",", "1", "\ud800"])).map("".join),
+        st.tuples(row, st.integers(1, 60)).map(  # a value split across two lines
+            lambda rk: rk[0][:rk[1]] + "\n" + rk[0][rk[1]:]),
+        # nesting well inside or far beyond the recursion limit; near it, whether
+        # a line decodes depends on how deep the stack of the caller already is
+        st.tuples(st.sampled_from(["[", '{"a": ']), st.sampled_from([1, 40, 100_000])).map(
+            lambda od: od[0] * od[1] + "1" + ("]" if od[0] == "[" else "}") * od[1]),
+        VALUES.map(json.dumps),
+        st.text(max_size=12)))
+    if odd is not None:
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return lines
+
+
+@pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+@CODEC
+@given(data=st.data())
+def test_reader_matches_the_per_line_reference(tmp_path, cls, data):
+    lines = data.draw(files_of(cls))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(newline.join(lines).encode("utf-8", "surrogatepass"))
+
+    def outcome(read):
+        try:
+            return read(path, cls, "row")
+        except InputError as exc:
+            return f"InputError: {exc}"
+
+    assert outcome(read_dataclass_jsonl) == outcome(reference_read_dataclass_jsonl)

@@ -126,10 +126,10 @@ def test_bench_compare_prints_one_summary_line_per_workload_and_metric(tmp_path,
         faster = 1.25 if tree == module.ROOT and workload == "train-qlora" else 1.0
         metrics = {"train_examples_per_s": base * faster, "peak_rss_mb": 44.0}
         return {"seed": seed, "exit_code": 0, "env": {}, "correct": True, "attempted": 1,
-                "failed": 0, "metrics": {name: metrics.get(name, 1.0) for name in END_TO_END}}
+                "failed": 0, "metrics": {name: metrics.get(name, 1.0) for name in END_TO_END},
+                "raw": {name: 0.5 * metrics.get(name, 1.0) for name in module.TIMINGS}}
 
     monkeypatch.setattr(module, "export_parent", lambda rev, dest: "0" * 40)
-    monkeypatch.setattr(module, "compile_tree", lambda tree: None)
     monkeypatch.setattr(module, "run_once", fake_run)
     assert module.main(["--label", "t", "--runs", "train-qlora:10", "train-lora:2",
                         "--out-dir", str(tmp_path)]) == 0
@@ -143,10 +143,36 @@ def test_bench_compare_prints_one_summary_line_per_workload_and_metric(tmp_path,
     assert summary[-1] == f"src_lines: parent 0 -> change {module.src_lines(module.ROOT)}"
     m = report["workloads"]["train-qlora"]["metrics"]["train_examples_per_s"]
     assert m["won"] == 10 and m["gain_rule_met"]
+    raw = report["workloads"]["train-qlora"]["raw_metrics"]["train_examples_per_s"]
+    assert raw["won"] == 10 and raw["parent"]["median"] == m["parent"]["median"] / 2
     assert summary[END_TO_END.index("train_examples_per_s")] == (
         f"train-qlora train_examples_per_s: parent {m['parent']['median']:.6g} "
         f"change {m['change']['median']:.6g} x1.250 won 10/10 within_bound True "
-        f"gain_rule_met True")
+        f"gain_rule_met True | raw parent {raw['parent']['median']:.6g} "
+        f"change {raw['change']['median']:.6g} x1.250")
     assert summary[len(END_TO_END) + END_TO_END.index("peak_rss_mb")] == (
         "train-lora peak_rss_mb: parent 44 change 44 x1.000 won 0/2 "
         "within_bound True gain_rule_met False")
+
+
+def test_bench_compare_runs_without_bytecode_and_keeps_the_raw_rates(tmp_path, monkeypatch):
+    module = load_bench_compare()
+    seen = {}
+    raw = {"import_s": [0.1], "setup_s": 0.01, "wall_s": 0.5,
+           "train_examples_per_s": 4000.0, "infer_examples_per_s": 20000.0}
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {name: {"value": 1.0, "unit": ""} for name in END_TO_END}}
+
+    def fake_subprocess_run(argv, cwd, env, **_kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.update(env=env, cache=cache, empty=cache.is_dir() and not any(cache.iterdir()))
+        stdout = (f"env {json.dumps({'python': '3'})}\nrun {json.dumps({'raw': raw})}\n"
+                  f"{json.dumps(result)}\n")
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_subprocess_run)
+    run = module.run_once(tmp_path, "corpus-pipeline", 7, 1.0)
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1" and seen["empty"]
+    assert not seen["cache"].exists()  # one new directory per run, removed after it
+    assert run["raw"] == {name: raw[name] for name in module.TIMINGS}
+    assert run["metrics"] == {name: 1.0 for name in END_TO_END} and run["env"] == {"python": "3"}
