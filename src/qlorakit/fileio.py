@@ -78,7 +78,9 @@ def json_int(value, what: str) -> int:
         value = int(value)
     if (not isinstance(value, int) or isinstance(value, bool)
             or not -2**63 <= value < 2**63):
-        raise InputError(f"{what} must be a 64-bit integer, got {value!r}")
+        echo = repr(value)
+        raise InputError(f"{what} must be a 64-bit integer, got {echo[:ECHO_CHARS]}"
+                         + ("..." if len(echo) > ECHO_CHARS else ""))
     return value
 
 
@@ -88,6 +90,7 @@ _JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
 _decode = json.JSONDecoder().raw_decode  # json.loads without its per-call checks
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
 _fields = functools.cache(dataclasses.fields)  # looked up once per row type
+ECHO_CHARS = 60  # a message quotes at most this much of a bad value, then "..."
 
 
 def write_jsonl(path, rows) -> None:

@@ -70,18 +70,12 @@ def synthetic_token_task(n_train: int = 2000, n_test: int = 500,
         raise ConfigError(f"purity must lie in (0, 1], got {purity}")
     rng = np.random.default_rng(seed)
 
-    def make(n):
-        examples = []
-        for _ in range(n):
-            label = int(rng.integers(0, n_classes))
-            base = label * group
-            toks = np.where(
-                rng.random(seq_len) < purity,
-                base + rng.integers(0, group, size=seq_len),
-                rng.integers(0, vocab_size, size=seq_len),
-            )
-            examples.append((toks.astype(np.int64), label))
-        return examples
+    def make(n):  # four bulk draws, in the order a seed's examples depend on
+        labels = rng.integers(0, n_classes, size=n)
+        pure = rng.random((n, seq_len)) < purity
+        in_slice = labels[:, None] * group + rng.integers(0, group, size=(n, seq_len))
+        tokens = np.where(pure, in_slice, rng.integers(0, vocab_size, size=(n, seq_len)))
+        return list(zip(tokens, labels.tolist()))
 
     return make(n_train), make(n_test)
 

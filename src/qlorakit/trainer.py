@@ -11,7 +11,8 @@ matters; both stay because checkpoints and configs carry them.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ class TraceEntry:
 
 
 TRACE_HEADER = ",".join(f.name for f in fields(TraceEntry))
+_trace_row = attrgetter(*TRACE_HEADER.split(","))  # the fields as a tuple, without astuple's copies
 
 
 @dataclass
@@ -126,7 +128,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
 
 def write_trace_csv(trace: Sequence[TraceEntry], path) -> None:
     lines = [TRACE_HEADER]
-    lines.extend(",".join(map(repr, astuple(e))) for e in trace)
+    lines.extend(",".join(map(repr, _trace_row(e))) for e in trace)
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

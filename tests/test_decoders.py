@@ -17,6 +17,7 @@ from qlorakit.cli import main
 from qlorakit.config import load_config
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.evalharness import read_label_set, read_predictions_jsonl
+from qlorakit.fileio import ECHO_CHARS
 from qlorakit.lora import lora_init, load_adapters, save_adapters
 from qlorakit.qagen import read_manifest, read_records_jsonl, read_scenarios_jsonl
 from qlorakit.tasks import read_token_examples
@@ -149,6 +150,21 @@ def test_malformed_inputs_are_input_errors(tmp_path, case):
     path.write_bytes(text)
     with pytest.raises(InputError):
         READERS[reader](path)
+
+
+@pytest.mark.parametrize("row, message", [
+    (b'{"tokens": [1], "label": %s}' % (b"9" * 4000),  # a 4,000-digit label
+     f"label must be a 64-bit integer, got {'9' * ECHO_CHARS}..."),
+    (b'{"tokens": %s1%s, "label": 0}' % (b"[" * 200, b"]" * 200),  # tokens nested 200 deep
+     f"tokens item must be a 64-bit integer, got {'[' * ECHO_CHARS}..."),
+    (b'{"tokens": [1, "2"], "label": 0}', "tokens item must be a 64-bit integer, got '2'"),
+])
+def test_a_bad_integer_is_quoted_up_to_a_fixed_length(tmp_path, row, message):
+    path = tmp_path / "train.jsonl"
+    path.write_bytes(row + b"\n")
+    with pytest.raises(InputError) as info:
+        read_token_examples(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_integral_floats_still_read_as_integers(tmp_path):

@@ -59,6 +59,34 @@ def test_synthetic_token_task_is_class_separable():
     assert np.mean(in_slice) > 0.8  # most tokens come from the class slice
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_synthetic_token_task_distribution_at_the_defaults(seed):
+    """Labels are uniform, and a token comes from its class slice with
+    probability purity, otherwise uniformly from the whole vocabulary."""
+    train, _ = synthetic_token_task(n_train=4000, n_test=1, seed=seed)
+    assert all(type(toks) is np.ndarray and toks.shape == (16,) and toks.dtype == np.int64
+               and type(label) is int for toks, label in train)
+    tokens = np.stack([toks for toks, _ in train])
+    labels = np.array([label for _, label in train])
+    sigma = np.sqrt(4000 * 0.25 * 0.75)
+    assert np.all(np.abs(np.bincount(labels, minlength=4) - 1000) < 4 * sigma)
+    assert tokens.min() >= 0 and tokens.max() < 64
+    share = np.mean(tokens // 16 == labels[:, None])
+    assert abs(share - (0.85 + 0.15 / 4)) < 0.01
+
+
+def test_synthetic_token_task_with_full_purity_stays_in_the_class_slice():
+    train, test = synthetic_token_task(n_train=500, n_test=500, purity=1.0, seed=3)
+    assert all(np.all(toks // 16 == label) for toks, label in train + test)
+
+
+def test_synthetic_token_task_train_split_does_not_depend_on_n_test():
+    small, _ = synthetic_token_task(n_test=1, seed=4)
+    large, _ = synthetic_token_task(n_test=500, seed=4)
+    assert len(small) == len(large) == 2000
+    assert all(np.array_equal(a, b) and x == y for (a, x), (b, y) in zip(small, large))
+
+
 def test_synthetic_token_task_validation():
     with pytest.raises(ConfigError, match="purity"):
         synthetic_token_task(purity=0.0)

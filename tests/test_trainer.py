@@ -4,6 +4,7 @@ file, and accuracy evaluation."""
 
 import copy
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -236,6 +237,22 @@ def test_trace_csv_roundtrip(tmp_path):
         header, *rows = csv.reader(fh)
     assert header == ["step", "epoch", "examples_seen", "lr", "loss", "grad_norm", "update_norm"]
     assert [TraceEntry(*map(int, row[:3]), *map(float, row[3:])) for row in rows] == trace
+
+
+def test_trace_csv_bytes_match_the_astuple_formatting(tmp_path):
+    """Rows are read from the fields directly; the bytes are those the
+    dataclasses.astuple formatting gave."""
+    trace = [TraceEntry(step=0, epoch=0, examples_seen=8, lr=1e-05, loss=0.1 + 0.2,
+                        grad_norm=-0.0, update_norm=1e300),
+             TraceEntry(step=2**40, epoch=123_456, examples_seen=10**15, lr=5e-324,
+                        loss=float("inf"), grad_norm=float("nan"), update_norm=0.0),
+             TraceEntry(step=7, epoch=1, examples_seen=56, lr=4e-5, loss=1.3862943611198906,
+                        grad_norm=3.0000000000000004, update_norm=2.5e-17)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    expected = "".join(",".join(map(repr, dataclasses.astuple(e))) + "\n" for e in trace)
+    assert path.read_bytes() == (trainer.TRACE_HEADER + "\n" + expected).encode()
+    assert b"1e-05,0.30000000000000004,-0.0,1e+300" in path.read_bytes()
 
 
 def test_evaluate_accuracy_bounds(small_setup):
