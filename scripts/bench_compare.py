@@ -18,10 +18,16 @@ The file holds the environment, the line count of `src/qlorakit/*.py` in
 each tree (`src_lines`), every run's metrics, and per metric each side's
 median and quartiles, the pairs the change won, lost and tied, and
 whether the gain rule holds: at least 9 of 10 pairs won and medians
-apart by more than the parent's interquartile range. After writing the
-file the script prints one summary line per workload and end-to-end
-metric: both medians, their ratio, pairs won, and the bound and gain
-verdicts; a last line gives both trees' `src_lines`.
+apart by more than the parent's interquartile range. A metric is
+`resolved` only when at least 10 pairs ran and, if it has a bound, the
+parent's interquartile range is within that bound of its median or every
+change run reads better than every parent run; otherwise its bound
+verdict cannot tell "unchanged" from noise. Before writing the file the
+script prints one line per workload that has unresolved end-to-end
+metrics, naming them. After writing it, it prints one summary line per
+workload and end-to-end metric: both medians, their ratio, pairs won,
+and the bound and gain verdicts; a last line gives both trees'
+`src_lines`.
 
 perfbench normalizes each timing metric by its speed probe, and a phase
 with fewer than 10 probe samples by the whole iteration. So every run
@@ -49,6 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
+MIN_PAIRS = 10  # fewer pairs leave every verdict unresolved
 TIMINGS = ("setup_s", "wall_s", "train_examples_per_s", "infer_examples_per_s")
 
 
@@ -65,7 +72,8 @@ def compare(parent: list[float], change: list[float], better: str,
     """Statistics of one metric over paired runs (parent[i] with change[i]).
 
     `better` is "higher" or "lower"; ties count for neither side. `bound`
-    is the relative worsening of the median the benchmark allows.
+    is the relative worsening of the median the benchmark allows, and a
+    parent spread wider than it leaves the metric unresolved.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same non-zero number of parent and change runs")
@@ -84,6 +92,9 @@ def compare(parent: list[float], change: list[float], better: str,
         "pairs": len(parent), "won": won, "lost": lost, "tied": len(parent) - won - lost,
         "median_ratio": cmed / pmed if pmed else None,
         "gain_rule_met": won >= WIN_SHARE * len(parent) and gain > p3 - p1,
+        "resolved": len(parent) >= MIN_PAIRS and (
+            bound is None or p3 - p1 <= bound * abs(pmed)
+            or min(sign * c for c in change) > max(sign * p for p in parent)),
     }
     if bound is not None:
         out["bound"] = bound
@@ -147,6 +158,16 @@ def summary_lines(report: dict) -> list[str]:
             lines.append(line)
     lines.append(f"src_lines: parent {report['src_lines']['parent']} "
                  f"-> change {report['src_lines']['change']}")
+    return lines
+
+
+def unresolved_lines(report: dict) -> list[str]:
+    """One line per workload of a report naming its unresolved end-to-end metrics."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        names = [name for name, m in entry["metrics"].items() if not m["resolved"]]
+        if names:
+            lines.append(f"{workload} unresolved: {' '.join(names)}")
     return lines
 
 
@@ -223,6 +244,8 @@ def main(argv=None) -> int:
                     for name in TIMINGS},
                 "runs": runs,
             }
+    for line in unresolved_lines(report):
+        print(line)
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

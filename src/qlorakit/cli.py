@@ -33,7 +33,7 @@ from . import qagen
 from . import tasks
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
-from .fileio import atomic_write, json_int, read_json, read_lines, write_jsonl
+from .fileio import atomic_write, echo, json_int, read_json, read_lines, write_jsonl
 from .lora import flatten_adapters, load_adapters, save_adapters
 from .matrix import as_matrix
 from .model import (QUANTIZED_ROLES, base_fingerprint, check_examples, init_adapters,
@@ -339,7 +339,7 @@ def cmd_report(args) -> int:
             raise InputError(f"{path}: {exc}") from exc
         for model, per_task in parsed.items():
             if model in merged:
-                raise InputError(f"duplicate model column {model!r} in {path}")
+                raise InputError(f"duplicate model column {echo(model)} in {path}")
             merged[model] = per_task
     text, csv_text = ev.render_tables({m: merged[m] for m in sorted(merged)})
     with atomic_write(os.path.join(args.in_dir, "report.txt")) as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InputError
-from .fileio import read_json
+from .fileio import echo, read_json
 from .model import ToyModelSpec
 from .optim import TrainConfig
 from .qagen import LLMClientSpec
@@ -77,15 +77,15 @@ def _coerce(key: str, value, target_type):
             return True
         if text in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"config key {key}: cannot read {value!r} as a boolean")
+        raise ConfigError(f"config key {key}: cannot read {echo(value)} as a boolean")
     if target_type is int and (isinstance(value, bool) or (
             isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"config key {key}: cannot read {value!r} as int")
+        raise ConfigError(f"config key {key}: cannot read {echo(value)} as int")
     try:
         return target_type(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(
-            f"config key {key}: cannot read {value!r} as {target_type.__name__}"
+            f"config key {key}: cannot read {echo(value)} as {target_type.__name__}"
         ) from exc
 
 
@@ -112,7 +112,7 @@ def parse_set_overrides(pairs) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
+            raise ConfigError(f"--set expects key=value, got {echo(pair)}")
         key, value = pair.split("=", 1)
         out[key.strip()] = value.strip()
     return out

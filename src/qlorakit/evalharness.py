@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .fileio import atomic_write, read_dataclass_jsonl, read_lines
+from .fileio import atomic_write, echo, read_dataclass_jsonl, read_lines
 from .qagen import CATEGORIES
 
 UNKNOWN = "unknown"
@@ -58,7 +58,7 @@ class LabelSet:
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
-            raise ConfigError(f"category {self.category!r} not in {CATEGORIES}")
+            raise ConfigError(f"category {echo(self.category)} not in {CATEGORIES}")
         normalized = tuple(normalize_text(lab) for lab in self.labels)
         if any(not lab for lab in normalized):
             raise ConfigError(f"{self.category}: empty label after normalization")
@@ -250,12 +250,12 @@ def parse_report_csv(text: str) -> dict:
         raise InputError("not a report CSV (bad header)")
     models = header[2:]
     if len(set(models)) != len(models):
-        raise InputError(f"duplicate model column in header {lines[0]!r}")
+        raise InputError(f"duplicate model column in header {echo(lines[0])}")
     out: dict = {m: {} for m in models}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise InputError(f"report row {ln!r} does not have the header's "
+            raise InputError(f"report row {echo(ln)} does not have the header's "
                              f"{len(header)} fields")
         task, metric, cells = parts[0], parts[1], parts[2:]
         for m, cell in zip(models, cells):

@@ -8,8 +8,11 @@ removes its temp file. (No fsync: this guards against failed or
 interrupted writers, not against power loss.)
 
 The readers turn any undecodable content (bytes that are not UTF-8,
-invalid or too deeply nested JSON, a non-integer where an integer
-belongs) into InputError, so a bad file never escapes untyped.
+invalid JSON or JSON nested deeper than 256 levels, a non-integer where
+an integer belongs) into InputError, so a bad file never escapes
+untyped. json_value is the one JSON decoder of the package: the nesting
+cap, not the depth of the caller's stack, decides deep input. A message
+quotes at most 60 characters of a bad value (echo).
 
 Every JSONL artifact holds one dataclass row per line, keys being the
 dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
@@ -23,7 +26,9 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import secrets
+from itertools import accumulate
 
 from .errors import InputError
 
@@ -55,20 +60,37 @@ def read_lines(path) -> list[str]:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def json_object(text: str, where) -> dict:
-    """The JSON object text holds; where names its source in the InputError."""
+def echo(value) -> str:
+    """repr(value) for a message: its first ECHO_CHARS characters, then "..." if longer."""
+    text = repr(value)
+    return text[:ECHO_CHARS] + "..." if len(text) > ECHO_CHARS else text
+
+
+def json_value(text: str, where, kind=dict):
+    """The JSON value of type kind (dict or list) text holds; where names its
+    source in the InputError. Text nested deeper than MAX_JSON_DEPTH never
+    reaches the decoder, so no caller's stack depth changes an outcome."""
+    if (text.count("[") + text.count("{") > MAX_JSON_DEPTH  # bounds the depth
+            and max(accumulate(_STEP[c] for c in re.findall(_NESTING, text)),
+                    default=0) > MAX_JSON_DEPTH):
+        raise InputError(f"{where}: invalid JSON: nested deeper than {MAX_JSON_DEPTH} levels")
     try:
-        value = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"{where}: invalid JSON: {exc}") from exc
-    if not isinstance(value, dict):
-        raise InputError(f"{where}: expected a JSON object")
+        value, end = _decode(text)
+    except ValueError:
+        end = None
+    if end != len(text):  # json.loads allows whitespace around the value and words each fault
+        try:
+            value = json.loads(text)
+        except ValueError as exc:
+            raise InputError(f"{where}: invalid JSON: {exc}") from exc
+    if type(value) is not kind:
+        raise InputError(f"{where}: expected a JSON {'object' if kind is dict else 'array'}")
     return value
 
 
 def read_json(path) -> dict:
     """The one JSON object a UTF-8 file holds."""
-    return json_object("".join(read_lines(path)), path)
+    return json_value("".join(read_lines(path)), path)
 
 
 def json_int(value, what: str) -> int:
@@ -78,9 +100,7 @@ def json_int(value, what: str) -> int:
         value = int(value)
     if (not isinstance(value, int) or isinstance(value, bool)
             or not -2**63 <= value < 2**63):
-        echo = repr(value)
-        raise InputError(f"{what} must be a 64-bit integer, got {echo[:ECHO_CHARS]}"
-                         + ("..." if len(echo) > ECHO_CHARS else ""))
+        raise InputError(f"{what} must be a 64-bit integer, got {echo(value)}")
     return value
 
 
@@ -91,6 +111,11 @@ _decode = json.JSONDecoder().raw_decode  # json.loads without its per-call check
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
 _fields = functools.cache(dataclasses.fields)  # looked up once per row type
 ECHO_CHARS = 60  # a message quotes at most this much of a bad value, then "..."
+MAX_JSON_DEPTH = 256  # deeper JSON is refused before decoding
+# a JSON string, closed or not, or (as group 1) a bracket outside strings; compiled
+# by re on first use, so importing the package does not pay for it
+_NESTING = r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"?|([][{}])'
+_STEP = {"": 0, "[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def write_jsonl(path, rows) -> None:
@@ -113,16 +138,8 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
                 and f.default_factory is dataclasses.MISSING}
     typed = [(f.name, _JSON_TYPES[kind]) for f in fields
              if (kind := getattr(f.type, "__name__", f.type)) in _JSON_TYPES]
-    rows = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        if line := line.strip():
-            try:
-                row, end = _decode(line)
-            except (ValueError, RecursionError):
-                end = None
-            if end != len(line) or type(row) is not dict:
-                json_object(line, f"{path}:{lineno}")  # raises json.loads's own message
-            rows.append(row)
+    rows = [json_value(text, f"{path}:{lineno}")
+            for lineno, line in enumerate(read_lines(path), 1) if (text := line.strip())]
     out = []
     for row in rows:
         try:

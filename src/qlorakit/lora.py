@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quant
 from .errors import ConfigError, InputError, ShapeError
-from .fileio import atomic_write
+from .fileio import atomic_write, json_value
 from .matrix import Matrix, as_matrix
 from .quant import Q4BlockMatrix
 
@@ -207,10 +207,8 @@ def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
         return buf[off - n:off]
 
     adapters: dict[str, LoraAdapter] = {}
-    try:  # any decode failure: a ValueError (truncation, UTF-8, JSON, fields), or deep JSON
-        meta = json.loads(take(meta_len, "meta").decode("utf-8"))
-        if not isinstance(meta, dict):
-            raise InputError("meta is not a JSON object")
+    try:  # any decode failure is a ValueError: truncation, UTF-8, JSON, fields
+        meta = json_value(take(meta_len, "meta").decode("utf-8"), "meta")
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4, "adapter name length"))
             name = take(name_len, "adapter name").decode("utf-8")
@@ -220,7 +218,7 @@ def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
             adapters[name] = LoraAdapter(b_factor=b.reshape(d_in, rank).copy(),
                                          a_factor=a.reshape(rank, d_out).copy(),
                                          rank=rank, alpha=alpha)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: bad adapter checkpoint: {exc}") from exc
     if off != len(buf):
         raise InputError(f"{path}: {len(buf) - off} trailing bytes")

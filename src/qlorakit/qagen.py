@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
-from .fileio import atomic_write, json_object, read_dataclass_jsonl, read_lines
+from .fileio import atomic_write, echo, json_value, read_dataclass_jsonl, read_lines
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
@@ -69,7 +69,7 @@ class ScenarioAnnotation:
         names = [f.name for f in fields(self)]
         for key, value in self.extra.items():
             if not _EXTRA_KEY_RE.match(key) or key in names:
-                raise InputError(f"bad extra key {key!r}")
+                raise InputError(f"bad extra key {echo(key)}")
             _check_line_text(value, f"extra[{key}]")
         # sorted, so equal annotations write equal bytes
         object.__setattr__(self, "extra", dict(sorted(self.extra.items())))
@@ -90,9 +90,7 @@ class QARecord:
         _check_line_text(self.question, "question")
         _check_line_text(self.answer, "answer")
         if self.category not in CATEGORIES:
-            raise InputError(
-                f"category {self.category!r} not in {CATEGORIES}"
-            )
+            raise InputError(f"category {echo(self.category)} not in {CATEGORIES}")
         if not 1 <= self.pair_index <= 5:
             raise InputError(f"pair_index {self.pair_index} outside [1, 5]")
 
@@ -162,11 +160,9 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
     if start == -1 or end == -1 or end < start:
         raise QAParseError("no JSON array in response", raw_text=text)
     try:
-        payload = json.loads(text[start:end + 1])
-    except (ValueError, RecursionError) as exc:
-        raise QAParseError(f"invalid JSON: {exc}", raw_text=text) from exc
-    if not isinstance(payload, list):
-        raise QAParseError("response is not a JSON array", raw_text=text)
+        payload = json_value(text[start:end + 1], "response", list)
+    except InputError as exc:
+        raise QAParseError(str(exc), raw_text=text) from exc
     if len(payload) != 5:
         raise QAParseError(f"expected 5 QA pairs, got {len(payload)}", raw_text=text)
     triples = []
@@ -182,7 +178,7 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
         except InputError as exc:
             raise QAParseError(str(exc), raw_text=text) from exc
         if category not in CATEGORIES:
-            raise QAParseError(f"unknown category {category!r}", raw_text=text)
+            raise QAParseError(f"unknown category {echo(category)}", raw_text=text)
         triples.append((question, answer, category))
     seen = {c for _, _, c in triples}
     missing = [c for c in CATEGORIES if c not in seen]
@@ -336,7 +332,7 @@ class HttpLLMClient:
             raise TransportError(f"backend {self.endpoint} returned HTTP {status}")
         raw_text = raw.decode("utf-8", errors="replace")
         try:
-            text = json_object(raw_text, "backend response").get("text")
+            text = json_value(raw_text, "backend response").get("text")
         except InputError as exc:
             raise QAParseError(str(exc), raw_text=raw_text) from exc
         if not isinstance(text, str):
@@ -386,7 +382,7 @@ def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
     seen = set()
     for s in scenarios:
         if s.scenario_id in seen:
-            raise InputError(f"duplicate scenario_id {s.scenario_id!r}")
+            raise InputError(f"duplicate scenario_id {echo(s.scenario_id)}")
         seen.add(s.scenario_id)
 
     def run_one(s: ScenarioAnnotation):

@@ -15,7 +15,7 @@ import pytest
 
 from qlorakit import model
 from qlorakit.errors import InputError
-from qlorakit.fileio import json_int, read_lines
+from qlorakit.fileio import MAX_JSON_DEPTH, json_int, read_lines
 from qlorakit.lora import flatten_adapters
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
 
@@ -198,17 +198,40 @@ def reference_adamw_step_flat(param, g, first, second, t, lr, cfg, block_size):
     return m, v, float(np.sqrt(np.dot(g, g))), float(np.sqrt(np.dot(step, step)))
 
 
+def reference_json_depth(text: str) -> int:
+    """The deepest nesting of [ and { outside JSON strings, one character at a time."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped, in_string = ch == "\\", ch != '"'
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
 def reference_read_jsonl(path) -> list[dict]:
-    """Reference JSONL decode: json.loads on each stripped non-blank line,
-    every line decoded before any row is checked."""
+    """Reference JSONL decode: json.loads on each stripped non-blank line
+    nested at most MAX_JSON_DEPTH deep, every line decoded before any row
+    is checked."""
     rows = []
     for lineno, line in enumerate(read_lines(path), 1):
         line = line.strip()
         if not line:
             continue
+        if reference_json_depth(line) > MAX_JSON_DEPTH:
+            raise InputError(f"{path}:{lineno}: invalid JSON: "
+                             f"nested deeper than {MAX_JSON_DEPTH} levels")
         try:
             value = json.loads(line)
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(value, dict):
             raise InputError(f"{path}:{lineno}: expected a JSON object")

@@ -73,6 +73,49 @@ def test_bench_compare_statistics():
     assert single["won"] == 1 and single["gain_rule_met"]
 
 
+def test_bench_compare_marks_a_verdict_the_runs_cannot_resolve():
+    compare = load_bench_compare().compare
+    tight = [100.0, 104.0, 98.0, 102.0, 101.0, 99.0, 103.0, 100.0, 97.0, 105.0]
+    assert compare(tight, tight, "higher", bound=0.25)["resolved"]
+    # fewer than 10 pairs resolve nothing, however clear they look
+    assert not compare(tight[:9], [2 * t for t in tight[:9]], "higher", bound=0.25)["resolved"]
+    assert not compare([2.0], [1.0], "lower")["resolved"]
+    # the parent's quartiles 40% apart: wider than a 25% bound
+    wide = [60.0, 140.0, 80.0, 120.0, 70.0, 130.0, 90.0, 110.0, 100.0, 100.0]
+    assert not compare(wide, wide[::-1], "higher", bound=0.25)["resolved"]
+    assert compare(wide, wide[::-1], "higher")["resolved"]  # no bound, nothing to resolve
+    # unless every change run reads better than every parent run
+    above = [w + 81 for w in wide]
+    assert compare(wide, above, "higher", bound=0.25)["resolved"]
+    assert not compare(wide, above, "lower", bound=0.25)["resolved"]
+    above[0] = 139.0  # below the parent's best run
+    assert not compare(wide, above, "higher", bound=0.25)["resolved"]
+
+
+def test_bench_compare_names_the_unresolved_metrics_of_each_workload(tmp_path, monkeypatch,
+                                                                     capsys):
+    module = load_bench_compare()
+
+    def fake_run(tree, workload, seed, seconds):
+        return {"seed": seed, "exit_code": 0, "env": {}, "correct": True, "attempted": 1,
+                "failed": 0, "metrics": {name: 1.0 for name in END_TO_END},
+                "raw": {name: 1.0 for name in module.TIMINGS}}
+
+    monkeypatch.setattr(module, "export_parent", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module, "run_once", fake_run)
+    assert module.main(["--label", "t", "--runs", "train-qlora:10", "train-lora:2",
+                        "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    verdicts = out[out.index(f"wrote {tmp_path / 'BENCH_t.json'}") - 1]
+    assert verdicts == "train-lora unresolved: " + " ".join(END_TO_END)
+    assert not any(line.startswith("train-qlora unresolved") for line in out)
+    for workload, resolved in (("train-qlora", True), ("train-lora", False)):
+        entry = report["workloads"][workload]
+        assert {m["resolved"] for m in entry["metrics"].values()} == {resolved}
+        assert {m["resolved"] for m in entry["raw_metrics"].values()} == {resolved}
+
+
 def test_bench_compare_counts_src_lines_per_tree(tmp_path):
     src_lines = load_bench_compare().src_lines
     for name, files in {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
