@@ -33,7 +33,7 @@ from . import qagen
 from . import tasks
 from .errors import (ConfigError, InputError, NumericError, QAParseError,
                      ShapeError, TransportError)
-from .fileio import atomic_write, echo, json_int, read_json, read_lines, write_jsonl
+from .fileio import atomic_write, echo, json_int, read_json, write_jsonl
 from .lora import flatten_adapters, load_adapters, save_adapters
 from .matrix import as_matrix
 from .model import (QUANTIZED_ROLES, base_fingerprint, check_examples, init_adapters,
@@ -52,7 +52,8 @@ ADAPTERS_FILE = "adapters.bin"
 TRACE_FILE = "trace.csv"
 SUMMARY_FILE = "summary.json"
 
-_MODEL_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_MODEL_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")  # eval's and report's one rule
+_METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "sample_count")
 
 
 def _err(message: str) -> None:
@@ -269,8 +270,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not _MODEL_NAME_RE.match(args.model_name):
-        raise ConfigError(f"bad model name {args.model_name!r}")
+    if not _MODEL_NAME_RE.fullmatch(args.model_name):
+        raise ConfigError(f"bad model name {echo(args.model_name)}")
     preds = ev.read_predictions_jsonl(args.preds)
     gold = _records(args.gold, args.manifest)
     gold.sort(key=lambda r: (r.scenario_id, r.pair_index))
@@ -294,9 +295,7 @@ def cmd_eval(args) -> int:
     cms = {category: ev.build_confusion(guesses, golds, label_sets[category])
            for category, (golds, guesses) in sorted(by_cat.items())}
     reports = {category: ev.compute_metrics(cm, args.mode) for category, cm in cms.items()}
-    results = {args.model_name: reports}
-
-    table, csv_text = ev.render_tables(ev.report_cells(results))
+    table, csv_text = ev.render_tables({args.model_name: reports})
     with atomic_write(os.path.join(args.out, f"metrics_{args.model_name}.csv")) as fh:
         fh.write(csv_text)
     with atomic_write(os.path.join(args.out, f"report_{args.model_name}.txt")) as fh:
@@ -310,11 +309,8 @@ def cmd_eval(args) -> int:
         "n": n,
         "seed": args.seed,
         "mode": args.mode,
-        "metrics": {
-            cat: {"accuracy": r.accuracy, "precision": r.precision,
-                  "recall": r.recall, "f1": r.f1, "sample_count": r.sample_count}
-            for cat, r in reports.items()
-        },
+        "metrics": {cat: {key: getattr(r, key) for key in _METRIC_KEYS}
+                    for cat, r in reports.items()},
     })
     # rows are gold, columns predicted; unknown is the last label of both
     _write_json(os.path.join(args.out, f"confusion_{args.model_name}.json"), {
@@ -326,22 +322,40 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    paths = sorted(glob.glob(os.path.join(args.in_dir, "metrics_*.csv")))
-    if not paths:
-        raise InputError(f"no metrics_*.csv files in {args.in_dir}")
-    merged: dict = {}
-    for path in paths:
-        content = "".join(read_lines(path))
+def _eval_reports(path) -> tuple[str, dict]:
+    """(model name, category -> MetricReport) from an eval_summary file eval wrote."""
+    summary = read_json(path)
+    name, mode, metrics = (summary.get(key) for key in ("model_name", "mode", "metrics"))
+    if not isinstance(name, str) or not _MODEL_NAME_RE.fullmatch(name):
+        raise InputError(f"{path}: bad model name {echo(name)}")
+    if mode not in ev.MODES:
+        raise InputError(f"{path}: mode must be one of {ev.MODES}, got {echo(mode)}")
+    if not isinstance(metrics, dict):
+        raise InputError(f"{path}: metrics must be a JSON object")
+    reports = {}
+    for cat, entry in metrics.items():
+        if cat not in qagen.CATEGORIES:
+            raise InputError(f"{path}: unknown category {echo(cat)} in metrics")
+        if not isinstance(entry, dict) or entry.keys() != set(_METRIC_KEYS):
+            raise InputError(f"{path}: {cat} metrics must hold exactly {_METRIC_KEYS}")
         try:
-            parsed = ev.parse_report_csv(content)
+            reports[cat] = ev.MetricReport(category=cat, mode=mode, **entry)
         except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        for model, per_task in parsed.items():
-            if model in merged:
-                raise InputError(f"duplicate model column {echo(model)} in {path}")
-            merged[model] = per_task
-    text, csv_text = ev.render_tables({m: merged[m] for m in sorted(merged)})
+            raise InputError(f"{path}: {cat}: {exc}") from exc
+    return name, reports
+
+
+def cmd_report(args) -> int:
+    paths = sorted(glob.glob(os.path.join(args.in_dir, "eval_summary_*.json")))
+    if not paths:
+        raise InputError(f"no eval_summary_*.json files in {args.in_dir}")
+    results: dict = {}
+    for path in paths:
+        name, reports = _eval_reports(path)
+        if name in results:
+            raise InputError(f"{path}: model name {echo(name)} is also an earlier file's")
+        results[name] = reports
+    text, csv_text = ev.render_tables({m: results[m] for m in sorted(results)})
     with atomic_write(os.path.join(args.in_dir, "report.txt")) as fh:
         fh.write(text)
     with atomic_write(os.path.join(args.in_dir, "report.csv")) as fh:
@@ -470,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-name", default="model")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="merge metrics_*.csv into one table")
+    p = sub.add_parser("report", help="merge eval_summary_*.json into one table")
     p.add_argument("--in", dest="in_dir", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -102,7 +102,7 @@ def load_config(path=None, overrides: Mapping[str, object] | None = None) -> Run
     kwargs = {}
     for key, value in values.items():
         if key not in _FIELDS:
-            raise ConfigError(f"unknown config key: {key}")
+            raise ConfigError(f"unknown config key: {echo(key)}")
         kwargs[key] = _coerce(key, value, type(getattr(_DEFAULTS, key)))
     return RunConfig(**kwargs)
 

@@ -1,5 +1,7 @@
 """Answer normalization, per-task confusion matrices, multiclass metrics
-(micro / macro / weighted), subset sampling, and report rendering.
+(micro / macro / weighted), subset sampling, and the one report renderer:
+render_tables formats MetricReports straight into the text and CSV tables,
+for eval's own tables and for report's merge of eval_summary files alike.
 
 Normalization maps a raw answer to a canonical label: casefold, strip
 punctuation, collapse whitespace, then exact match, then whole-word
@@ -131,8 +133,10 @@ class MetricReport:
     def __post_init__(self):
         for name in ("accuracy", "precision", "recall", "f1"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InputError(f"{name} = {value} outside [0, 1]")
+            if not isinstance(value, float) or not 0.0 <= value <= 1.0:
+                raise InputError(f"{name} = {echo(value)} outside [0, 1]")
+        if type(self.sample_count) is not int or self.sample_count < 1:
+            raise InputError(f"sample_count = {echo(self.sample_count)} is not a count")
 
 
 def compute_metrics(cm: ConfusionMatrix, mode: str = "macro") -> MetricReport:
@@ -187,35 +191,23 @@ def sample_eval_set(items: Sequence, n: int, seed: int) -> list:
 
 # ---- rendering ----
 
-def _cell(value: float) -> str:
-    return f"{100.0 * value:.2f}"
-
-
 _METRIC_ATTRS = dict(zip(METRIC_ROWS, ("accuracy", "recall", "precision", "f1")))
 
 
-def report_cells(results: Mapping[str, Mapping[str, MetricReport]]) -> dict:
-    """model -> task display name -> metric row -> formatted cell."""
-    return {
-        model: {TASK_DISPLAY[cat]: {metric: _cell(getattr(per_task[cat], attr))
-                                    for metric, attr in _METRIC_ATTRS.items()}
-                for cat in CATEGORIES if cat in per_task}
-        for model, per_task in results.items()
-    }
-
-
-def render_tables(cells: Mapping[str, Mapping]) -> tuple[str, str]:
-    """(text table, CSV) from formatted cells, model columns in mapping order;
-    a task missing for a model shows "-"."""
-    models = list(cells)
+def render_tables(results: Mapping[str, Mapping[str, MetricReport]]) -> tuple[str, str]:
+    """(text table, CSV) of model -> category -> report, model columns in
+    mapping order, each cell a percentage to 2 decimals; a task missing for
+    a model shows "-"."""
+    models = list(results)
     if not models:
         raise InputError("no models to report")
-    tasks = [TASK_DISPLAY[c] for c in CATEGORIES
-             if any(TASK_DISPLAY[c] in cells[m] for m in models)]
+    tasks = [c for c in CATEGORIES if any(c in results[m] for m in models)]
     if not tasks:
         raise InputError("no task categories to report")
-    rows = [(task, metric, [cells[m].get(task, {}).get(metric, "-") for m in models])
-            for task in tasks for metric in METRIC_ROWS]
+    rows = [(TASK_DISPLAY[cat], metric,
+             [f"{100.0 * getattr(results[m][cat], attr):.2f}" if cat in results[m] else "-"
+              for m in models])
+            for cat in tasks for metric, attr in _METRIC_ATTRS.items()]
     task_w = max(len("Task"), max(len(r[0]) for r in rows))
     metric_w = max(len("Metric"), max(len(r[1]) for r in rows))
     model_w = [max(len(m), 6) for m in models]
@@ -237,30 +229,7 @@ def render_tables(cells: Mapping[str, Mapping]) -> tuple[str, str]:
 
 
 def render_report(results: Mapping[str, Mapping[str, MetricReport]]) -> str:
-    return render_tables(report_cells(results))[0]
-
-
-def parse_report_csv(text: str) -> dict:
-    """Inverse of render_tables' CSV down to the formatted cell strings."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
-        raise InputError("empty report CSV")
-    header = lines[0].split(",")
-    if header[:2] != ["task", "metric"]:
-        raise InputError("not a report CSV (bad header)")
-    models = header[2:]
-    if len(set(models)) != len(models):
-        raise InputError(f"duplicate model column in header {echo(lines[0])}")
-    out: dict = {m: {} for m in models}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise InputError(f"report row {echo(ln)} does not have the header's "
-                             f"{len(header)} fields")
-        task, metric, cells = parts[0], parts[1], parts[2:]
-        for m, cell in zip(models, cells):
-            out[m].setdefault(task, {})[metric] = cell
-    return out
+    return render_tables(results)[0]
 
 
 # ---- file formats ----

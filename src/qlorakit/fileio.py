@@ -146,7 +146,7 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
             if not known >= row.keys() >= required:
                 unknown = sorted(row.keys() - known)
                 if unknown:
-                    raise InputError(f"unknown {what} key {unknown[0]!r}")
+                    raise InputError(f"unknown {what} key {echo(unknown[0])}")
                 raise InputError(f"missing {what} key {min(required - row.keys())!r}")
             for name, kind in typed:
                 if name not in row:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quant
 from .errors import ConfigError, InputError, ShapeError
-from .fileio import atomic_write, json_value
+from .fileio import atomic_write, echo, json_value
 from .matrix import Matrix, as_matrix
 from .quant import Q4BlockMatrix
 
@@ -212,9 +212,9 @@ def load_adapters(path) -> tuple[dict[str, LoraAdapter], dict]:
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4, "adapter name length"))
             name = take(name_len, "adapter name").decode("utf-8")
-            d_in, d_out, rank, alpha = struct.unpack("<IIId", take(20, f"adapter {name!r}"))
-            b = np.frombuffer(take(8 * d_in * rank, f"{name!r} b_factor"), dtype="<f8")
-            a = np.frombuffer(take(8 * rank * d_out, f"{name!r} a_factor"), dtype="<f8")
+            d_in, d_out, rank, alpha = struct.unpack("<IIId", take(20, f"adapter {echo(name)}"))
+            b = np.frombuffer(take(8 * d_in * rank, f"{echo(name)} b_factor"), dtype="<f8")
+            a = np.frombuffer(take(8 * rank * d_out, f"{echo(name)} a_factor"), dtype="<f8")
             adapters[name] = LoraAdapter(b_factor=b.reshape(d_in, rank).copy(),
                                          a_factor=a.reshape(rank, d_out).copy(),
                                          rank=rank, alpha=alpha)

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .fileio import echo
 from .lora import LoraAdapter, QLoraLinear, flatten_adapters, lora_init
 from .matrix import softmax
 from .quant import DEFAULT_BLOCK_SIZE, Q4BlockMatrix, q4_to_bytes, quantize_4bit
@@ -254,11 +255,11 @@ def adapted_layers(params: ModelParams, spec: ToyModelSpec,
     allowed = set(spec.adapter_names())
     for name, ad in adapters.items():
         if name not in allowed:
-            raise InputError(f"adapter {name!r} does not match any configured target "
+            raise InputError(f"adapter {echo(name)} does not match any configured target "
                              f"(targets: {spec.adapter_targets})")
         role = name.rsplit(".", 1)[-1]
         if (ad.d_in, ad.d_out) != spec.role_shape(role):
-            raise InputError(f"adapter {name!r} has shape {ad.d_in}x{ad.d_out}, "
+            raise InputError(f"adapter {echo(name)} has shape {ad.d_in}x{ad.d_out}, "
                              f"expected {spec.role_shape(role)}")
     expected, have = set(spec.param_names()), set(params.weights)
     if have != expected:

@@ -15,7 +15,7 @@ import pytest
 
 from qlorakit import model
 from qlorakit.errors import InputError
-from qlorakit.fileio import MAX_JSON_DEPTH, json_int, read_lines
+from qlorakit.fileio import MAX_JSON_DEPTH, echo, json_int, read_lines
 from qlorakit.lora import flatten_adapters
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
 
@@ -256,7 +256,7 @@ def reference_read_dataclass_jsonl(path, cls, what: str) -> list:
             if not known >= row.keys() >= required:
                 unknown = sorted(row.keys() - known)
                 if unknown:
-                    raise InputError(f"unknown {what} key {unknown[0]!r}")
+                    raise InputError(f"unknown {what} key {echo(unknown[0])}")
                 raise InputError(f"missing {what} key {min(required - row.keys())!r}")
             for name, kind in typed:
                 if name not in row:

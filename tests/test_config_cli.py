@@ -50,7 +50,7 @@ def test_file_then_override_precedence(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown config key: ranks"):
+    with pytest.raises(ConfigError, match="^unknown config key: 'ranks'$"):
         load_config(None, {"ranks": 8})
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]")
@@ -520,18 +520,28 @@ def test_report_merges_two_models(tmp_path, capsys):
     evals = tmp_path / "evals"
     assert main(["predict", "--run", str(run), "--data", str(data),
                  "--out", str(preds), "--split", "test"]) == 0
-    for name in ("alpha", "beta"):
+    for name, mode in (("beta", "weighted"), ("alpha", "macro")):
         assert main(["eval", "--preds", str(preds), "--gold",
                      str(data / "corpus.jsonl"), "--labels",
                      str(data / "labels"), "--out", str(evals),
                      "--manifest", str(data / "test_ids.txt"),
-                     "--model-name", name]) == 0
+                     "--model-name", name, "--mode", mode]) == 0
     capsys.readouterr()
     assert main(["report", "--in", str(evals)]) == 0
     header = capsys.readouterr().out.splitlines()[0].split()
     assert header == ["Task", "Metric", "alpha", "beta"]
-    csv_header = (evals / "report.csv").read_text().splitlines()[0]
-    assert csv_header == "task,metric,alpha,beta"
+    merged = [line.split(",") for line in (evals / "report.csv").read_text().splitlines()]
+    assert merged[0] == ["task", "metric", "alpha", "beta"]
+    # every cell of each model's column is that model's own eval table, byte for byte
+    own = {name: [line.split(",") for line in
+                  (evals / f"metrics_{name}.csv").read_text().splitlines()]
+           for name in ("alpha", "beta")}
+    for column, name in ((2, "alpha"), (3, "beta")):
+        assert [row[:2] + [row[column]] for row in merged[1:]] == own[name][1:]
+    assert [row[2] for row in merged[1:]] != [row[3] for row in merged[1:]]
+    text = (evals / "report.txt").read_text().splitlines()
+    alpha_text = (evals / "report_alpha.txt").read_text().splitlines()
+    assert [line.rsplit(None, 1)[0] for line in text[2:]] == alpha_text[2:]
 
 
 def test_inspect_quant_text_and_csv(tmp_path, capsys):

@@ -187,6 +187,8 @@ def _exits_2_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: input: ") and err.count("\n") == 1, err
+    assert len(err.encode()) <= 300, err
+    return err
 
 
 @pytest.mark.parametrize("corpus", [b'{"scenario_id": "s\xff"}\n', RECORD % b'"x"'],
@@ -214,8 +216,19 @@ def corpus_checkpoint(**changed) -> bytes:
     return b"LAD1" + struct.pack("<III", 1, 0, len(blob)) + blob
 
 
+METRICS = {"accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5, "sample_count": 4}
+
+
+def eval_summary(**changed) -> bytes:
+    """The bytes of model m's eval_summary file with the changed keys replaced;
+    "\xff" in a value stands for a byte that is not UTF-8."""
+    summary = {"model_name": "m", "mode": "macro", "metrics": {"risk": METRICS}, **changed}
+    return json.dumps(summary).encode().replace(b"\\u00ff", b"\xff")
+
+
 # case -> (command, the file it reads, its bytes); train reads task.json of a token
-# dir, predict the adapters.bin of a run dir
+# dir, predict the adapters.bin of a run dir, report eval_summary_*.json beside a
+# good one of model a
 CLI_INPUTS = {
     "train-task-json-invalid": ("train", "task.json", b"{bad"),
     "train-task-json-no-keys": ("train", "task.json", b"{}"),
@@ -224,14 +237,25 @@ CLI_INPUTS = {
                                      b'{"vocab_size": "x", "n_classes": 4}'),
     "train-task-json-bad-utf8": ("train", "task.json",
                                  b'{"vocab_size": 64, "n_classes": 4}\xff'),
-    "report-bad-utf8": ("report", "metrics_m.csv", b"task,metric,m\nRisk,Accuracy,\xff\n"),
-    "report-short-row": ("report", "metrics_m.csv", b"task,metric,m\nRisk\n"),
-    "report-model-twice": ("report", "metrics_m.csv",
-                           b"task,metric,m,m\nRisk,Accuracy,1.00,2.00\n"),
-    "report-cell-too-many": ("report", "metrics_m.csv",
-                             b"task,metric,m\nRisk,Accuracy,1.00,2.00\n"),
-    "report-cell-too-few": ("report", "metrics_m.csv",
-                            b"task,metric,m1,m2\nRisk,Accuracy,1.00\n"),
+    "report-bad-utf8": ("report", "eval_summary_m.json", eval_summary(mode="\xff")),
+    "report-invalid-json": ("report", "eval_summary_m.json", eval_summary()[:-2]),
+    "report-metrics-not-object": ("report", "eval_summary_m.json", eval_summary(metrics=[1])),
+    "report-unknown-metric-key": ("report", "eval_summary_m.json",
+                                  eval_summary(metrics={"risk": {**METRICS, "auc": 0.5}})),
+    "report-missing-metric-key": ("report", "eval_summary_m.json", eval_summary(
+        metrics={"risk": {k: v for k, v in METRICS.items() if k != "f1"}})),
+    "report-string-metric": ("report", "eval_summary_m.json",
+                             eval_summary(metrics={"risk": {**METRICS, "recall": "0.5"}})),
+    "report-metric-above-1": ("report", "eval_summary_m.json",
+                              eval_summary(metrics={"risk": {**METRICS, "f1": 1.5}})),
+    "report-unknown-category": ("report", "eval_summary_m.json",
+                                eval_summary(metrics={"weather": METRICS})),
+    "report-comma-in-model-name": ("report", "eval_summary_m.json",
+                                   eval_summary(model_name="m,n")),
+    "report-newline-in-model-name": ("report", "eval_summary_m.json",
+                                     eval_summary(model_name="m\n")),
+    "report-model-twice": ("report", "eval_summary_m.json", eval_summary(model_name="a")),
+    "report-unknown-mode": ("report", "eval_summary_m.json", eval_summary(mode="median")),
     "inspect-quant-words": ("inspect-quant", "w.txt", b"abc def\n"),
     "inspect-quant-empty": ("inspect-quant", "w.txt", b""),
     "inspect-quant-blank": ("inspect-quant", "w.txt", b"  \n\n"),
@@ -248,14 +272,35 @@ CLI_INPUTS = {
 }
 
 
+# report case -> how its message names the fault in eval_summary_m.json
+REPORT_FAULTS = {
+    "report-bad-utf8": "not UTF-8 text",
+    "report-invalid-json": "invalid JSON",
+    "report-metrics-not-object": "metrics must be a JSON object",
+    "report-unknown-metric-key": "risk metrics must hold exactly",
+    "report-missing-metric-key": "risk metrics must hold exactly",
+    "report-string-metric": "risk: recall = '0.5' outside [0, 1]",
+    "report-metric-above-1": "risk: f1 = 1.5 outside [0, 1]",
+    "report-unknown-category": "unknown category 'weather'",
+    "report-comma-in-model-name": "bad model name 'm,n'",
+    "report-newline-in-model-name": "bad model name 'm\\n'",
+    "report-model-twice": "model name 'a' is also an earlier file's",
+    "report-unknown-mode": "mode must be one of",
+}
+
+
 @pytest.mark.parametrize("case", sorted(CLI_INPUTS))
 def test_cli_on_a_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     command, name, blob = CLI_INPUTS[case]
     (tmp_path / name).write_bytes(blob)
     (tmp_path / "train.jsonl").write_text('{"tokens": [1], "label": 0}\n')
+    (tmp_path / "eval_summary_a.json").write_bytes(eval_summary(model_name="a"))
     argv = {"train": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "run")],
             "report": ["report", "--in", str(tmp_path)],
             "inspect-quant": ["inspect-quant", "--weights", str(tmp_path / name)],
             "predict": ["predict", "--run", str(tmp_path), "--data", str(tmp_path),
                         "--out", str(tmp_path / "p.jsonl")]}
-    _exits_2_with_one_line(capsys, argv[command])
+    err = _exits_2_with_one_line(capsys, argv[command])
+    if command == "report":
+        assert err.startswith(f"error: input: {tmp_path / name}: {REPORT_FAULTS[case]}"), err
+

@@ -1,6 +1,8 @@
 """Evaluation-harness tests: normalization, the containment rule, the
 confusion matrix, metrics against a naive counting oracle, sampling, and
-report rendering/parsing."""
+report rendering."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from qlorakit.evalharness import (METRIC_ROWS, MODES, UNKNOWN,
                                   ConfusionMatrix, LabelSet, MetricReport, Prediction,
                                   build_confusion, compute_metrics,
                                   normalize_answer, normalize_text,
-                                  parse_report_csv, read_label_dir,
-                                  read_predictions_jsonl, render_report,
-                                  render_tables, report_cells,
+                                  read_label_dir, read_predictions_jsonl,
+                                  render_report, render_tables,
                                   sample_eval_set, write_label_files)
 from qlorakit.fileio import write_jsonl
 from qlorakit.qagen import QARecord
@@ -198,6 +199,12 @@ def test_metric_report_range_validation():
     with pytest.raises(InputError, match="outside"):
         MetricReport(category="risk", mode="macro", accuracy=1.2,
                      precision=0.5, recall=0.5, f1=0.5, sample_count=4)
+    with pytest.raises(InputError, match="^f1 = '0.5' outside"):  # a number, not its text
+        MetricReport(category="risk", mode="macro", accuracy=0.5,
+                     precision=0.5, recall=0.5, f1="0.5", sample_count=4)
+    with pytest.raises(InputError, match="^sample_count = True is not a count"):
+        MetricReport(category="risk", mode="macro", accuracy=0.5,
+                     precision=0.5, recall=0.5, f1=0.5, sample_count=True)
     with pytest.raises(ConfigError, match="mode"):
         compute_metrics(hand_example_matrix(), "median")
 
@@ -241,36 +248,20 @@ def test_render_hand_example_cell():
     text = render_report({"m": {"agent": rep}})
     f1_line = [ln for ln in text.splitlines() if "F1-score" in ln][0]
     assert f1_line.split()[-1] == "38.89"
-    _, csv_text = render_tables(report_cells({"m": {"agent": rep}}))
+    _, csv_text = render_tables({"m": {"agent": rep}})
     assert csv_text.splitlines()[4] == "Agent,F1-score,38.89"
 
 
 def test_csv_and_text_tables_carry_identical_cells():
     results = {"m": {"risk": compute_metrics(
         build_confusion(["yes", "no"], ["yes", "yes"], YES_NO), "macro")}}
-    text, csv_text = render_tables(report_cells(results))
+    text, csv_text = render_tables(results)
     assert text == render_report(results)
-    csv_rows = parse_report_csv(csv_text)["m"]
-    for line in text.splitlines()[2:]:
-        parts = line.split()
-        metric, cell = parts[-2], parts[-1]
-        assert csv_rows["Risk"][metric] == cell
-
-
-def test_parse_report_csv_roundtrip_and_validation():
-    results = {"m1": {"risk": perfect_report("risk")},
-               "m2": {"risk": perfect_report("risk")}}
-    parsed = parse_report_csv(render_tables(report_cells(results))[1])
-    assert sorted(parsed) == ["m1", "m2"]
-    assert parsed["m1"]["Risk"]["Accuracy"] == "100.00"
-    with pytest.raises(InputError, match="bad header"):
-        parse_report_csv("a,b\n1,2\n")
-    for row in ("Risk", "Risk,Accuracy", "Risk,Accuracy,1.00,2.00"):
-        with pytest.raises(InputError, match=f"report row '{row}' does not have the "
-                                             "header's 3 fields"):
-            parse_report_csv(f"task,metric,m\n{row}\n")
-    with pytest.raises(InputError, match="duplicate model column"):
-        parse_report_csv("task,metric,m,m\nRisk,Accuracy,1.00,2.00\n")
+    csv_rows = list(csv.reader(csv_text.splitlines()))
+    assert csv_rows[0] == ["task", "metric", "m"]
+    assert [row[1:] for row in csv_rows[1:]] == [line.split()[-2:]
+                                                 for line in text.splitlines()[2:]]
+    assert {row[0] for row in csv_rows[1:]} == {"Risk"}
 
 
 def test_metric_rows_fixed_order():

@@ -155,12 +155,40 @@ def test_messages_quote_a_bad_value_up_to_a_fixed_length(tmp_path, capsys):
     record = {"scenario_id": "s", "image_ref": "i", "question": "q?", "answer": "a",
               "category": "c" * 100_000, "pair_index": 1}
     (tmp_path / "corpus.jsonl").write_text(json.dumps(record) + "\n")
-    (tmp_path / "metrics_m.csv").write_text("task,metric,m\n" + "x" * 40_000 + "\n")
+    del record["category"]
+    record["k" * 100_000] = "scene"
+    (tmp_path / "keyed.jsonl").write_text(json.dumps(record) + "\n")
+    metrics = {"accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5, "sample_count": 4}
+    (tmp_path / "eval_summary_m.json").write_text(json.dumps(
+        {"model_name": "m", "mode": "macro", "metrics": {"c" * 100_000: metrics}}))
+    # a trained checkpoint whose one adapter has a 100,000-character name, whole and cut
+    # inside that adapter's header
+    data, run = tmp_path / "data", tmp_path / "run"
+    for argv in (["make-scenarios", "--n", "4", "--out", str(tmp_path / "s.jsonl")],
+                 ["gen-data", "--scenarios", str(tmp_path / "s.jsonl"), "--out", str(data)],
+                 ["train", "--data", str(data), "--out", str(run),
+                  "--set", "epochs=1", "--set", "warmup_steps=0"]):
+        assert main(argv) == 0, argv[0]
+    adapters, meta = load_adapters(run / "adapters.bin")
+    save_adapters(run / "adapters.bin", {"x" * 100_000: min(adapters.items())[1]}, meta)
+    blob = (run / "adapters.bin").read_bytes()
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "adapters.bin").write_bytes(blob[:blob.index(b"x" * 100_000) + 100_010])
+    predict = ["predict", "--data", str(data), "--out", str(tmp_path / "p.jsonl"),
+               "--split", "all"]
+    capsys.readouterr()
     for argv in (["split", "--corpus", str(tmp_path / "corpus.jsonl"),
+                  "--out", str(tmp_path / "split")],
+                 ["split", "--corpus", str(tmp_path / "keyed.jsonl"),
                   "--out", str(tmp_path / "split")],
                  ["make-scenarios", "--n", "2", "--out", str(tmp_path / "s.jsonl"),
                   "--set", "rank=" + "7" * 5_001],
-                 ["report", "--in", str(tmp_path)]):
+                 ["make-scenarios", "--n", "2", "--out", str(tmp_path / "s.jsonl"),
+                  "--set", "k" * 100_000 + "=1"],
+                 ["report", "--in", str(tmp_path)],
+                 predict + ["--run", str(run)],
+                 predict + ["--run", str(cut)]):
         assert main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err.encode()) <= 300, (argv[0], err[:400])
