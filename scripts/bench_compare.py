@@ -14,7 +14,8 @@ every fresh import, as a new checkout does.
 
 Pair i of the k-th workload listed runs seed `--seed-base + 100 k + i` on
 both sides; even pairs run the parent first, odd pairs the change first.
-The file holds the environment, the line count of `src/qlorakit/*.py` in
+The file holds the working tree's commit (`change`; null outside a git
+checkout), the environment, the line count of `src/qlorakit/*.py` in
 each tree (`src_lines`), every run's metrics, and per metric each side's
 median and quartiles, the pairs the change won, lost and tied, and
 whether the gain rule holds: at least 9 of 10 pairs won and medians
@@ -119,6 +120,12 @@ def export_parent(rev: str, dest: Path) -> str:
     return sha
 
 
+def git_head() -> str | None:
+    """The commit ROOT's working tree is on, or None outside a git checkout."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         proc = subprocess.run(
@@ -209,10 +216,9 @@ def main(argv=None) -> int:
         parent_tree.mkdir()
         parent_sha = export_parent(args.parent, parent_tree)
         sides = {"parent": parent_tree, "change": ROOT}
-        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                              capture_output=True, text=True).stdout.strip()
+        head = git_head()
         report = {"label": args.label, "parent": parent_sha,
-                  "change": f"working tree on {head}",
+                  "change": f"working tree on {head}" if head else None,
                   "seconds": args.seconds, "workloads": {},
                   "src_lines": {"parent": src_lines(parent_tree), "change": src_lines(ROOT)}}
         for w_index, (workload, pairs) in enumerate(plan):

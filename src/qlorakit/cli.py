@@ -36,7 +36,7 @@ from .errors import (ConfigError, InputError, NumericError, QAParseError,
 from .fileio import atomic_write, echo, json_int, read_json, write_jsonl
 from .lora import flatten_adapters, load_adapters, save_adapters
 from .matrix import as_matrix
-from .model import (QUANTIZED_ROLES, base_fingerprint, check_examples, init_adapters,
+from .model import (EMBEDDINGS, base_fingerprint, check_examples, init_adapters,
                     init_model_params, quantize_base)
 from .optim import OptimizerState
 from .quant import (DEFAULT_BLOCK_SIZE, dequantize_4bit, footprint_report, q4_nbytes,
@@ -159,10 +159,9 @@ def cmd_make_synthetic(args) -> int:
     return 0
 
 
-def _memory(params, adapters, tcfg, block_size: int) -> dict:
+def _memory(spec, adapters, tcfg, block_size: int) -> dict:
     """Storage bytes: quantize_base's matrices (float64, Q4 payload), adapters, AdamW state."""
-    sizes = [w.size if isinstance(w, np.ndarray) else w.n_elements
-             for name, w in params.weights.items() if name.rsplit(".", 1)[-1] in QUANTIZED_ROLES]
+    sizes = [rows * cols for name, (rows, cols) in spec.shapes.items() if name not in EMBEDDINGS]
     flat = flatten_adapters(adapters)
     state = {}
     for width in (8, 32):
@@ -217,7 +216,7 @@ def cmd_train(args) -> int:
     adapters = init_adapters(spec, cfg.rank, cfg.alpha,
                              cfgmod.derive_seed(cfg.seed, "adapters"))
     tcfg = cfgmod.train_config_from(cfg)
-    memory = _memory(params, adapters, tcfg, cfg.block_size)  # before step 0: checks block_size
+    memory = _memory(spec, adapters, tcfg, cfg.block_size)  # before step 0: checks block_size
     result = train(examples, params, spec, adapters, tcfg)
 
     save_adapters(os.path.join(args.out, ADAPTERS_FILE), result.adapters, meta={

@@ -30,14 +30,18 @@ from .matrix import softmax
 from .quant import DEFAULT_BLOCK_SIZE, Q4BlockMatrix, q4_to_bytes, quantize_4bit
 
 LAYER_ROLES = ("attn_q", "attn_k", "attn_v", "attn_o", "ffn_up", "ffn_down")
+# lookup weights; every other base weight is a matrix product x @ W, run
+# through one QLoraLinear and quantized by the 4-bit path
+EMBEDDINGS = ("tok_emb", "pos_emb")
 INIT_PROFILES = ("standard", "adapter_friendly")
-# matrix-product weights, each run through one QLoraLinear and quantized by
-# the 4-bit path; embeddings are lookups and stay dense
-QUANTIZED_ROLES = LAYER_ROLES + ("head",)
 
 
 @dataclass(frozen=True)
 class ToyModelSpec:
+    """Toy transformer dimensions and adapter targets. `shapes` is the one
+    inventory of base weights that init, quantization, the layer check and
+    the memory block all read."""
+
     vocab_size: int
     d_model: int
     n_layers: int
@@ -74,34 +78,18 @@ class ToyModelSpec:
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
-    def role_shape(self, role: str) -> tuple[int, int]:
-        if role in ("attn_q", "attn_k", "attn_v", "attn_o"):
-            return (self.d_model, self.d_model)
-        if role == "ffn_up":
-            return (self.d_model, self.d_ff)
-        if role == "ffn_down":
-            return (self.d_ff, self.d_model)
-        raise ConfigError(f"unknown per-layer role {role!r}")
-
-    def param_names(self) -> list[str]:
-        names = ["tok_emb", "pos_emb"]
-        for i in range(self.n_layers):
-            names.extend(f"layers.{i}.{role}" for role in LAYER_ROLES)
-        names.append("head")
-        return names
-
-    def param_shape(self, name: str) -> tuple[int, int]:
-        if name == "tok_emb":
-            return (self.vocab_size, self.d_model)
-        if name == "pos_emb":
-            return (self.max_seq_len, self.d_model)
-        if name == "head":
-            return (self.d_model, self.n_classes)
-        _, _, role = name.split(".")
-        return self.role_shape(role)
+    @property
+    def shapes(self) -> dict[str, tuple[int, int]]:
+        """(rows, cols) of every base weight by name, in init order."""
+        d, f = self.d_model, self.d_ff
+        role = {"attn_q": (d, d), "attn_k": (d, d), "attn_v": (d, d), "attn_o": (d, d),
+                "ffn_up": (d, f), "ffn_down": (f, d)}
+        return {"tok_emb": (self.vocab_size, d), "pos_emb": (self.max_seq_len, d),
+                **{f"layers.{i}.{r}": role[r] for i in range(self.n_layers) for r in LAYER_ROLES},
+                "head": (d, self.n_classes)}
 
     def total_params(self) -> int:
-        return sum(r * c for r, c in (self.param_shape(n) for n in self.param_names()))
+        return sum(r * c for r, c in self.shapes.values())
 
     def adapter_names(self) -> list[str]:
         return [
@@ -134,49 +122,35 @@ def init_model_params(spec: ToyModelSpec, seed: int,
     if profile not in INIT_PROFILES:
         raise ConfigError(f"unknown init profile {profile!r}; choose from {INIT_PROFILES}")
     rng = np.random.default_rng(seed)
-    d = spec.d_model
-    half = d // 2
+    half = spec.d_model // 2
+    every, left, lower = np.s_[:, :], np.s_[:, :half], np.s_[half:, :]
+    # adapter_friendly: role -> (std, drawn region); std 0.0 leaves the weight zero
+    friendly = {"tok_emb": (8.0, left), "pos_emb": (0.5, left), "attn_q": (0.005, every),
+                "attn_k": (0.005, every), "attn_v": (0.0, every),
+                "attn_o": (spec.d_model ** -0.5, every), "ffn_up": (0.02, every),
+                "ffn_down": (0.0, every), "head": (3.0, lower)}
     w: dict[str, np.ndarray] = {}
-    if profile == "standard":
-        w["tok_emb"] = rng.normal(0.0, 1.0, (spec.vocab_size, d))
-        w["pos_emb"] = rng.normal(0.0, 0.02, (spec.max_seq_len, d))
-        for i in range(spec.n_layers):
-            for role in ("attn_q", "attn_k", "attn_v", "attn_o"):
-                w[f"layers.{i}.{role}"] = rng.normal(0.0, d ** -0.5, (d, d))
-            w[f"layers.{i}.ffn_up"] = rng.normal(0.0, d ** -0.5, (d, spec.d_ff))
-            w[f"layers.{i}.ffn_down"] = rng.normal(0.0, spec.d_ff ** -0.5, (spec.d_ff, d))
-        w["head"] = rng.normal(0.0, d ** -0.5, (d, spec.n_classes))
-    else:
-        tok = np.zeros((spec.vocab_size, d))
-        tok[:, :half] = rng.normal(0.0, 8.0, (spec.vocab_size, half))
-        w["tok_emb"] = tok
-        pos = np.zeros((spec.max_seq_len, d))
-        pos[:, :half] = rng.normal(0.0, 0.5, (spec.max_seq_len, half))
-        w["pos_emb"] = pos
-        for i in range(spec.n_layers):
-            w[f"layers.{i}.attn_q"] = rng.normal(0.0, 0.005, (d, d))
-            w[f"layers.{i}.attn_k"] = rng.normal(0.0, 0.005, (d, d))
-            w[f"layers.{i}.attn_v"] = np.zeros((d, d))
-            w[f"layers.{i}.attn_o"] = rng.normal(0.0, d ** -0.5, (d, d))
-            w[f"layers.{i}.ffn_up"] = rng.normal(0.0, 0.02, (d, spec.d_ff))
-            w[f"layers.{i}.ffn_down"] = np.zeros((spec.d_ff, d))
-        head = np.zeros((d, spec.n_classes))
-        head[half:, :] = rng.normal(0.0, 3.0, (d - half, spec.n_classes))
-        w["head"] = head
+    for name, shape in spec.shapes.items():
+        role = name.rsplit(".", 1)[-1]
+        if profile == "standard":  # fan-in scaling for every product
+            std, region = {"tok_emb": 1.0, "pos_emb": 0.02}.get(role, shape[0] ** -0.5), every
+        else:
+            std, region = friendly[role]
+        if std and region is every:
+            w[name] = rng.normal(0.0, std, shape)
+        else:
+            w[name] = np.zeros(shape)
+            if std:
+                w[name][region] = rng.normal(0.0, std, w[name][region].shape)
     return ModelParams(weights=w)
 
 
 def quantize_base(params: ModelParams, spec: ToyModelSpec,
                   block_size: int = DEFAULT_BLOCK_SIZE) -> ModelParams:
     """Replace every matrix-product weight with its 4-bit form; embeddings stay dense."""
-    new: dict = {}
-    for name, value in params.weights.items():
-        role = name.rsplit(".", 1)[-1]
-        if role in QUANTIZED_ROLES and not isinstance(value, Q4BlockMatrix):
-            new[name] = quantize_4bit(value, block_size)
-        else:
-            new[name] = value
-    return ModelParams(weights=new)
+    return ModelParams(weights={
+        name: value if name in EMBEDDINGS or isinstance(value, Q4BlockMatrix)
+        else quantize_4bit(value, block_size) for name, value in params.weights.items()})
 
 
 def base_fingerprint(params: ModelParams) -> bytes:
@@ -200,8 +174,7 @@ def init_adapters(spec: ToyModelSpec, rank: int, alpha: float,
 
     adapters: dict[str, LoraAdapter] = {}
     for name in spec.adapter_names():
-        role = name.rsplit(".", 1)[-1]
-        d_in, d_out = spec.role_shape(role)
+        d_in, d_out = spec.shapes[name]
         sub_seed = (int(seed) * 1000003 + zlib.crc32(name.encode("utf-8"))) % 2**32
         adapters[name] = lora_init(d_in, d_out, rank, alpha, sub_seed)
     return adapters
@@ -248,26 +221,30 @@ keep_freed_heap()
 
 def adapted_layers(params: ModelParams, spec: ToyModelSpec,
                    adapters: Mapping[str, LoraAdapter] | None) -> dict[str, QLoraLinear]:
-    """One QLoraLinear per weight product, adapters and params checked against
-    spec; 4-bit bases dequantize here. Each adapted layer holds its merged
-    weight, so an adapter trained in place needs QLoraLinear.remerge."""
+    """One QLoraLinear per weight product. Adapter names and shapes, and the
+    base's weight names and shapes (dense or 4-bit), must match spec.shapes;
+    4-bit bases dequantize here. Each adapted layer holds its merged weight,
+    so an adapter trained in place needs QLoraLinear.remerge."""
     adapters = adapters or {}
+    shapes = spec.shapes
     allowed = set(spec.adapter_names())
     for name, ad in adapters.items():
         if name not in allowed:
             raise InputError(f"adapter {echo(name)} does not match any configured target "
                              f"(targets: {spec.adapter_targets})")
-        role = name.rsplit(".", 1)[-1]
-        if (ad.d_in, ad.d_out) != spec.role_shape(role):
+        if (ad.d_in, ad.d_out) != shapes[name]:
             raise InputError(f"adapter {echo(name)} has shape {ad.d_in}x{ad.d_out}, "
-                             f"expected {spec.role_shape(role)}")
-    expected, have = set(spec.param_names()), set(params.weights)
+                             f"expected {shapes[name]}")
+    expected, have = set(shapes), set(params.weights)
     if have != expected:
         raise InputError(f"params do not match spec (missing {sorted(expected - have)}, "
                          f"extra {sorted(have - expected)})")
+    for name, value in params.weights.items():
+        shape = (value.rows, value.cols) if isinstance(value, Q4BlockMatrix) else np.shape(value)
+        if shape != shapes[name]:
+            raise InputError(f"weight {echo(name)} has shape {shape}, expected {shapes[name]}")
     return {name: QLoraLinear(value, adapters.get(name))
-            for name, value in params.weights.items()
-            if name.rsplit(".", 1)[-1] in QUANTIZED_ROLES}
+            for name, value in params.weights.items() if name not in EMBEDDINGS}
 
 
 def _token_ids(tokens) -> np.ndarray | None:

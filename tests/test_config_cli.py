@@ -30,15 +30,25 @@ from qlorakit.tasks import synthetic_token_task
 
 # ---- config ----
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_defaults_match_documented_values():
-    cfg = RunConfig()
-    assert (cfg.learning_rate, cfg.rank, cfg.alpha) == (2e-4, 16, 16.0)
-    assert (cfg.batch_size, cfg.grad_accum_steps, cfg.warmup_steps) == (2, 4, 5)
-    assert cfg.weight_decay == 0.01
-    assert (cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.d_ff) == (32, 2, 4, 64)
-    assert cfg.adapter_targets == "attn_q,attn_v"
-    assert cfg.backend == "mock"
-    assert cfg.credential_env == "LLM_API_KEY"
+    """README's Configuration table holds one row per RunConfig field, each
+    with the field's default: a backticked cell is a string, any other cell
+    a JSON value of the field's type."""
+    with open(README, encoding="utf-8") as f:
+        section = f.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [(m.group(1), m.group(2).strip())
+            for m in re.finditer(r"^\| `(\w+)` \|([^|]*)\|", section, re.M)]
+    keys = [key for key, _ in rows]
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(keys) == sorted(fields)
+    defaults = RunConfig()
+    for key, cell in rows:
+        value = cell.strip("`") if cell.startswith("`") else json.loads(cell)
+        expected = getattr(defaults, key)
+        assert (value, type(value)) == (expected, type(expected)), key
 
 
 def test_file_then_override_precedence(tmp_path):
@@ -311,7 +321,8 @@ def test_train_summary_carries_a_deterministic_memory_block(tmp_path):
                  "--n-test", "8", "--seed", "3"]) == 0
     runs = {}
     for name, extra in (("lora", []), ("lora-again", []),
-                        ("qlora", ["--qlora", "--set", "state_bits=32"])):
+                        ("qlora", ["--qlora", "--set", "state_bits=32"]),
+                        ("qlora-block32", ["--qlora", "--set", "block_size=32"])):
         out = tmp_path / name
         assert main(["train", "--data", str(data), "--out", str(out), "--seed", "3",
                      "--set", "warmup_steps=2"] + extra) == 0
@@ -320,6 +331,9 @@ def test_train_summary_carries_a_deterministic_memory_block(tmp_path):
             "optimizer_state_bytes_8bit": 8704, "optimizer_state_bytes_32bit": 65536}
     assert read_json(runs["lora"])["memory"] == {**base, "optimizer_state_bytes": 8704}
     assert read_json(runs["qlora"])["memory"] == {**base, "optimizer_state_bytes": 65536}
+    # block_size reaches the 4-bit base only; the 8-bit state keeps 64-element blocks
+    assert read_json(runs["qlora-block32"])["memory"] == {
+        **base, "base_q4_payload_bytes": 10320, "optimizer_state_bytes": 8704}
     kept = [[line for line in runs[name].read_bytes().splitlines()
              if not line.lstrip().startswith(b'"wall_time_s"')] for name in ("lora", "lora-again")]
     assert kept[0] == kept[1] and any(b'"memory"' in line for line in kept[0])

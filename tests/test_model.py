@@ -16,10 +16,12 @@ from qlorakit import model, quant
 from qlorakit.errors import ConfigError, InputError
 from qlorakit.lora import QLoraLinear
 from qlorakit.matrix import softmax
+from qlorakit.optim import TrainConfig
 from qlorakit.model import (LAYER_ROLES, ROWS_PER_PASS, ModelParams, ToyModelSpec,
                             base_fingerprint, forward, forward_batch, init_adapters,
                             init_model_params, loss_and_grads, quantize_base)
 from qlorakit.quant import Q4BlockMatrix, dequantize_4bit
+from qlorakit.trainer import train
 
 from conftest import (factor_wise_logits, factor_wise_loss_and_grads, make_batch,
                       max_relative_error, naive_logits, naive_loss)
@@ -41,7 +43,7 @@ def test_spec_validation():
 
 
 def test_param_inventory(small_spec):
-    names = small_spec.param_names()
+    names = list(small_spec.shapes)
     assert names[0] == "tok_emb" and names[-1] == "head"
     assert len(names) == 2 + 2 * len(LAYER_ROLES) + 1
     manual = (23 * 8 + 6 * 8                 # embeddings
@@ -143,7 +145,7 @@ def test_gradient_map_covers_exactly_the_adapter_factors(small_setup):
     _, grads = loss_and_grads(params, spec, batch, adapters)
     expected = {n + s for n in spec.adapter_names() for s in ("/b", "/a")}
     assert set(grads) == expected
-    for name in spec.param_names():
+    for name in spec.shapes:
         assert name not in grads
 
 
@@ -161,6 +163,38 @@ def test_adapter_attachment_validation(small_setup):
     bad_name["layers.0.ffn_up"] = bad_name.pop("layers.0.attn_q")
     with pytest.raises(InputError, match="does not match any configured target"):
         forward(params, spec, batch[0][0], bad_name)
+
+
+@pytest.mark.parametrize("name, shape, expected, q4", [
+    ("head", (32, 5), (32, 4), False),
+    ("layers.0.ffn_up", (32, 48), (32, 64), False),
+    ("tok_emb", (10, 32), (64, 32), False),
+    ("layers.1.attn_k", (32, 16), (32, 32), True),
+])
+def test_a_mis_shaped_base_weight_is_refused_before_any_pass(monkeypatch, name, shape,
+                                                              expected, q4):
+    """forward_batch, loss_and_grads and train each name the weight and
+    both shapes before a pass runs, for a dense or a 4-bit weight; token 30
+    would index past the short tok_emb."""
+    spec = ToyModelSpec(vocab_size=64, d_model=32, n_layers=2, n_heads=4, d_ff=64,
+                        n_classes=4, max_seq_len=16)
+    params = init_model_params(spec, seed=1)
+    wrong = np.random.default_rng(0).normal(0.0, 0.1, shape)
+    params.weights[name] = quant.quantize_4bit(wrong) if q4 else wrong
+    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=2)
+    batch = [(np.array([30, 1, 2]), 0), (np.array([3, 4]), 1)]
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(model, "_forward_pass", no_pass)
+    message = re.escape(f"weight {name!r} has shape {shape}, expected {expected}")
+    for run in (lambda: forward_batch(params, spec, [t for t, _ in batch], adapters),
+                lambda: loss_and_grads(params, spec, batch, adapters),
+                lambda: train(batch, params, spec, adapters,
+                              TrainConfig(batch_size=2, warmup_steps=0, rank=2, alpha=4.0))):
+        with pytest.raises(InputError, match=message):
+            run()
 
 
 def finite_difference_check(spec, params, adapters, batch, h=1e-5, tol=1e-4):

@@ -116,6 +116,12 @@ def test_bench_compare_names_the_unresolved_metrics_of_each_workload(tmp_path, m
         assert {m["resolved"] for m in entry["raw_metrics"].values()} == {resolved}
 
 
+def test_bench_compare_reads_no_commit_outside_a_git_checkout(tmp_path, monkeypatch):
+    module = load_bench_compare()
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    assert module.git_head() is None
+
+
 def test_bench_compare_counts_src_lines_per_tree(tmp_path):
     src_lines = load_bench_compare().src_lines
     for name, files in {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
