@@ -10,6 +10,7 @@ gradients are those of the sequence alone.
 The base weights are always frozen; gradients exist only for low-rank
 adapter factors attached to a configurable subset of the projection
 matrices. Everything is float64 so finite-difference checks are sharp.
+An all-zero, unadapted ffn_down (adapter_friendly's) skips its block's FFN.
 
 Weight naming: "tok_emb", "pos_emb", "layers.{i}.attn_q|attn_k|attn_v|
 attn_o|ffn_up|ffn_down", "head". Adapter gradient keys append "/b" and
@@ -117,7 +118,8 @@ def init_model_params(spec: ToyModelSpec, seed: int,
     FFN-down projections start at zero. The frozen base then emits exactly
     zero logits (initial loss is exactly ln n_classes) and the adapters own
     the writable subspace; at small learning rates over short runs this is
-    what lets adapter-only training move the classifier at all.
+    what lets adapter-only training move the classifier at all. The FFN
+    branch is skipped while ffn_down is zero and untargeted.
     """
     if profile not in INIT_PROFILES:
         raise ConfigError(f"unknown init profile {profile!r}; choose from {INIT_PROFILES}")
@@ -359,9 +361,10 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: b
     attention, whose scores are key-major (T_k, B, H, T_q), so the softmax
     and its Jacobian reduce over the leading axis. With a valid mask, padded
     keys get a -inf score bias and the mean pool runs over valid positions
-    only, so no real row reads a padded one. The tape holds per layer the
-    head views, the attention, the ReLU output and each adapted layer's
-    input rows (None where a layer has no adapter: backward reads none).
+    only, so no real row reads a padded one. A block whose ffn_down is all
+    zero and unadapted skips its FFN (x = x_mid). The tape holds per layer
+    the head views, the attention, the ReLU output (None if skipped) and
+    each adapted layer's input rows (None where backward reads none).
     """
     b, t = toks.shape
     heads = (b, t, spec.n_heads, spec.head_dim)
@@ -385,9 +388,13 @@ def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: b
         ctx = _product(heads, (0, 2, 1, 3), attn.transpose(1, 2, 3, 0), vh).reshape(b * t, -1)
         x_mid = layers[pre + "attn_o"].forward(ctx)
         x_mid += x_in
-        hidden = np.maximum(layers[pre + "ffn_up"].forward(x_mid), 0.0)
-        x = layers[pre + "ffn_down"].forward(hidden)
-        x += x_mid
+        down = layers[pre + "ffn_down"]
+        if down.adapter is None and not down.weight.any():
+            x, hidden = x_mid, None  # x_mid + relu(x_mid @ W_up) @ 0 is x_mid
+        else:
+            hidden = np.maximum(layers[pre + "ffn_up"].forward(x_mid), 0.0)
+            x = down.forward(hidden)
+            x += x_mid
         if need_tape:
             tape.append((qh, kh, vh, attn, hidden) + tuple(
                 rows if layers[pre + role].adapter is not None else None
@@ -413,10 +420,13 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
     for i in reversed(range(spec.n_layers)):
         pre = f"layers.{i}."
         qh, kh, vh, attn, hidden, x_q, x_k, x_v, x_o, x_up, x_down = tape[i]
-        dhidden = layers[pre + "ffn_down"].backward(dx, x_down, grads, pre + "ffn_down")
-        dhidden *= hidden > 0.0
-        dx_mid = layers[pre + "ffn_up"].backward(dhidden, x_up, grads, pre + "ffn_up")
-        dx_mid += dx
+        if hidden is None:  # the skipped FFN: its input gradient is dx, its factors' zero
+            dx_mid = dx
+        else:
+            dhidden = layers[pre + "ffn_down"].backward(dx, x_down, grads, pre + "ffn_down")
+            dhidden *= hidden > 0.0
+            dx_mid = layers[pre + "ffn_up"].backward(dhidden, x_up, grads, pre + "ffn_up")
+            dx_mid += dx
         dctx = layers[pre + "attn_o"].backward(dx_mid, x_o, grads, pre + "attn_o")
         dctxh = dctx.reshape(heads).transpose(0, 2, 1, 3)
         # softmax jacobian over the key axis, the leading one:

@@ -228,13 +228,22 @@ def test_gradients_for_every_adaptable_role():
     spec = ToyModelSpec(vocab_size=13, d_model=6, n_layers=1, n_heads=2,
                         d_ff=5, n_classes=3, max_seq_len=5,
                         adapter_targets=("attn_k", "attn_o", "ffn_up", "ffn_down"))
-    params = init_model_params(spec, seed=5, profile="standard")
-    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=6)
-    rng = np.random.default_rng(7)
-    for ad in adapters.values():  # move off the zero init so grads flow everywhere
-        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
     batch = make_batch(spec, 3, seed=8, seq_len=4)
-    assert finite_difference_check(spec, params, adapters, batch) >= 80
+    for profile in ("standard", "adapter_friendly"):
+        params = init_model_params(spec, seed=5, profile=profile)
+        adapters = init_adapters(spec, rank=2, alpha=4.0, seed=6)
+        rng = np.random.default_rng(7)
+        for name, ad in adapters.items():  # move off the zero init so grads flow everywhere
+            if profile == "standard" or name != "layers.0.ffn_down":
+                ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+        if profile == "adapter_friendly":
+            # ffn_down's merged weight is exactly zero, but it has an adapter:
+            # the FFN must still run, or its a_factor would read a zero gradient
+            layers = model.adapted_layers(params, spec, adapters)
+            assert not layers["layers.0.ffn_down"].weight.any()
+            _, grads = loss_and_grads(params, spec, batch, adapters)
+            assert grads["layers.0.ffn_down/a"].any()
+        assert finite_difference_check(spec, params, adapters, batch) >= 80, profile
 
 
 def test_base_fingerprint_changes_when_base_changes(small_setup):
@@ -528,6 +537,113 @@ def test_batched_pass_matches_the_naive_per_sequence_attention(base):
     loss, _ = loss_and_grads(params, spec, batch, adapters)
     ref = naive_loss(params, spec, batch, adapters)
     assert abs(loss - ref) <= 1e-12 * ref
+
+
+def crit7_spec(targets=("attn_q", "attn_v")):
+    return ToyModelSpec(vocab_size=64, d_model=32, n_layers=2, n_heads=4, d_ff=64,
+                        n_classes=4, max_seq_len=16, adapter_targets=targets)
+
+
+def ffn_spy(monkeypatch):
+    """Record every FFN-layer forward and backward as ("forward", shape) or
+    ("backward", name); at the criterion-07 widths (d_model 32, d_ff 64,
+    4 classes) only ffn_up and ffn_down have a side of 64."""
+    calls = []
+    real_forward, real_backward = QLoraLinear.forward, QLoraLinear.backward
+
+    def forward_spy(self, x):
+        if 64 in self.weight.shape:
+            calls.append(("forward", self.weight.shape))
+        return real_forward(self, x)
+
+    def backward_spy(self, dy, x, grads, name, need_dx=True):
+        if ".ffn_" in name:
+            calls.append(("backward", name))
+        return real_backward(self, dy, x, grads, name, need_dx)
+
+    monkeypatch.setattr(QLoraLinear, "forward", forward_spy)
+    monkeypatch.setattr(QLoraLinear, "backward", backward_spy)
+    return calls
+
+
+def short_train(params, spec, adapters, batch):
+    return train(batch, params, spec, adapters,
+                 TrainConfig(rank=16, alpha=16.0, warmup_steps=1, seed=3))
+
+
+@pytest.mark.parametrize("profile, base", [("adapter_friendly", "dense"),
+                                           ("adapter_friendly", "q4"),
+                                           ("standard", "dense")])
+def test_a_zero_unadapted_ffn_down_skips_the_ffn_exactly(monkeypatch, profile, base):
+    """adapter_friendly sets every ffn_down to exactly zero, so each block's
+    FFN adds nothing: forward_batch, loss_and_grads and train run no FFN
+    product, forward or backward, and the tape holds no ReLU output; logits
+    and loss match the naive reference, which runs the FFN, within 1e-12
+    relative. A standard base runs the FFN everywhere."""
+    spec = crit7_spec()
+    params = init_model_params(spec, seed=1, profile=profile)
+    if base == "q4":
+        params = quantize_base(params, spec)
+    adapters = init_adapters(spec, rank=16, alpha=16.0, seed=2)
+    rng = np.random.default_rng(26)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    seqs = mixed_length_sequences(spec, seed=27)[:48]
+    batch = [(s, int(rng.integers(0, spec.n_classes))) for s in seqs]
+    ref_logits = naive_logits(params, spec, seqs, adapters)
+    ref_loss = naive_loss(params, spec, batch, adapters)
+    calls, seen = ffn_spy(monkeypatch), {}
+    assert max_relative_error(forward_batch(params, spec, seqs, adapters), ref_logits) <= 1e-12
+    seen["forward_batch"] = set(calls)
+    calls.clear()
+    loss, _ = loss_and_grads(params, spec, batch, adapters)
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    seen["loss_and_grads"] = set(calls)
+    calls.clear()
+    short_train(params, spec, adapters, batch[:16])
+    seen["train"] = set(calls)
+    layers = model.adapted_layers(params, spec, adapters)
+    toks = np.stack([t for t, _ in make_batch(spec, 2, seed=31)])
+    _, tape = model._forward_pass(params.weights, layers, spec, toks, None, need_tape=True)
+    runs = profile == "standard"
+    ffn = {("forward", (32, 64)), ("forward", (64, 32))} if runs else set()
+    back = {("backward", f"layers.{i}.{r}") for i in range(2) for r in ("ffn_up", "ffn_down")}
+    both = ffn | back if runs else set()
+    assert seen == {"forward_batch": ffn, "loss_and_grads": both, "train": both}
+    assert all((entry[4] is not None) == runs for entry in tape)
+
+
+def test_an_adapted_ffn_down_trains_from_its_zero_start(monkeypatch):
+    """Targeting ffn_down on an adapter_friendly base makes its merged weight
+    exactly zero at step 0 (a_factor starts at zero), yet the FFN runs: the
+    adapter gets a gradient and its a_factor moves in a short train."""
+    spec = crit7_spec(("attn_q", "attn_v", "ffn_down"))
+    params = init_model_params(spec, seed=1)
+    adapters = init_adapters(spec, rank=16, alpha=16.0, seed=2)
+    layers = model.adapted_layers(params, spec, adapters)
+    downs = [f"layers.{i}.ffn_down" for i in range(spec.n_layers)]
+    assert not any(layers[name].weight.any() for name in downs)
+    batch = make_batch(spec, 16, seed=28)
+    _, grads = loss_and_grads(params, spec, batch, adapters)
+    assert all(grads[name + "/a"].any() for name in downs)
+    calls = ffn_spy(monkeypatch)
+    result = short_train(params, spec, adapters, batch)
+    assert ("backward", "layers.0.ffn_down") in calls
+    assert all(result.adapters[name].a_factor.any() for name in downs)
+
+
+def test_an_adapted_ffn_up_under_a_zero_ffn_down_gets_exactly_zero_gradients():
+    """ffn_up's output reaches the residual stream only through ffn_down, so
+    with an all-zero, unadapted ffn_down its factor gradients are exactly zero."""
+    spec = crit7_spec(("attn_q", "attn_v", "ffn_up"))
+    params = init_model_params(spec, seed=1)
+    adapters = init_adapters(spec, rank=16, alpha=16.0, seed=2)
+    rng = np.random.default_rng(29)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    _, grads = loss_and_grads(params, spec, make_batch(spec, 16, seed=30), adapters)
+    for key, grad in grads.items():
+        assert grad.any() == (".ffn_up/" not in key), key
 
 
 @pytest.mark.parametrize("lengths", [(5, 5, 5), (1, 3, 6, 6, 2)], ids=["equal", "mixed"])
