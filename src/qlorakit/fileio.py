@@ -16,7 +16,11 @@ quotes at most 60 characters of a bad value (echo).
 
 Every JSONL artifact holds one dataclass row per line, keys being the
 dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
-are the one codec for all of them, at one encoder or decoder call per row.
+are the one codec for all of them, at one decoder call per row read. The
+reader's fast path: a row whose keys and value types are exactly what
+write_jsonl writes (a JSON object for a field no check reads, such as
+extra) passes one tuple comparison and has only its int ranges and list
+items left to check; any other row takes every check in field order.
 """
 
 from __future__ import annotations
@@ -109,7 +113,9 @@ _JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list}
 _JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
 _decode = json.JSONDecoder().raw_decode  # json.loads without its per-call checks
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
-_fields = functools.cache(dataclasses.fields)  # looked up once per row type
+_quote = json.encoder.encode_basestring  # what that encoder writes a str with
+_keys = functools.cache(lambda cls: [(f.name, _quote(f.name) + ": ")  # per row type
+                                     for f in dataclasses.fields(cls)])
 ECHO_CHARS = 60  # a message quotes at most this much of a bad value, then "..."
 MAX_JSON_DEPTH = 256  # deeper JSON is refused before decoding
 # a JSON string, closed or not, or (as group 1) a bracket outside strings; compiled
@@ -119,11 +125,20 @@ _STEP = {"": 0, "[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def write_jsonl(path, rows) -> None:
-    """One JSON object per dataclass row, keys in field order; one writelines
-    call streams the rows, so the file's text is never held whole."""
+    """Per dataclass row, the line json.dumps(fields, ensure_ascii=False) writes: a
+    str or int value by json's own function for it (the encoder's set-up costs
+    more than a row), any other by the encoder. One writelines call streams the
+    rows, so the file's text is never held whole."""
+    def lines():
+        for row in rows:
+            parts = []
+            for name, key in _keys(type(row)):
+                value = getattr(row, name)
+                parts.append(key + (_quote(value) if type(value) is str else repr(value)
+                                    if type(value) is int else _encode(value)))
+            yield "{" + ", ".join(parts) + "}\n"
     with atomic_write(path) as fh:
-        fh.writelines(_encode({f.name: getattr(row, f.name) for f in _fields(type(row))})
-                      + "\n" for row in rows)
+        fh.writelines(lines())
 
 
 def read_dataclass_jsonl(path, cls, what: str) -> list:
@@ -133,22 +148,24 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
     the file. Every line is decoded before any row is checked, so invalid
     JSON on any line wins over a bad row on an earlier one."""
     fields = dataclasses.fields(cls)
-    known = {f.name for f in fields}
     required = {f.name for f in fields if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING}
-    typed = [(f.name, _JSON_TYPES[kind]) for f in fields
-             if (kind := getattr(f.type, "__name__", f.type)) in _JSON_TYPES]
+    kinds = {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type)) for f in fields}
+    typed = [(name, kind) for name, kind in kinds.items() if kind]
+    written = (*kinds, *(kind or dict for kind in kinds.values()))  # the fast path's row
+    ranged = [(name, kind) for name, kind in typed if kind is int or kind is list]
     rows = [json_value(text, f"{path}:{lineno}")
             for lineno, line in enumerate(read_lines(path), 1) if (text := line.strip())]
     out = []
     for row in rows:
         try:
-            if not known >= row.keys() >= required:
-                unknown = sorted(row.keys() - known)
+            as_written = (*row, *map(type, row.values())) == written
+            if not (as_written or kinds.keys() >= row.keys() >= required):
+                unknown = sorted(row.keys() - kinds.keys())
                 if unknown:
                     raise InputError(f"unknown {what} key {echo(unknown[0])}")
                 raise InputError(f"missing {what} key {min(required - row.keys())!r}")
-            for name, kind in typed:
+            for name, kind in ranged if as_written else typed:
                 if name not in row:
                     continue
                 if kind is int:

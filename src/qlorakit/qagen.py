@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -37,12 +36,13 @@ _EXTRA_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 def _check_line_text(value: str, what: str) -> str:
     if not isinstance(value, str) or not value.strip():
         raise InputError(f"{what} must be non-empty text")
-    if "\n" in value or "\r" in value:
-        raise InputError(f"{what} must not contain newlines")
-    try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
+    if not value.isprintable():  # every line break and lone surrogate is unprintable
+        if value.splitlines()[0] != value:  # a break of any kind splitlines knows
+            raise InputError(f"{what} must not contain newlines")
+        try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
     return value
 
 
@@ -215,10 +215,10 @@ def _prompt_fields(prompt: str) -> dict[str, str]:
 class MockLLMClient:
     """Offline stand-in for the QA-writing service.
 
-    Responses are pure functions of (seed, scenario_id, attempt), so runs
-    are reproducible regardless of thread scheduling. `malformed_ids`
-    always return unparseable text; `flaky_attempts[sid] = k` makes the
-    first k attempts for that scenario malformed, then recovers.
+    Responses are pure functions of (seed, scenario_id, attempt); attempts
+    are counted per client, without a lock, as generate_dataset calls it from
+    one thread. `malformed_ids` always return unparseable text;
+    `flaky_attempts[sid] = k` makes the first k attempts malformed.
     """
 
     backend = "mock"
@@ -230,7 +230,6 @@ class MockLLMClient:
         self.malformed_ids = frozenset(malformed_ids)
         self.flaky_attempts = dict(flaky_attempts or {})
         self._attempts: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def _malformed(self, attempt: int) -> str:
         kind = attempt % 3
@@ -250,9 +249,8 @@ class MockLLMClient:
         sid = fields.get("scenario_id", "")
         if not sid:
             raise QAParseError("prompt carries no scenario_id", raw_text=prompt)
-        with self._lock:
-            attempt = self._attempts.get(sid, 0)
-            self._attempts[sid] = attempt + 1
+        attempt = self._attempts.get(sid, 0)
+        self._attempts[sid] = attempt + 1
         if sid in self.malformed_ids or attempt < self.flaky_attempts.get(sid, 0):
             return self._malformed(attempt)
         rng = np.random.default_rng([self.seed, zlib.crc32(sid.encode()), attempt])
@@ -371,6 +369,8 @@ def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
     A scenario whose responses keep failing to parse after max_retries
     re-prompts is rejected (recorded, excluded from the corpus). If no
     scenario survives at all, the run is treated as a backend failure.
+    Only an HttpLLMClient, whose requests wait on the network, runs in a pool
+    of max_concurrency threads; any other client runs in the calling thread.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -406,18 +406,15 @@ def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
         return ("fail", RejectRecord(s.scenario_id, max_retries + 1, last_error),
                 max_retries + 1)
 
-    with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
-        outcomes = list(pool.map(run_one, scenarios))
+    if isinstance(client, HttpLLMClient):
+        with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
+            outcomes = list(pool.map(run_one, scenarios))
+    else:  # threads would only hand a pure-Python client the GIL back and forth
+        outcomes = list(map(run_one, scenarios))
 
-    records: list[QARecord] = []
-    rejects: list[RejectRecord] = []
-    attempts = 0
-    for status, payload, used in outcomes:
-        attempts += used
-        if status == "ok":
-            records.extend(payload)
-        else:
-            rejects.append(payload)
+    records = [r for status, payload, _ in outcomes if status == "ok" for r in payload]
+    rejects = [payload for status, payload, _ in outcomes if status != "ok"]
+    attempts = sum(used for _, _, used in outcomes)
     if not records:
         endpoint = getattr(client, "endpoint", "unknown")
         raise TransportError(

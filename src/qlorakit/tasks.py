@@ -39,10 +39,11 @@ def tokenize(text: str, vocab_size: int, max_len: int) -> list[int]:
     """Stable word-level token ids; empty text maps to the single id 0."""
     if vocab_size < 1 or max_len < 1:
         raise ConfigError(f"bad tokenizer bounds vocab={vocab_size} max_len={max_len}")
-    words = normalize_text(text).split()[:max_len]
+    # one encode per text: normalized words hold no whitespace, so bytes.split() finds them
+    words = normalize_text(text).encode("utf-8").split()[:max_len]
     if not words:
         return [0]
-    return [zlib.crc32(w.encode("utf-8")) % vocab_size for w in words]
+    return [crc % vocab_size for crc in map(zlib.crc32, words)]
 
 
 def _question_tokenizer(vocab_size: int, max_len: int):
@@ -134,13 +135,14 @@ def corpus_to_examples(records: Sequence[QARecord],
     unknown cannot be trained on and are counted as skipped."""
     index = {lab: i for i, lab in enumerate(union)}
     tokens = _question_tokenizer(vocab_size, max_seq_len)
+    gold_label = functools.cache(normalize_answer)  # a corpus repeats a few answers
     examples = []
     skipped = 0
     for r in records:
         ls = label_sets.get(r.category)
         if ls is None:
             raise InputError(f"no label set for category {r.category!r}")
-        gold = normalize_answer(r.answer, ls)
+        gold = gold_label(r.answer, ls)
         if gold == UNKNOWN:
             skipped += 1
             continue

@@ -207,6 +207,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_and_a_patched_handler_runs(tmp_path, capsys,
+                                                                  monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    out = str(tmp_path / "s.jsonl")
+    assert main(["make-scenarios", "--n", "2", "--out", out, "--set", "seed=3"]) == 0
+    assert main(["make-scenarios", "--n", "2"]) == 2  # a usage error leaves it usable
+    assert "required: --out" in capsys.readouterr().err
+    calls = []
+    real = cli.cmd_make_scenarios
+    monkeypatch.setattr(cli, "cmd_make_scenarios",
+                        lambda args: calls.append(args.set) or real(args))
+    assert main(["make-scenarios", "--n", "2", "--out", out]) == 0
+    assert calls == [None]  # the --set list of the earlier call is not carried over
+
+
 def test_http_backend_without_credential_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     assert main(["make-scenarios", "--n", "2",

@@ -4,6 +4,7 @@ writes json.dumps's bytes, and the reader agrees with the per-line
 reference reader on records and on every error message."""
 
 import dataclasses
+import enum
 import json
 import os
 
@@ -61,11 +62,21 @@ def test_failed_first_write_creates_nothing(tmp_path):
 
 # ---- the JSONL codec ----
 
+class IntFlag(enum.IntEnum):
+    A = 7
+
+
+class StrName(str, enum.Enum):
+    B = "b\u00e9"
+
+
 CODEC = settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-# valid text for the line-text checks, non-ASCII included, no surrogates
-TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+# valid text for the line-text checks, non-ASCII included, no surrogates and
+# none of the line boundaries str.splitlines knows
+TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                             blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
                min_size=1, max_size=8).filter(str.strip)
 ROWS = st.one_of(
     st.builds(QARecord, TEXT, TEXT, TEXT, TEXT, st.sampled_from(["scene", "risk"]),
@@ -73,7 +84,29 @@ ROWS = st.one_of(
     st.builds(Prediction, TEXT, st.integers(-2**63, 2**63 - 1), TEXT),
     st.builds(RejectRecord, TEXT, st.integers(0, 9),
               st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)),
+    st.builds(TokenExample, st.lists(st.integers(-2**70, 2**70), max_size=4),
+              st.integers(-2**70, 2**70)),
+    st.builds(ScenarioAnnotation, TEXT, TEXT, TEXT, st.booleans(), TEXT, TEXT,
+              st.dictionaries(st.from_regex(r"x[a-z0-9_]{0,4}", fullmatch=True), TEXT,
+                              max_size=3)),
 )
+
+
+@dataclasses.dataclass
+class AnyValues:
+    """A row type whose values need not be strings or ints."""
+    first: object
+    second: object
+
+
+# values the encoder writes: floats (nan and inf too), bools, None, a str or int
+# subclass, nested lists and objects
+ANY_ROWS = st.builds(AnyValues, *[
+    st.recursive(st.none() | st.booleans() | st.floats() | st.integers()
+                 | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+                 | st.sampled_from([IntFlag.A, StrName.B]),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)] * 2)
 
 
 def reference_bytes(rows) -> bytes:
@@ -82,7 +115,7 @@ def reference_bytes(rows) -> bytes:
 
 
 @CODEC
-@given(rows=st.lists(ROWS, max_size=6))
+@given(rows=st.lists(ROWS | ANY_ROWS, max_size=6))
 def test_writer_writes_the_bytes_of_json_dumps(tmp_path, rows):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, rows)
@@ -184,3 +217,57 @@ def test_reader_matches_the_per_line_reference(tmp_path, cls, data):
             return f"InputError: {exc}"
 
     assert outcome(read_dataclass_jsonl) == outcome(reference_read_dataclass_jsonl)
+
+
+def swap(row: dict, key: str, value) -> dict:
+    return {k: value if k == key else v for k, v in row.items()}
+
+
+def without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
+
+
+# rows a valid row's key order and value types alone do not vouch for, each
+# next to rows that keep both and fail only a range or a text check
+FAST_PATH_EDGES = {
+    "as-written": (QARecord, VALID[QARecord]),
+    "keys-reordered": (QARecord, dict(reversed(VALID[QARecord].items()))),
+    "extra-first": (ScenarioAnnotation,
+                    {"extra": {"agent": "cyclist"}, **without(VALID[ScenarioAnnotation], "extra")}),
+    "integral-float-pair-index": (QARecord, swap(VALID[QARecord], "pair_index", 3.0)),
+    "bool-pair-index": (QARecord, swap(VALID[QARecord], "pair_index", True)),
+    "bool-label": (TokenExample, swap(VALID[TokenExample], "label", False)),
+    "float-token": (TokenExample, swap(VALID[TokenExample], "tokens", [3, 1.0, 4])),
+    "extra-omitted": (ScenarioAnnotation, without(VALID[ScenarioAnnotation], "extra")),
+    "extra-not-an-object": (ScenarioAnnotation,
+                            swap(VALID[ScenarioAnnotation], "extra", ["agent"])),
+    "unknown-key": (Prediction, {**VALID[Prediction], "bogus": 1}),
+    "missing-key": (Prediction, without(VALID[Prediction], "raw_answer")),
+    "bad-str-after-bad-int": (Prediction,
+                              swap(swap(VALID[Prediction], "pair_index", "2"), "raw_answer", 7)),
+    "int-out-of-range": (Prediction, swap(VALID[Prediction], "pair_index", 2**63)),
+    "token-out-of-range": (TokenExample, swap(VALID[TokenExample], "tokens", [3, -2**63 - 1])),
+    "token-not-an-int": (TokenExample, swap(VALID[TokenExample], "tokens", [3, "1"])),
+    "pair-index-outside-1-5": (QARecord, swap(VALID[QARecord], "pair_index", 9)),
+    "lone-surrogate": (QARecord, swap(VALID[QARecord], "question", "q\udc80?")),
+    "line-separator": (QARecord, swap(VALID[QARecord], "question", "q\u2028?")),
+}
+
+
+@pytest.mark.parametrize("case", list(FAST_PATH_EDGES))
+def test_reader_matches_the_reference_on_and_off_the_fast_path(tmp_path, case):
+    cls, row = FAST_PATH_EDGES[case]
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes((json.dumps(VALID[cls]) + "\n" + json.dumps(row) + "\n").encode())
+
+    def outcome(read):
+        try:
+            return read(path, cls, "row")
+        except InputError as exc:
+            return f"InputError: {exc}"
+
+    got = outcome(read_dataclass_jsonl)
+    assert got == outcome(reference_read_dataclass_jsonl)
+    assert isinstance(got, list) == (case in (
+        "as-written", "keys-reordered", "extra-first", "integral-float-pair-index",
+        "float-token", "extra-omitted")), got

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlorakit import qagen
 from qlorakit.cli import main
 from qlorakit.errors import (ConfigError, InputError, QAParseError,
                              TransportError)
@@ -61,6 +62,38 @@ def test_annotation_validation():
         scenario(extra={"Bad Key": "x"})
     with pytest.raises(InputError, match="bad extra key"):
         scenario(extra={"caption": "shadows a core field"})
+
+
+# every line boundary str.splitlines knows besides "\n" and "\r"
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_every_line_break_is_refused_in_line_text(brk, tmp_path):
+    assert len(f"a{brk}b".splitlines()) == 2
+    record = dict(scenario_id="s", image_ref="i", answer="a", category="risk", pair_index=1)
+    for text in (f"A car ahead.{brk}road_type: desert", f"Risk?{brk}", f"{brk}Risk?"):
+        with pytest.raises(InputError, match="caption must not contain newlines"):
+            scenario(caption=text)
+        with pytest.raises(InputError, match="question must not contain newlines"):
+            QARecord(question=text, **record)
+    # the same text read back from a file, as write_jsonl would have written it
+    row = {"scenario_id": "s", "image_ref": "i", "question": f"Risk?{brk}now",
+           "answer": "a", "category": "risk", "pair_index": 1}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match="question must not contain newlines"):
+        read_records_jsonl(path)
+    # nor can a response carry one into the corpus
+    pairs = json.loads(good_response())
+    pairs[2]["answer"] = f"slow{brk}down"
+    with pytest.raises(QAParseError, match="answer must not contain newlines"):
+        parse_qa_response(json.dumps(pairs))
+
+
+def test_unprintable_text_that_breaks_no_line_is_kept():
+    for text in ("tab\there", "bell\x07", "nul\x00byte", "unit\x1fsep", "nbsp\xa0x"):
+        assert scenario(caption=text).caption == text
 
 
 def test_record_validation():
@@ -214,6 +247,41 @@ def test_generation_independent_of_concurrency():
     r1 = generate_dataset(scenarios, MockLLMClient(seed=2), max_concurrency=1)
     r8 = generate_dataset(scenarios, MockLLMClient(seed=2), max_concurrency=8)
     assert r1.records == r8.records
+
+
+def spy_on_pools(monkeypatch):
+    """The keyword arguments of every ThreadPoolExecutor generate_dataset builds."""
+    built = []
+    real = qagen.ThreadPoolExecutor
+
+    def spy(**kwargs):
+        built.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(qagen, "ThreadPoolExecutor", spy)
+    return built
+
+
+def test_the_mock_runs_in_the_calling_thread_without_a_pool(monkeypatch):
+    built = spy_on_pools(monkeypatch)
+    threads = set()
+    complete = MockLLMClient.complete
+    monkeypatch.setattr(MockLLMClient, "complete", lambda self, prompt: (
+        threads.add(threading.get_ident()), complete(self, prompt))[1])
+    scenarios = [scenario(i) for i in range(12)]
+    for workers in (1, 8):
+        generate_dataset(scenarios, MockLLMClient(seed=2), max_concurrency=workers)
+    assert built == [] and threads == {threading.get_ident()}
+    with pytest.raises(ConfigError, match="max_concurrency must be >= 1, got 0"):
+        generate_dataset(scenarios, MockLLMClient(seed=2), max_concurrency=0)
+
+
+def test_http_generation_runs_in_one_pool_of_max_concurrency(stub, monkeypatch):
+    built = spy_on_pools(monkeypatch)
+    result = generate_dataset([scenario(i) for i in range(4)], http_client(stub.url),
+                              max_concurrency=3)
+    assert built == [{"max_workers": 3}]
+    assert result.stats["accepted"] == 4 and len(stub.seen) == 4
 
 
 def test_retry_then_reject_accounting():
