@@ -1,15 +1,10 @@
 """Single entry point for the whole pipeline.
 
 Subcommands: make-scenarios, gen-data, split, make-synthetic, train,
-predict, eval, report, inspect-quant.
-
-Exit codes (stable contract): 0 success, 2 usage or validation failure,
-3 external-service failure, 4 numeric failure. Errors print a single
-line "error: <kind>: <message>" on stderr.
-
-Given identical inputs and seeds (mock backend), every data artifact a
-subcommand writes is byte-identical across runs; run summaries addition-
-ally carry wall-clock timing, which is the one non-reproducible field.
+predict, eval, report, inspect-quant. What main returns for each error,
+and the one stderr line it prints, is README's Exit codes table. Given the
+same inputs and seeds (mock backend), every artifact is byte-identical
+across runs but for summary.json's wall_time_s.
 """
 
 from __future__ import annotations

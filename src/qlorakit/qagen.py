@@ -30,7 +30,7 @@ from .fileio import atomic_write, echo, json_value, read_dataclass_jsonl, read_l
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
-_EXTRA_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_EXTRA_KEY_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 def _check_line_text(value: str, what: str) -> str:
@@ -46,6 +46,11 @@ def _check_line_text(value: str, what: str) -> str:
     return value
 
 
+def _check_id(value: str) -> None:  # manifests hold stripped lines, so ids must be too
+    if _check_line_text(value, "scenario_id") != value.strip():
+        raise InputError(f"scenario_id {echo(value)} has surrounding whitespace")
+
+
 @dataclass(frozen=True)
 class ScenarioAnnotation:
     scenario_id: str
@@ -57,7 +62,7 @@ class ScenarioAnnotation:
     extra: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_line_text(self.scenario_id, "scenario_id")
+        _check_id(self.scenario_id)
         _check_line_text(self.image_ref, "image_ref")
         _check_line_text(self.caption, "caption")
         _check_line_text(self.suggested_action, "suggested_action")
@@ -68,7 +73,7 @@ class ScenarioAnnotation:
             raise InputError("extra must be a mapping of key to text")
         names = [f.name for f in fields(self)]
         for key, value in self.extra.items():
-            if not _EXTRA_KEY_RE.match(key) or key in names:
+            if not _EXTRA_KEY_RE.fullmatch(key) or key in names:
                 raise InputError(f"bad extra key {echo(key)}")
             _check_line_text(value, f"extra[{key}]")
         # sorted, so equal annotations write equal bytes
@@ -85,7 +90,7 @@ class QARecord:
     pair_index: int
 
     def __post_init__(self):
-        _check_line_text(self.scenario_id, "scenario_id")
+        _check_id(self.scenario_id)
         _check_line_text(self.image_ref, "image_ref")
         _check_line_text(self.question, "question")
         _check_line_text(self.answer, "answer")

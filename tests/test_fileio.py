@@ -78,15 +78,16 @@ CODEC = settings(max_examples=150, deadline=None,
 TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                              blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
                min_size=1, max_size=8).filter(str.strip)
+ID = TEXT.filter(lambda s: s == s.strip())  # a scenario_id has no surrounding whitespace
 ROWS = st.one_of(
-    st.builds(QARecord, TEXT, TEXT, TEXT, TEXT, st.sampled_from(["scene", "risk"]),
+    st.builds(QARecord, ID, TEXT, TEXT, TEXT, st.sampled_from(["scene", "risk"]),
               st.integers(1, 5)),
     st.builds(Prediction, TEXT, st.integers(-2**63, 2**63 - 1), TEXT),
     st.builds(RejectRecord, TEXT, st.integers(0, 9),
               st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)),
     st.builds(TokenExample, st.lists(st.integers(-2**70, 2**70), max_size=4),
               st.integers(-2**70, 2**70)),
-    st.builds(ScenarioAnnotation, TEXT, TEXT, TEXT, st.booleans(), TEXT, TEXT,
+    st.builds(ScenarioAnnotation, ID, TEXT, TEXT, st.booleans(), TEXT, TEXT,
               st.dictionaries(st.from_regex(r"x[a-z0-9_]{0,4}", fullmatch=True), TEXT,
                               max_size=3)),
 )

@@ -790,3 +790,48 @@ def test_importing_the_model_keeps_freed_heap():
     assert returned_bytes("plain") > 2**20  # glibc's default trims the heap
     assert returned_bytes("model") == 0
     assert model.keep_freed_heap()
+
+
+# (name, KB bound): a bound sits about 2.5% above the peak read when it was set
+PASS_PEAKS = [("synthetic window 8 x 16", 720), ("corpus window 8 x 23-28", 1600),
+              ("forward_batch 16 x 16", 860)]
+
+
+@pytest.mark.parametrize("what, bound_kb", PASS_PEAKS, ids=[name for name, _ in PASS_PEAKS])
+def test_a_pass_allocates_at_most_its_pinned_peak(what, bound_kb):
+    """The tracemalloc peak of one pass on the default config's spec, with
+    rank-16 adapters, layers and zeroed gradients built before tracing, read
+    on the second of two calls; KB is 1,000 B."""
+    import tracemalloc
+
+    from qlorakit.config import load_config, model_spec_from
+    from qlorakit.lora import flatten_adapters
+
+    spec = model_spec_from(load_config())
+    params = init_model_params(spec, 1)
+    adapters = init_adapters(spec, 16, 16.0, 2)
+    layers = model.adapted_layers(params, spec, adapters)
+    grads = {k: np.zeros_like(v) for k, v in flatten_adapters(adapters).items()}
+    rng = np.random.default_rng(0)
+
+    def examples(lengths):
+        return model.check_examples([(rng.integers(0, spec.vocab_size, t), i % spec.n_classes)
+                                     for i, t in enumerate(lengths)], spec)
+
+    calls = {
+        "synthetic window 8 x 16": (model.loss_and_grads_into, (
+            params, spec, examples([16] * 8), layers, grads)),
+        "corpus window 8 x 23-28": (model.loss_and_grads_into, (
+            params, spec, examples([23, 24, 25, 26, 27, 28, 25, 27]), layers, grads)),
+        "forward_batch 16 x 16": (forward_batch, (
+            params, spec, [rng.integers(0, spec.vocab_size, 16) for _ in range(16)], adapters)),
+    }
+    call, args = calls[what]
+    call(*args)  # warm-up
+    tracemalloc.start()
+    try:
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1000 < bound_kb, f"{what}: {peak / 1000:.1f} KB"

@@ -62,6 +62,8 @@ def test_annotation_validation():
         scenario(extra={"Bad Key": "x"})
     with pytest.raises(InputError, match="bad extra key"):
         scenario(extra={"caption": "shadows a core field"})
+    with pytest.raises(InputError, match="bad extra key"):  # a "$" anchor would let it by
+        scenario(extra={"agent\n": "cyclist"})
 
 
 # every line boundary str.splitlines knows besides "\n" and "\r"
