@@ -82,11 +82,14 @@ def _base_sha256(params) -> str:
 
 
 def _records(path, manifest=None) -> list:
-    """The QA records in path, kept to the scenario ids a manifest lists if
-    one is given; an empty selection is an InputError."""
+    """The QA records in path, kept to the ids a manifest lists if one is
+    given; a listed id path lacks and an empty selection are InputErrors."""
     records = qagen.read_records_jsonl(path)
     if manifest:
-        keep = set(qagen.read_manifest(manifest))
+        keep = dict.fromkeys(qagen.read_manifest(manifest))  # a set in manifest order
+        known = {r.scenario_id for r in records}
+        if unknown := [sid for sid in keep if sid not in known]:
+            raise InputError(f"{manifest}: scenario id {echo(unknown[0])} is not in {path}")
         records = [r for r in records if r.scenario_id in keep]
     if not records:
         raise InputError(f"no records in {path}" + (f" listed in {manifest}" if manifest else ""))

@@ -262,6 +262,8 @@ class Prediction:
     pair_index: int
     raw_answer: str
 
+    _columns_pass = staticmethod(lambda columns: True)  # no rule beyond the codec's
+
 
 def read_predictions_jsonl(path) -> dict[tuple, str]:
     out: dict[tuple, str] = {}

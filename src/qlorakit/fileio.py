@@ -16,11 +16,13 @@ quotes at most 60 characters of a bad value (echo).
 
 Every JSONL artifact holds one dataclass row per line, keys being the
 dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
-are the one codec for all of them, at one decoder call per row read. The
-reader's fast path: a row whose keys and value types are exactly what
-write_jsonl writes (a JSON object for a field no check reads, such as
-extra) passes one tuple comparison and has only its int ranges and list
-items left to check; any other row takes every check in field order.
+are the one codec for all of them, at one decoder call per line read. A
+row type with a _columns_pass rule (QARecord, Prediction) is read column
+by column when every row has exactly the keys and the str, int or bool
+types write_jsonl writes, each int column lies in int64 and the rule
+vouches for every row: the rows become instances with no __init__ call.
+Any other file takes every check row by row, in field order, the only
+path that words a message.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import os
 import re
 import secrets
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import InputError
 
@@ -70,14 +72,16 @@ def echo(value) -> str:
     return text[:ECHO_CHARS] + "..." if len(text) > ECHO_CHARS else text
 
 
-def json_value(text: str, where, kind=dict):
-    """The JSON value of type kind (dict or list) text holds; where names its
-    source in the InputError. Text nested deeper than MAX_JSON_DEPTH never
-    reaches the decoder, so no caller's stack depth changes an outcome."""
+def json_value(text: str, where, kind=dict, line=None):
+    """The JSON value of type kind (dict or list) text holds; where, or
+    where:line if a line number is given, names its source in the InputError.
+    Text nested deeper than MAX_JSON_DEPTH never reaches the decoder, so no
+    caller's stack depth changes an outcome."""
     if (text.count("[") + text.count("{") > MAX_JSON_DEPTH  # bounds the depth
             and max(accumulate(_STEP[c] for c in re.findall(_NESTING, text)),
                     default=0) > MAX_JSON_DEPTH):
-        raise InputError(f"{where}: invalid JSON: nested deeper than {MAX_JSON_DEPTH} levels")
+        raise InputError(f"{_at(where, line)}: invalid JSON: nested deeper than "
+                         f"{MAX_JSON_DEPTH} levels")
     try:
         value, end = _decode(text)
     except ValueError:
@@ -86,9 +90,10 @@ def json_value(text: str, where, kind=dict):
         try:
             value = json.loads(text)
         except ValueError as exc:
-            raise InputError(f"{where}: invalid JSON: {exc}") from exc
+            raise InputError(f"{_at(where, line)}: invalid JSON: {exc}") from exc
     if type(value) is not kind:
-        raise InputError(f"{where}: expected a JSON {'object' if kind is dict else 'array'}")
+        raise InputError(f"{_at(where, line)}: expected a JSON "
+                         f"{'object' if kind is dict else 'array'}")
     return value
 
 
@@ -113,6 +118,7 @@ _JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list}
 _JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
 _decode = json.JSONDecoder().raw_decode  # json.loads without its per-call checks
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
+_at = lambda where, line: where if line is None else f"{where}:{line}"  # for a message only
 _quote = json.encoder.encode_basestring  # what that encoder writes a str with
 _keys = functools.cache(lambda cls: [(f.name, _quote(f.name) + ": ")  # per row type
                                      for f in dataclasses.fields(cls)])
@@ -152,20 +158,27 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
                 and f.default_factory is dataclasses.MISSING}
     kinds = {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type)) for f in fields}
     typed = [(name, kind) for name, kind in kinds.items() if kind]
-    written = (*kinds, *(kind or dict for kind in kinds.values()))  # the fast path's row
-    ranged = [(name, kind) for name, kind in typed if kind is int or kind is list]
-    rows = [json_value(text, f"{path}:{lineno}")
+    rows = [json_value(text, path, dict, lineno)
             for lineno, line in enumerate(read_lines(path), 1) if (text := line.strip())]
+    if (hasattr(cls, "_columns_pass") and rows  # the column-wise read: see the module docstring
+            and list(map(tuple, rows)).count(tuple(kinds)) == len(rows)):
+        columns = dict(zip(kinds, zip(*map(dict.values, rows))))  # field -> its values
+        if all(kind in (str, int, bool) and set(map(type, column)) == {kind}
+               and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
+               for kind, column in zip(kinds.values(), columns.values())) \
+                and cls._columns_pass(columns):
+            out = list(map(object.__new__, repeat(cls, len(rows))))
+            any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
+            return out
     out = []
     for row in rows:
         try:
-            as_written = (*row, *map(type, row.values())) == written
-            if not (as_written or kinds.keys() >= row.keys() >= required):
+            if not kinds.keys() >= row.keys() >= required:
                 unknown = sorted(row.keys() - kinds.keys())
                 if unknown:
                     raise InputError(f"unknown {what} key {echo(unknown[0])}")
                 raise InputError(f"missing {what} key {min(required - row.keys())!r}")
-            for name, kind in ranged if as_written else typed:
+            for name, kind in typed:
                 if name not in row:
                     continue
                 if kind is int:
@@ -178,3 +191,4 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
     return out
+

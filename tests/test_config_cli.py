@@ -651,3 +651,30 @@ def test_every_accepted_scenario_id_survives_the_split_manifests(tmp_path, capsy
         assert len(errors) == 2
         assert all(f"scenario_id {bad!r} has surrounding whitespace" in e for e in errors)
     assert not (tmp_path / "run").exists()
+
+
+def test_a_manifest_id_the_corpus_lacks_is_refused(tmp_path, capsys):
+    """train, predict --split and eval --manifest refuse a manifest that lists
+    an id the corpus lacks, naming the first in manifest order, rather than
+    run on the listed ids the corpus has."""
+    _, data, run = corpus_pipeline(tmp_path, n=12)
+    known = (data / "train_ids.txt").read_text().split()
+    listed = [known[0], "scn-x9", known[1], "scn-x1"]
+    for name in ("train_ids.txt", "test_ids.txt"):
+        (data / name).write_text("".join(sid + "\n" for sid in listed))
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run2"),
+                 "--set", "warmup_steps=0"]) == 2
+    assert main(["predict", "--run", str(run), "--data", str(data),
+                 "--out", str(preds), "--split", "test"]) == 2
+    assert main(["eval", "--preds", str(preds), "--gold", str(data / "corpus.jsonl"),
+                 "--labels", str(data / "labels"), "--out", str(tmp_path / "evals"),
+                 "--manifest", str(data / "test_ids.txt"), "--model-name", "m"]) == 2
+    corpus = data / "corpus.jsonl"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: input: {data / name}: scenario id 'scn-x9' is not in {corpus}"
+        for name in ("train_ids.txt", "test_ids.txt", "test_ids.txt")]
+    assert not (tmp_path / "run2").exists() and not (tmp_path / "evals").exists()
+    assert preds.read_text() == ""

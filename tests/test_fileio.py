@@ -13,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_read_dataclass_jsonl
+from qlorakit.cli import main
 from qlorakit.errors import InputError
 from qlorakit.evalharness import Prediction
 from qlorakit.fileio import atomic_write, read_dataclass_jsonl, write_jsonl
-from qlorakit.qagen import QARecord, RejectRecord, ScenarioAnnotation
+from qlorakit.qagen import QARecord, RejectRecord, ScenarioAnnotation, read_records_jsonl
 from qlorakit.tasks import TokenExample
 
 
@@ -154,7 +155,9 @@ VALID = {
     TokenExample: {"tokens": [3, 1, 4], "label": 1},
 }
 # pinned edge values (lone surrogates, integral floats, 2**63, blank text) or any JSON value
-VALUES = st.sampled_from([1.0, 2.5, 2**63, "", " ", "\ud800", "q\udc80?", "scene", "x\ny"]) | \
+# and values of the right type that fail one of QARecord's column checks
+VALUES = st.sampled_from([1.0, 2.5, 2**63, "", " ", "\ud800", "q\udc80?", "scene", "x\ny",
+                          "\t", " s-1", "q\x85?", "q\u2028?", "q\t?", "weather", 0, 6]) | \
     st.recursive(st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
                  | st.text(max_size=6),
                  lambda inner: st.lists(inner, max_size=3)
@@ -250,16 +253,27 @@ FAST_PATH_EDGES = {
     "token-out-of-range": (TokenExample, swap(VALID[TokenExample], "tokens", [3, -2**63 - 1])),
     "token-not-an-int": (TokenExample, swap(VALID[TokenExample], "tokens", [3, "1"])),
     "pair-index-outside-1-5": (QARecord, swap(VALID[QARecord], "pair_index", 9)),
+    "pair-index-0": (QARecord, swap(VALID[QARecord], "pair_index", 0)),
+    "pair-index-6": (QARecord, swap(VALID[QARecord], "pair_index", 6)),
     "lone-surrogate": (QARecord, swap(VALID[QARecord], "question", "q\udc80?")),
     "line-separator": (QARecord, swap(VALID[QARecord], "question", "q\u2028?")),
+    "next-line": (QARecord, swap(VALID[QARecord], "answer", "j\x85a")),
+    "blank-text": (QARecord, swap(VALID[QARecord], "image_ref", "")),
+    "tab-only-text": (QARecord, swap(VALID[QARecord], "answer", "\t")),
+    "tab-in-text": (QARecord, swap(VALID[QARecord], "question", "Risk\tahead?")),
+    "id-with-leading-space": (QARecord, swap(VALID[QARecord], "scenario_id", " s-1")),
+    "unknown-category": (QARecord, swap(VALID[QARecord], "category", "weather")),
+    # a later row fails a column an earlier row's fault comes after in field order
+    "two-faults": (QARecord, swap(VALID[QARecord], "category", "weather"),
+                   swap(VALID[QARecord], "question", "")),
 }
 
 
 @pytest.mark.parametrize("case", list(FAST_PATH_EDGES))
 def test_reader_matches_the_reference_on_and_off_the_fast_path(tmp_path, case):
-    cls, row = FAST_PATH_EDGES[case]
+    cls, *rows = FAST_PATH_EDGES[case]
     path = tmp_path / "rows.jsonl"
-    path.write_bytes((json.dumps(VALID[cls]) + "\n" + json.dumps(row) + "\n").encode())
+    path.write_bytes("".join(json.dumps(row) + "\n" for row in [VALID[cls], *rows]).encode())
 
     def outcome(read):
         try:
@@ -271,4 +285,32 @@ def test_reader_matches_the_reference_on_and_off_the_fast_path(tmp_path, case):
     assert got == outcome(reference_read_dataclass_jsonl)
     assert isinstance(got, list) == (case in (
         "as-written", "keys-reordered", "extra-first", "integral-float-pair-index",
-        "float-token", "extra-omitted")), got
+        "float-token", "extra-omitted", "tab-in-text")), got
+    if case == "two-faults":
+        assert got.endswith("category 'weather' not in ('scene', 'agent', 'suggested_action', "
+                            "'risk')"), got
+
+
+def test_a_corpus_as_written_is_read_without_post_init(tmp_path, monkeypatch):
+    """The demo's corpus is read column by column, with no QARecord.__post_init__
+    call; one row off that path sends every row of the file through it."""
+    scenarios, data = tmp_path / "scenarios.jsonl", tmp_path / "data"
+    assert main(["make-scenarios", "--n", "400", "--out", str(scenarios), "--seed", "0"]) == 0
+    assert main(["gen-data", "--scenarios", str(scenarios), "--out", str(data),
+                 "--seed", "0"]) == 0
+    corpus = data / "corpus.jsonl"
+    calls = []
+    post_init = QARecord.__post_init__
+    monkeypatch.setattr(QARecord, "__post_init__",
+                        lambda record: calls.append(record) or post_init(record))
+    records = read_records_jsonl(corpus)
+    assert len(records) == 2000 and calls == []
+    assert records == reference_read_dataclass_jsonl(corpus, QARecord, "record")
+    assert {type(r) for r in records} == {QARecord}
+    assert {type(r.pair_index) for r in records} == {int}
+    calls.clear()
+    with open(corpus, "a", encoding="utf-8") as fh:  # a tab is accepted, but not printable
+        fh.write(json.dumps(swap(VALID[QARecord], "question", "Risk\tahead?")) + "\n")
+    again = read_records_jsonl(corpus)
+    assert again[:-1] == records and again[-1].question == "Risk\tahead?"
+    assert calls == again
