@@ -163,10 +163,10 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
     if (hasattr(cls, "_columns_pass") and rows  # the column-wise read: see the module docstring
             and list(map(tuple, rows)).count(tuple(kinds)) == len(rows)):
         columns = dict(zip(kinds, zip(*map(dict.values, rows))))  # field -> its values
-        if all(kind in (str, int, bool) and set(map(type, column)) == {kind}
-               and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
-               for kind, column in zip(kinds.values(), columns.values())) \
-                and cls._columns_pass(columns):
+        if (all(kind in (str, int, bool) and set(map(type, column)) == {kind}
+                and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
+                for kind, column in zip(kinds.values(), columns.values()))
+                and cls._columns_pass(columns)):
             out = list(map(object.__new__, repeat(cls, len(rows))))
             any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
             return out
@@ -191,4 +191,3 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
     return out
-

@@ -102,7 +102,7 @@ class QARecord:
     @staticmethod
     def _columns_pass(c) -> bool:  # __post_init__ on columns of str and int, rule by rule
         texts = c["scenario_id"] + c["image_ref"] + c["question"] + c["answer"]
-        return (all(map(str.strip, texts)) and " ".join(texts).isprintable()  # no break either
+        return (all(map(str.strip, texts)) and " ".join(texts).isprintable()  # no line break
                 and tuple(map(str.strip, c["scenario_id"])) == c["scenario_id"]
                 and 1 <= min(c["pair_index"]) and max(c["pair_index"]) <= 5
                 and set(c["category"]) <= set(CATEGORIES))

@@ -232,7 +232,7 @@ def without(row: dict, key: str) -> dict:
 
 
 # rows a valid row's key order and value types alone do not vouch for, each
-# next to rows that keep both and fail only a range or a text check
+# next to rows that keep both and fail only a range, text or category check
 FAST_PATH_EDGES = {
     "as-written": (QARecord, VALID[QARecord]),
     "keys-reordered": (QARecord, dict(reversed(VALID[QARecord].items()))),
@@ -263,7 +263,7 @@ FAST_PATH_EDGES = {
     "tab-in-text": (QARecord, swap(VALID[QARecord], "question", "Risk\tahead?")),
     "id-with-leading-space": (QARecord, swap(VALID[QARecord], "scenario_id", " s-1")),
     "unknown-category": (QARecord, swap(VALID[QARecord], "category", "weather")),
-    # a later row fails a column an earlier row's fault comes after in field order
+    # the second row's bad column comes first in field order; the first row's message wins
     "two-faults": (QARecord, swap(VALID[QARecord], "category", "weather"),
                    swap(VALID[QARecord], "question", "")),
 }
