@@ -138,6 +138,8 @@ def cmd_split(args) -> int:
 
 def cmd_make_synthetic(args) -> int:
     cfg = _load_cfg(args, seed=args.seed)
+    if args.seq_len > cfg.max_seq_len:  # train would refuse every example
+        raise ConfigError(f"--seq-len {args.seq_len} exceeds max_seq_len {cfg.max_seq_len}")
     train_set, test_set = tasks.synthetic_token_task(
         n_train=args.n_train, n_test=args.n_test, vocab_size=cfg.vocab_size,
         n_classes=cfg.n_classes, seq_len=args.seq_len, purity=args.purity,

@@ -8,6 +8,7 @@ backend). All component seeds derive from the single `seed` value.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import zlib
 from dataclasses import dataclass
@@ -78,15 +79,13 @@ def _coerce(key: str, value, target_type):
         if text in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"config key {key}: cannot read {echo(value)} as a boolean")
-    if target_type is int and (isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"config key {key}: cannot read {echo(value)} as int")
-    try:
-        return target_type(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"config key {key}: cannot read {echo(value)} as {target_type.__name__}"
-        ) from exc
+    # a str key takes only a string, a number key no bool, an int key no
+    # fraction; `--set` values arrive as strings and parse here
+    if not (isinstance(value, bool) or (target_type is str and not isinstance(value, str))
+            or (target_type is int and isinstance(value, float) and not value.is_integer())):
+        with contextlib.suppress(TypeError, ValueError):
+            return target_type(value)
+    raise ConfigError(f"config key {key}: cannot read {echo(value)} as {target_type.__name__}")
 
 
 def load_config(path=None, overrides: Mapping[str, object] | None = None) -> RunConfig:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .fileio import atomic_write, echo, read_dataclass_jsonl, read_lines
-from .qagen import CATEGORIES
+from .qagen import CATEGORIES, _unique_pairs
 
 UNKNOWN = "unknown"
 MODES = ("micro", "macro", "weighted")
@@ -134,7 +134,7 @@ class MetricReport:
         for name in ("accuracy", "precision", "recall", "f1"):
             value = getattr(self, name)
             if not isinstance(value, float) or not 0.0 <= value <= 1.0:
-                raise InputError(f"{name} = {echo(value)} outside [0, 1]")
+                raise InputError(f"{name} must be a float in [0, 1], got {echo(value)}")
         if type(self.sample_count) is not int or self.sample_count < 1:
             raise InputError(f"sample_count = {echo(self.sample_count)} is not a count")
 
@@ -266,10 +266,5 @@ class Prediction:
 
 
 def read_predictions_jsonl(path) -> dict[tuple, str]:
-    out: dict[tuple, str] = {}
-    for p in read_dataclass_jsonl(path, Prediction, "prediction"):
-        key = (p.scenario_id, p.pair_index)
-        if key in out:
-            raise InputError(f"{path}: duplicate prediction for {key}")
-        out[key] = p.raw_answer
-    return out
+    preds = _unique_pairs(read_dataclass_jsonl(path, Prediction, "prediction"), path, "prediction")
+    return {(p.scenario_id, p.pair_index): p.raw_answer for p in preds}

@@ -140,7 +140,17 @@ class OptimizerState:
 
     def bind(self, params: Mapping[str, np.ndarray]) -> tuple[dict, dict]:
         """Copy the params this state was built for into its flat parameter
-        buffer; return parameter and gradient views, shaped like params."""
+        buffer; return parameter and gradient views, shaped like params.
+        Params whose names or element counts differ from the layout raise
+        InputError before anything is copied."""
+        names, given = {name for name, _size, _off in self.layout}, set(params)
+        if given != names:
+            raise InputError(f"parameters do not match the optimizer state "
+                             f"(missing {sorted(names - given)}, extra {sorted(given - names)})")
+        for name, size, _off in self.layout:
+            if np.size(params[name]) != size:
+                raise InputError(f"parameter {name!r} has {np.size(params[name])} elements, "
+                                 f"the optimizer state was built for {size}")
         for name, size, off in self.layout:
             self._param[off:off + size] = np.ravel(params[name])
         return tuple({name: flat[off:off + size].reshape(np.shape(params[name]))
@@ -164,53 +174,15 @@ class OptimizerState:
                         scales=m.scales[start // bs:-(-(start + size) // bs)])
 
 
-def adamw_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
-               state: OptimizerState, lr: float, cfg: TrainConfig):
-    """One Adam step with decoupled decay; mutates params and state in place.
-
-    The decay p <- p * (1 - lr * weight_decay) is applied before the
-    adaptive update, so it never flows through the moments. Every check
-    runs before anything is mutated.
-    """
-    if set(grads) != set(params):
-        missing = sorted(set(params) - set(grads))
-        extra = sorted(set(grads) - set(params))
-        raise InputError(
-            f"gradients must cover exactly the trainable parameters "
-            f"(missing {missing}, extra {extra})"
-        )
-    names = {name for name, _size, _off in state.layout}
-    if set(params) != names:
-        raise InputError(
-            f"parameters do not match the optimizer state "
-            f"(missing {sorted(names - set(params))}, "
-            f"extra {sorted(set(params) - names)})"
-        )
-    for name, size, off in state.layout:
-        p, grad = params[name], np.asarray(grads[name], dtype=np.float64)
-        if p.size != size:
-            raise InputError(
-                f"parameter {name!r} has {p.size} elements, "
-                f"the optimizer state was built for {size}"
-            )
-        if grad.shape != p.shape:
-            raise InputError(
-                f"gradient for {name!r} has shape {grad.shape}, parameter has {p.shape}"
-            )
-        state._grad[off:off + size] = grad.ravel()
-        state._param[off:off + size] = p.ravel()
-    adamw_step_flat(state, lr, cfg)
-    for name, size, off in state.layout:
-        params[name][...] = state._param[off:off + size].reshape(params[name].shape)
-    return params, state
-
-
-def adamw_step_flat(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple[float, float]:
-    """adamw_step on the flat buffers of OptimizerState.bind, run once over
-    them; it zeroes the gradients after use, ready for the next step's.
-    Returns the L2 norms of the gradient and of the adaptive update (the
-    step before weight decay). A gradient entry that is NaN or beyond
-    GRAD_LIMIT in magnitude raises NumericError before anything is mutated."""
+def adamw_step(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple[float, float]:
+    """One Adam step with decoupled decay over the flat buffers of
+    OptimizerState.bind; mutates them and the state in place, and zeroes the
+    gradients after use, ready for the next step's. The decay
+    p <- p * (1 - lr * weight_decay) is applied before the adaptive update,
+    so it never flows through the moments. Returns the L2 norms of the
+    gradient and of the adaptive update (the step before weight decay). A
+    gradient entry that is NaN or beyond GRAD_LIMIT in magnitude raises
+    NumericError before anything is mutated."""
     g = state._grad
     if not np.abs(g).max(initial=0.0) <= GRAD_LIMIT:  # a NaN compares False
         bad = next(name for name, size, off in state.layout

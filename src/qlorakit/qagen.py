@@ -469,7 +469,17 @@ def read_scenarios_jsonl(path) -> list[ScenarioAnnotation]:
 
 
 def read_records_jsonl(path) -> list[QARecord]:
-    return read_dataclass_jsonl(path, QARecord, "record")
+    return _unique_pairs(read_dataclass_jsonl(path, QARecord, "record"), path, "record")
+
+
+def _unique_pairs(rows, path, what: str) -> list:
+    """rows; a repeated (scenario_id, pair_index) raises InputError naming its first repeat."""
+    seen: set = set()
+    for key in ((r.scenario_id, r.pair_index) for r in rows):
+        if key in seen:
+            raise InputError(f"{path}: duplicate {what} for {key}")
+        seen.add(key)
+    return rows
 
 
 def write_manifest(path, ids: Sequence[str]) -> None:

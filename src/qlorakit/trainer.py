@@ -23,11 +23,9 @@ from .lora import LoraAdapter, flatten_adapters
 from .model import (ModelParams, ToyModelSpec, _logits, adapted_layers, base_fingerprint,
                     check_examples)
 from .model import forward  # noqa: F401  (trainer.forward: one-sequence logits)
-from .optim import OptimizerState, TrainConfig, lr_at
-# train's per-window and per-step calls: the public functions minus their
-# per-call checks, under the public names, so wrappers see every window and step
+from .optim import OptimizerState, TrainConfig, adamw_step, lr_at
+# loss_and_grads minus its per-call checks, named so perfbench's wrapper sees every window
 from .model import loss_and_grads_into as loss_and_grads
-from .optim import adamw_step_flat as adamw_step
 
 
 @dataclass(frozen=True)

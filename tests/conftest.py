@@ -18,6 +18,7 @@ from qlorakit.errors import InputError
 from qlorakit.fileio import MAX_JSON_DEPTH, echo, json_int, read_lines
 from qlorakit.lora import flatten_adapters
 from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
+from qlorakit.optim import adamw_step
 
 
 @pytest.fixture
@@ -172,7 +173,7 @@ def reference_dequantize_8bit(codes, scales, block_size):
     return codes * np.repeat(scales.astype(np.float64), block_size)[:codes.size]
 
 
-def reference_adamw_step_flat(param, g, first, second, t, lr, cfg, block_size):
+def reference_adamw_step(param, g, first, second, t, lr, cfg, block_size):
     """One AdamW step on flat buffers with each moment kept apart: float64
     arrays at 32 bits, (codes, scales) pairs at 8, the second of them
     holding sqrt(v). Mutates param; returns the new first and second
@@ -196,6 +197,19 @@ def reference_adamw_step_flat(param, g, first, second, t, lr, cfg, block_size):
         param *= 1.0 - lr * cfg.weight_decay
     param -= step
     return m, v, float(np.sqrt(np.dot(g, g))), float(np.sqrt(np.dot(step, step)))
+
+
+def step_params(params, grads, state, lr, cfg):
+    """optim.adamw_step on dicts of arrays: bind params to state, write grads
+    into its gradient views, step, and copy the parameters back into params.
+    Returns the step's gradient and update norms."""
+    flat, flat_grads = state.bind(params)
+    for name, grad in grads.items():
+        flat_grads[name][...] = grad
+    norms = adamw_step(state, lr, cfg)
+    for name, p in flat.items():
+        params[name][...] = p
+    return norms
 
 
 def reference_json_depth(text: str) -> int:

@@ -414,22 +414,25 @@ def test_criterion_13_8bit_optimizer_state():
     cfg = TrainConfig(learning_rate=1e-1, weight_decay=0.0, state_bits=8)
     params = {"p": np.zeros(1)}
     state = OptimizerState.for_params(params, cfg)
+    params, grads = state.bind(params)
     steps = 0
     for steps in range(1, 501):
-        adamw_step(params, {"p": 2.0 * (params["p"] - 3.0)}, state, 1e-1, cfg)
+        grads["p"][...] = 2.0 * (params["p"] - 3.0)
+        adamw_step(state, 1e-1, cfg)
         if abs(params["p"][0] - 3.0) <= 1e-2:
             break
     assert abs(params["p"][0] - 3.0) <= 1e-2
 
     # single-step moment fidelity vs the full-precision state
     g = np.random.default_rng(130).normal(size=64)
-    p8 = {"w": np.zeros(64)}
-    s8 = OptimizerState.for_params(p8, cfg)
-    adamw_step(p8, {"w": g.copy()}, s8, 1e-3, cfg)
+    w = {"w": np.zeros(64)}
+    s8 = OptimizerState.for_params(w, cfg)
+    s8.bind(w)[1]["w"][...] = g  # the gradient view
+    adamw_step(s8, 1e-3, cfg)
     cfg32 = TrainConfig(learning_rate=1e-1, weight_decay=0.0, state_bits=32)
-    p32 = {"w": np.zeros(64)}
-    s32 = OptimizerState.for_params(p32, cfg32)
-    adamw_step(p32, {"w": g.copy()}, s32, 1e-3, cfg32)
+    s32 = OptimizerState.for_params(w, cfg32)
+    s32.bind(w)[1]["w"][...] = g
+    adamw_step(s32, 1e-3, cfg32)
 
     m_err = np.abs(dequantize_8bit(s8.first["w"]) - s32.first["w"])
     m_bound = np.repeat(s8.first["w"].scales.astype(np.float64), 64)[:64] / 2

@@ -113,6 +113,24 @@ def test_non_finite_float_values_are_refused(key, value):
         assert str(exc.value) == f"{key} must be finite and > 0, got {float(value)}"
 
 
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                 if type(f.default) in (str, float)])
+def test_a_config_value_of_the_wrong_json_type_is_refused(tmp_path, key):
+    """A str key takes only a JSON string and a float key refuses a boolean,
+    as int keys do; `--set` text and a file's own-type value read as before."""
+    default = getattr(RunConfig(), key)
+    kind = type(default).__name__
+    path = tmp_path / "run.json"
+    for bad in ([["http://x"], None, True, 1, 0.5, {}] if kind == "str"
+                else [True, False, None, [1.0], "x"]):
+        path.write_text(json.dumps({key: bad}))
+        with pytest.raises(ConfigError, match=f"^config key {key}: cannot read .* as {kind}$"):
+            load_config(path)
+    path.write_text(json.dumps({key: default}))
+    assert getattr(load_config(path), key) == default
+    assert getattr(load_config(None, {key: str(default)}), key) == default
+
+
 # ---- CLI plumbing ----
 
 def read_json(path):
@@ -678,3 +696,40 @@ def test_a_manifest_id_the_corpus_lacks_is_refused(tmp_path, capsys):
         for name in ("train_ids.txt", "test_ids.txt", "test_ids.txt")]
     assert not (tmp_path / "run2").exists() and not (tmp_path / "evals").exists()
     assert preds.read_text() == ""
+
+
+def test_a_corpus_with_a_repeated_pair_is_refused_by_every_reader(tmp_path, capsys):
+    """A corpus that repeats a (scenario_id, pair_index) is refused, naming
+    the first repeat, by split, train, predict and eval alike, rather than
+    predicted in full and only then refused by eval."""
+    _, data, run = corpus_pipeline(tmp_path, n=12)
+    preds = tmp_path / "preds.jsonl"
+    assert main(["predict", "--run", str(run), "--data", str(data),
+                 "--out", str(preds), "--split", "all"]) == 0
+    corpus = data / "corpus.jsonl"
+    first = corpus.read_text().splitlines()[0]
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")
+    capsys.readouterr()
+    assert main(["split", "--corpus", str(corpus), "--out", str(tmp_path / "split")]) == 2
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run2")]) == 2
+    assert main(["predict", "--run", str(run), "--data", str(data),
+                 "--out", str(tmp_path / "p2.jsonl"), "--split", "all"]) == 2
+    assert main(["eval", "--preds", str(preds), "--gold", str(corpus),
+                 "--labels", str(data / "labels"), "--out", str(tmp_path / "evals"),
+                 "--model-name", "m"]) == 2
+    key = (json.loads(first)["scenario_id"], json.loads(first)["pair_index"])
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: input: {corpus}: duplicate record for {key}"] * 4
+    assert not any((tmp_path / name).exists() for name in ("split", "run2", "p2.jsonl", "evals"))
+
+
+def test_make_synthetic_refuses_a_seq_len_beyond_max_seq_len(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert main(["make-synthetic", "--out", str(out), "--seq-len", "40"]) == 2
+    assert capsys.readouterr().err == "error: config: --seq-len 40 exceeds max_seq_len 32\n"
+    assert not out.exists()
+    assert main(["make-synthetic", "--out", str(out), "--seq-len", "40", "--n-train", "8",
+                 "--n-test", "4", "--set", "max_seq_len=40"]) == 0
+    assert main(["train", "--data", str(out), "--out", str(tmp_path / "run"),
+                 "--set", "max_seq_len=40", "--set", "warmup_steps=0"]) == 0

@@ -248,6 +248,8 @@ CLI_INPUTS = {
                              eval_summary(metrics={"risk": {**METRICS, "recall": "0.5"}})),
     "report-metric-above-1": ("report", "eval_summary_m.json",
                               eval_summary(metrics={"risk": {**METRICS, "f1": 1.5}})),
+    "report-int-metric": ("report", "eval_summary_m.json",
+                          eval_summary(metrics={"risk": {**METRICS, "accuracy": 1}})),
     "report-unknown-category": ("report", "eval_summary_m.json",
                                 eval_summary(metrics={"weather": METRICS})),
     "report-comma-in-model-name": ("report", "eval_summary_m.json",
@@ -279,8 +281,9 @@ REPORT_FAULTS = {
     "report-metrics-not-object": "metrics must be a JSON object",
     "report-unknown-metric-key": "risk metrics must hold exactly",
     "report-missing-metric-key": "risk metrics must hold exactly",
-    "report-string-metric": "risk: recall = '0.5' outside [0, 1]",
-    "report-metric-above-1": "risk: f1 = 1.5 outside [0, 1]",
+    "report-string-metric": "risk: recall must be a float in [0, 1], got '0.5'",
+    "report-metric-above-1": "risk: f1 must be a float in [0, 1], got 1.5",
+    "report-int-metric": "risk: accuracy must be a float in [0, 1], got 1",
     "report-unknown-category": "unknown category 'weather'",
     "report-comma-in-model-name": "bad model name 'm,n'",
     "report-newline-in-model-name": "bad model name 'm\\n'",

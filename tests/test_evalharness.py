@@ -196,10 +196,11 @@ def test_unknown_joins_averaging_only_with_gold_support():
 
 
 def test_metric_report_range_validation():
-    with pytest.raises(InputError, match="outside"):
+    with pytest.raises(InputError, match=r"^accuracy must be a float in \[0, 1\], got 1.2"):
         MetricReport(category="risk", mode="macro", accuracy=1.2,
                      precision=0.5, recall=0.5, f1=0.5, sample_count=4)
-    with pytest.raises(InputError, match="^f1 = '0.5' outside"):  # a number, not its text
+    # a number, not its text
+    with pytest.raises(InputError, match="^f1 must be a float in .*, got '0.5'"):
         MetricReport(category="risk", mode="macro", accuracy=0.5,
                      precision=0.5, recall=0.5, f1="0.5", sample_count=4)
     with pytest.raises(InputError, match="^sample_count = True is not a count"):

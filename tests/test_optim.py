@@ -14,11 +14,10 @@ from qlorakit.config import load_config, model_spec_from
 from qlorakit.errors import ConfigError, InputError, NumericError
 from qlorakit.lora import flatten_adapters
 from qlorakit.model import init_adapters
-from qlorakit.optim import (GRAD_LIMIT, OptimizerState, TrainConfig, adamw_step,
-                            adamw_step_flat, lr_at)
+from qlorakit.optim import GRAD_LIMIT, OptimizerState, TrainConfig, adamw_step, lr_at
 from qlorakit.quant import Q8Vector, dequantize_8bit
 
-from conftest import reference_adamw_step_flat
+from conftest import reference_adamw_step, step_params
 
 
 def reference_adamw(p0, grad_fn, cfg, lr, steps):
@@ -42,7 +41,7 @@ def run_quadratic(state_bits, steps=500, lr=1e-1):
     state = OptimizerState.for_params(params, cfg)
     for _ in range(steps):
         grads = {"p": 2.0 * (params["p"] - 3.0)}
-        adamw_step(params, grads, state, lr, cfg)
+        step_params(params, grads, state, lr, cfg)
     return float(params["p"][0])
 
 
@@ -95,7 +94,7 @@ def test_zero_gradients_zero_decay_is_a_fixed_point(bits):
     cfg = TrainConfig(weight_decay=0.0, state_bits=bits)
     params = {"w": np.array([1.0, -2.0, 3.0])}
     state = OptimizerState.for_params(params, cfg)
-    adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1, cfg=cfg)
+    step_params(params, {"w": np.zeros(3)}, state, lr=0.1, cfg=cfg)
     assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
 
 
@@ -103,7 +102,7 @@ def test_single_step_matches_reference_with_decay():
     cfg = TrainConfig(weight_decay=0.01, state_bits=32)
     params = {"p": np.array([2.0])}
     state = OptimizerState.for_params(params, cfg)
-    adamw_step(params, {"p": np.array([0.5])}, state, lr=0.1, cfg=cfg)
+    step_params(params, {"p": np.array([0.5])}, state, lr=0.1, cfg=cfg)
     expected = reference_adamw(2.0, lambda _: 0.5, cfg, lr=0.1, steps=1)
     assert params["p"][0] == pytest.approx(expected, abs=1e-15)
 
@@ -113,7 +112,7 @@ def test_trajectory_matches_reference_full_precision():
     params = {"p": np.zeros(1)}
     state = OptimizerState.for_params(params, cfg)
     for _ in range(50):
-        adamw_step(params, {"p": 2.0 * (params["p"] - 3.0)}, state, 1e-1, cfg)
+        step_params(params, {"p": 2.0 * (params["p"] - 3.0)}, state, 1e-1, cfg)
     expected = reference_adamw(0.0, lambda p: 2.0 * (p - 3.0), cfg, 1e-1, 50)
     assert params["p"][0] == pytest.approx(expected, abs=1e-12)
 
@@ -130,7 +129,7 @@ def test_flat_step_returns_the_gradient_and_update_norms(bits):
     for k, g in grads.items():
         flat_grads[k][...] = g
     before = {k: v.copy() for k, v in flat.items()}
-    grad_norm, update_norm = adamw_step_flat(state, 0.1, cfg)
+    grad_norm, update_norm = adamw_step(state, 0.1, cfg)
     g = np.concatenate([grads[k].ravel() for k in sorted(grads)])
     assert grad_norm == pytest.approx(np.linalg.norm(g), rel=1e-14)
     step = np.concatenate([(before[k] * (1.0 - 0.1 * cfg.weight_decay) - flat[k]).ravel()
@@ -149,27 +148,16 @@ def test_quadratic_converges_8bit_state():
     assert abs(run_quadratic(8) - 3.0) <= 1e-2
 
 
-def test_gradient_key_and_shape_checks():
-    cfg = TrainConfig()
-    params = {"a": np.zeros(2), "b": np.zeros(2)}
-    state = OptimizerState.for_params(params, cfg)
-    with pytest.raises(InputError, match="missing \\['b'\\]"):
-        adamw_step(params, {"a": np.zeros(2)}, state, 0.1, cfg)
-    with pytest.raises(InputError, match="shape"):
-        adamw_step(params, {"a": np.zeros(3), "b": np.zeros(2)}, state, 0.1, cfg)
-
-
 def test_parameters_must_match_the_state_layout():
+    """bind refuses params whose names or sizes differ from the state's
+    layout, naming them, before it copies anything."""
     cfg = TrainConfig()
     state = OptimizerState.for_params({"a": np.zeros(2), "b": np.zeros(3)}, cfg)
-    renamed = {"a": np.zeros(2), "c": np.zeros(3)}
     with pytest.raises(InputError, match="missing \\['b'\\], extra \\['c'\\]"):
-        adamw_step(renamed, {k: np.ones_like(v) for k, v in renamed.items()},
-                   state, 0.1, cfg)
-    resized = {"a": np.zeros(2), "b": np.zeros(4)}
+        state.bind({"a": np.ones(2), "c": np.ones(3)})
     with pytest.raises(InputError, match="'b' has 4 elements.*built for 3"):
-        adamw_step(resized, {k: np.ones_like(v) for k, v in resized.items()},
-                   state, 0.1, cfg)
+        state.bind({"a": np.ones(2), "b": np.ones(4)})
+    assert not state._param.any()
     assert state.step_count == 0
 
 
@@ -180,7 +168,7 @@ def test_non_finite_gradient_names_the_parameter_and_mutates_nothing(bad):
     state = OptimizerState.for_params(params, cfg)
     grads = {"a/first": np.full(3, 0.5), "b/second": np.array([0.5, bad])}
     with pytest.raises(NumericError, match="'b/second'"):
-        adamw_step(params, grads, state, 0.1, cfg)
+        step_params(params, grads, state, 0.1, cfg)
     assert np.array_equal(params["a/first"], np.ones(3))
     assert state.step_count == 0
     assert not np.any(state.moments.codes)
@@ -215,9 +203,9 @@ def test_joint_flat_state_equals_one_state_per_parameter(sizes, block_size,
     alone_state = {n: OptimizerState.for_params(alone[n], cfg, block_size)
                    for n in names}
     for lr, grads in zip((1e-2, 3e-3, 1e-3), steps):
-        adamw_step(joint, grads, joint_state, lr, cfg)
+        step_params(joint, grads, joint_state, lr, cfg)
         for n in names:
-            adamw_step(alone[n], {n: grads[n]}, alone_state[n], lr, cfg)
+            step_params(alone[n], {n: grads[n]}, alone_state[n], lr, cfg)
 
     for n in names:
         assert joint[n].tobytes() == alone[n][n].tobytes()
@@ -240,7 +228,7 @@ def test_huge_finite_gradient_is_a_numeric_error_at_both_widths(bits):
     cfg = TrainConfig(state_bits=bits)
     params = {"a/first": np.ones(3), "b/second": np.ones(2)}
     state = OptimizerState.for_params(params, cfg)
-    adamw_step(params, {k: np.full_like(v, 0.5) for k, v in params.items()}, state, 0.1, cfg)
+    step_params(params, {k: np.full_like(v, 0.5) for k, v in params.items()}, state, 0.1, cfg)
 
     def snapshot():
         m = state.moments
@@ -253,11 +241,11 @@ def test_huge_finite_gradient_is_a_numeric_error_at_both_widths(bits):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="'b/second'"):
-                adamw_step(params, grads, state, 0.1, cfg)
+                step_params(params, grads, state, 0.1, cfg)
         assert snapshot() == before
     # the limit itself still steps
-    adamw_step(params, {"a/first": np.full(3, 0.5), "b/second": np.array([GRAD_LIMIT, 0.0])},
-               state, 0.1, cfg)
+    step_params(params, {"a/first": np.full(3, 0.5), "b/second": np.array([GRAD_LIMIT, 0.0])},
+                state, 0.1, cfg)
     assert state.step_count == 2 and np.isfinite(params["b/second"]).all()
 
 
@@ -280,9 +268,9 @@ def test_flat_step_is_bit_identical_to_the_per_block_reference(sizes, block_size
         for g in grads.values():
             g[...] = rng.normal(size=g.shape) * magnitude * 10.0 ** rng.integers(-2, 3)
         g = state._grad.copy()
-        norms = adamw_step_flat(state, lr, cfg)
-        first, second, *want = reference_adamw_step_flat(param, g, first, second, t, lr,
-                                                         cfg, block_size)
+        norms = adamw_step(state, lr, cfg)
+        first, second, *want = reference_adamw_step(param, g, first, second, t, lr,
+                                                    cfg, block_size)
         assert norms == tuple(want)
         assert state._param.tobytes() == param.tobytes()
         m = state.moments  # first moments, then second
@@ -319,7 +307,7 @@ def test_8bit_state_keeps_only_codes_and_scales_between_steps():
         for _ in range(2):
             for g in grads.values():
                 g[...] = rng.normal(size=g.shape)
-            adamw_step_flat(state, 1e-3, cfg)
+            adamw_step(state, 1e-3, cfg)
         scratch = {id(state._param), id(state._grad)}
         held = [a for a in _arrays(state) if id(a) not in scratch]
         assert sum(a.nbytes for a in _arrays(state.moments)) == want
@@ -332,8 +320,8 @@ def test_nan_gradient_raises_numeric_error_naming_parameter():
     params = {"layers.0.attn_q/a": np.zeros(2)}
     state = OptimizerState.for_params(params, cfg)
     with pytest.raises(NumericError, match="layers.0.attn_q/a"):
-        adamw_step(params, {"layers.0.attn_q/a": np.array([np.nan, 0.0])},
-                   state, 0.1, cfg)
+        step_params(params, {"layers.0.attn_q/a": np.array([np.nan, 0.0])},
+                    state, 0.1, cfg)
 
 
 def test_8bit_state_is_stored_quantized_and_reconstructs_moments():
@@ -342,7 +330,7 @@ def test_8bit_state_is_stored_quantized_and_reconstructs_moments():
     g = rng.normal(size=64)
     params8 = {"w": np.zeros(64)}
     state8 = OptimizerState.for_params(params8, cfg)
-    adamw_step(params8, {"w": g.copy()}, state8, 1e-3, cfg)
+    step_params(params8, {"w": g.copy()}, state8, 1e-3, cfg)
     assert isinstance(state8.first["w"], Q8Vector)
     assert isinstance(state8.second["w"], Q8Vector)
 
@@ -367,7 +355,7 @@ def test_scalar_blocks_quantize_losslessly():
     cfg = TrainConfig(weight_decay=0.0, state_bits=8)
     params = {"p": np.array([1.0])}
     state = OptimizerState.for_params(params, cfg)
-    adamw_step(params, {"p": np.array([0.25])}, state, 1e-2, cfg)
+    step_params(params, {"p": np.array([0.25])}, state, 1e-2, cfg)
     # a 1-element block's absmax is its own value: round trip is exact in f32
     m_exact = np.float64(np.float32((1 - cfg.adam_beta1) * 0.25 / 127)) * 127
     assert dequantize_8bit(state.first["p"])[0] == pytest.approx(m_exact, rel=1e-7)

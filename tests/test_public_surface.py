@@ -5,6 +5,7 @@ criterion (tests/test_acceptance.py). A public name that only tests call
 is dead weight and goes."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,3 +76,22 @@ def test_the_scan_sees_definitions_and_references(tmp_path):
                                          "mod.Box.prop": "prop"}
     assert {"kept", "Box", "method"} <= referenced_names([user])
     assert not {"dropped", "prop"} & referenced_names([user])
+
+
+def test_every_perfbench_binding_point_resolves():
+    """perfbench/tracing.py wraps the names in its BINDINGS from outside the
+    package; a rename in src/ would silently zero that span's metrics. Every
+    target resolves except `qlorakit.tasks:forward`, unbound since inference
+    moved to `forward_batch`."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        bound = len(tracer._restore)
+    finally:
+        tracer.uninstall()
+    assert tracer.unbound == ["qlorakit.tasks:forward"]
+    assert bound + 1 == sum(map(len, tracing.BINDINGS.values()))

@@ -13,12 +13,12 @@ from qlorakit import optim, quant, trainer
 from qlorakit.errors import InputError
 from qlorakit.model import (LAYER_ROLES, ToyModelSpec, base_fingerprint, init_adapters,
                             init_model_params, loss_and_grads, quantize_base)
-from qlorakit.optim import OptimizerState, TrainConfig, adamw_step, lr_at
+from qlorakit.optim import OptimizerState, TrainConfig, lr_at
 from qlorakit.tasks import synthetic_token_task
 from qlorakit.trainer import (TraceEntry, evaluate_accuracy, planned_steps, train,
                               write_trace_csv)
 
-from conftest import make_batch
+from conftest import make_batch, step_params
 
 
 def fresh(spec, cfg_kwargs, seed=7):
@@ -140,7 +140,7 @@ def public_train(dataset, params, spec, adapters, cfg):
         for start in range(0, len(dataset), window):
             batch = [dataset[int(i)] for i in order[start:start + window]]
             loss, grads = loss_and_grads(params, spec, batch, adapters)
-            adamw_step(flat, grads, state, lr_at(len(losses), total, cfg), cfg)
+            step_params(flat, grads, state, lr_at(len(losses), total, cfg), cfg)
             losses.append(loss)
     return losses
 
