@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import ConfigError, InputError
 from .fileio import echo, read_json
-from .model import ToyModelSpec
+from .model import DEFAULT_INIT_PROFILE, ToyModelSpec
 from .optim import TrainConfig
 from .qagen import LLMClientSpec
 from .quant import DEFAULT_BLOCK_SIZE
@@ -36,7 +36,7 @@ class RunConfig:
     n_classes: int = 4
     max_seq_len: int = 32
     adapter_targets: str = ",".join(ToyModelSpec.adapter_targets)
-    init_profile: str = "adapter_friendly"
+    init_profile: str = DEFAULT_INIT_PROFILE
     # optimization
     learning_rate: float = TrainConfig.learning_rate
     rank: int = TrainConfig.rank

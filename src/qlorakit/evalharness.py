@@ -164,16 +164,10 @@ def compute_metrics(cm: ConfusionMatrix, mode: str = "macro") -> MetricReport:
 
     if mode == "micro":  # pooled precision and recall both equal accuracy
         precision = recall = f1_val = accuracy
-    elif mode == "macro":
-        precision = float(np.mean(prec[considered]))
-        recall = float(np.mean(rec[considered]))
-        f1_val = float(np.mean(f1[considered]))
-    else:
-        weights = gold_support[considered]
-        wsum = weights.sum()
-        precision = float(np.sum(prec[considered] * weights) / wsum)
-        recall = float(np.sum(rec[considered] * weights) / wsum)
-        f1_val = float(np.sum(f1[considered] * weights) / wsum)
+    else:  # macro: the mean over the considered classes; weighted: by gold support
+        weights = gold_support[considered] if mode == "weighted" else None
+        precision, recall, f1_val = (float(np.average(v[considered], weights=weights))
+                                     for v in (prec, rec, f1))
     return MetricReport(category=cm.category, mode=mode, accuracy=accuracy,
                         precision=precision, recall=recall, f1=f1_val,
                         sample_count=int(total))
@@ -261,8 +255,6 @@ class Prediction:
     scenario_id: str
     pair_index: int
     raw_answer: str
-
-    _columns_pass = staticmethod(lambda columns: True)  # no rule beyond the codec's
 
 
 def read_predictions_jsonl(path) -> dict[tuple, str]:

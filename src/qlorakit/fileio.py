@@ -17,12 +17,15 @@ quotes at most 60 characters of a bad value (echo).
 Every JSONL artifact holds one dataclass row per line, keys being the
 dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
 are the one codec for all of them, at one decoder call per line read. A
-row type with a _columns_pass rule (QARecord, Prediction) is read column
-by column when every row has exactly the keys and the str, int or bool
-types write_jsonl writes, each int column lies in int64 and the rule
-vouches for every row: the rows become instances with no __init__ call.
-Any other file takes every check row by row, in field order, the only
-path that words a message.
+row type lists its rules once (_rules: field, check over a column that
+raises the first bad value's InputError), and its __post_init__ runs
+them on one row (check_row). A file of str, int, bool and dict fields is
+read column by column when every row has exactly the keys and the types
+write_jsonl writes, each int lies in int64, each dict is sorted by key
+and the rules pass on whole columns: from_columns builds the instances
+with no __init__ call. Any other file takes every check row by row, in
+field order, the only path that words a message (a dict's row type words
+its faults).
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def json_int(value, what: str) -> int:
 
 
 # a field annotation (as written, or the class) -> the JSON type of its values
-_JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list}
+_JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list, "Mapping[str, str]": dict}
 _JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
 _decode = json.JSONDecoder().raw_decode  # json.loads without its per-call checks
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
@@ -122,6 +125,8 @@ _at = lambda where, line: where if line is None else f"{where}:{line}"  # for a 
 _quote = json.encoder.encode_basestring  # what that encoder writes a str with
 _keys = functools.cache(lambda cls: [(f.name, _quote(f.name) + ": ")  # per row type
                                      for f in dataclasses.fields(cls)])
+_kinds = functools.cache(lambda cls: {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type))
+                                      for f in dataclasses.fields(cls)})  # field -> JSON type
 ECHO_CHARS = 60  # a message quotes at most this much of a bad value, then "..."
 MAX_JSON_DEPTH = 256  # deeper JSON is refused before decoding
 # a JSON string, closed or not, or (as group 1) a bracket outside strings; compiled
@@ -156,20 +161,12 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
     fields = dataclasses.fields(cls)
     required = {f.name for f in fields if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING}
-    kinds = {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type)) for f in fields}
-    typed = [(name, kind) for name, kind in kinds.items() if kind]
+    kinds = _kinds(cls)
+    typed = [(name, kind) for name, kind in kinds.items() if kind not in (None, dict)]
     rows = [json_value(text, path, dict, lineno)
             for lineno, line in enumerate(read_lines(path), 1) if (text := line.strip())]
-    if (hasattr(cls, "_columns_pass") and rows  # the column-wise read: see the module docstring
-            and list(map(tuple, rows)).count(tuple(kinds)) == len(rows)):
-        columns = dict(zip(kinds, zip(*map(dict.values, rows))))  # field -> its values
-        if (all(kind in (str, int, bool) and set(map(type, column)) == {kind}
-                and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
-                for kind, column in zip(kinds.values(), columns.values()))
-                and cls._columns_pass(columns)):
-            out = list(map(object.__new__, repeat(cls, len(rows))))
-            any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
-            return out
+    if (out := from_columns(cls, rows)) is not None:
+        return out
     out = []
     for row in rows:
         try:
@@ -191,3 +188,30 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
     return out
+
+
+def check_row(row) -> None:
+    """A row type's __post_init__: each of its _rules on a one-row column."""
+    values = vars(row)
+    for name, check in row._rules:
+        check((values[name],), name)
+
+
+def from_columns(cls, rows: list) -> list | None:
+    """cls instances with no __init__ call, each holding one of rows (dicts of cls's
+    fields) as its attributes, if rows pass the module docstring's column checks; else None."""
+    kinds = _kinds(cls)
+    if (rows and {str, int, bool, dict}.issuperset(kinds.values())
+            and list(map(tuple, rows)).count(tuple(kinds)) == len(rows)):
+        columns = dict(zip(kinds, zip(*map(dict.values, rows))))  # field -> its values
+        if all(set(map(type, column)) == {kind}
+               and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
+               and (kind is not dict or list(map(list, column)) == list(map(sorted, column)))
+               for kind, column in zip(kinds.values(), columns.values())):
+            with contextlib.suppress(InputError):  # else None: a row-by-row build words it
+                for name, check in getattr(cls, "_rules", ()):
+                    check(columns[name], name)
+                out = list(map(object.__new__, repeat(cls, len(rows))))
+                any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
+                return out
+    return None

@@ -34,7 +34,8 @@ LAYER_ROLES = ("attn_q", "attn_k", "attn_v", "attn_o", "ffn_up", "ffn_down")
 # lookup weights; every other base weight is a matrix product x @ W, run
 # through one QLoraLinear and quantized by the 4-bit path
 EMBEDDINGS = ("tok_emb", "pos_emb")
-INIT_PROFILES = ("standard", "adapter_friendly")
+DEFAULT_INIT_PROFILE = "adapter_friendly"
+INIT_PROFILES = ("standard", DEFAULT_INIT_PROFILE)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class ModelParams:
 
 
 def init_model_params(spec: ToyModelSpec, seed: int,
-                      profile: str = "adapter_friendly") -> ModelParams:
+                      profile: str = DEFAULT_INIT_PROFILE) -> ModelParams:
     """Seeded base init.
 
     "standard": dense Gaussian fan-in scaling everywhere.

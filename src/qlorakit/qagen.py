@@ -15,40 +15,86 @@ byte-reproducible without a network.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, QAParseError, TransportError
-from .fileio import atomic_write, echo, json_value, read_dataclass_jsonl, read_lines
+from .fileio import (atomic_write, check_row, echo, from_columns, json_value,
+                     read_dataclass_jsonl, read_lines)
 
 CATEGORIES = ("scene", "agent", "suggested_action", "risk")
 
 _EXTRA_KEY_RE = re.compile(r"[a-z][a-z0-9_]*")
+_extra_key = lambda key: (isinstance(key, str) and _EXTRA_KEY_RE.fullmatch(key) is not None
+                          and key not in ScenarioAnnotation.__dataclass_fields__)
 
 
-def _check_line_text(value: str, what: str) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise InputError(f"{what} must be non-empty text")
-    if not value.isprintable():  # every line break and lone surrogate is unprintable
-        if value.splitlines()[0] != value:  # a break of any kind splitlines knows
-            raise InputError(f"{what} must not contain newlines")
-        try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
-    return value
+def _check_line_text(column, what: str) -> None:
+    """Each value of column is non-empty text on one line that UTF-8 can hold."""
+    try:  # a long column at once; a value that is not text is worded below
+        if len(column) > 1 and "".join(column).isprintable() and all(map(str.strip, column)):
+            return
+    except TypeError:
+        pass
+    for value in column:
+        if not isinstance(value, str) or not value.strip():
+            raise InputError(f"{what} must be non-empty text")
+        if not value.isprintable():  # every line break and lone surrogate is unprintable
+            if value.splitlines()[0] != value:  # a break of any kind splitlines knows
+                raise InputError(f"{what} must not contain newlines")
+            try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
 
 
-def _check_id(value: str) -> None:  # manifests hold stripped lines, so ids must be too
-    if _check_line_text(value, "scenario_id") != value.strip():
-        raise InputError(f"scenario_id {echo(value)} has surrounding whitespace")
+def _check_id(column, what: str) -> None:  # manifests hold stripped lines, so ids must be too
+    _check_line_text(column, what)
+    for value in column:
+        if value != value.strip():
+            raise InputError(f"{what} {echo(value)} has surrounding whitespace")
+
+
+def _check_bool(column, what: str) -> None:
+    if set(map(type, column)) != {bool}:
+        raise InputError(f"{what} must be a boolean")
+
+
+def _check_extra(column, what: str) -> None:
+    """Each value maps keys [a-z][a-z0-9_]* that name no field to one line of text."""
+    if set(map(type, column)) == {dict} and all(map(_extra_key, set().union(*column))):
+        with contextlib.suppress(InputError):  # every value at once, or item by item below
+            return _check_line_text(list(chain.from_iterable(map(dict.values, column))), what)
+    for extra in column:
+        if not isinstance(extra, Mapping):
+            raise InputError(f"{what} must be a mapping of key to text")
+        for key, value in extra.items():
+            if not _extra_key(key):
+                raise InputError(f"bad {what} key {echo(key)}")
+            _check_line_text((value,), f"{what}[{key}]")
+
+
+def _check_category(column, what: str) -> None:
+    for value in column:
+        if value not in CATEGORIES:
+            raise InputError(f"{what} {echo(value)} not in {CATEGORIES}")
+
+
+def _check_pair_index(column, what: str) -> None:
+    for value in column:
+        if type(value) is not int:
+            raise InputError(f"{what} must be an integer, got {echo(value)}")
+        if not 1 <= value <= 5:
+            raise InputError(f"{what} {value} outside [1, 5]")
 
 
 @dataclass(frozen=True)
@@ -61,21 +107,13 @@ class ScenarioAnnotation:
     road_type: str
     extra: Mapping[str, str] = field(default_factory=dict)
 
+    _rules = (("scenario_id", _check_id), ("image_ref", _check_line_text),
+              ("caption", _check_line_text), ("suggested_action", _check_line_text),
+              ("road_type", _check_line_text), ("risk_present", _check_bool),
+              ("extra", _check_extra))
+
     def __post_init__(self):
-        _check_id(self.scenario_id)
-        _check_line_text(self.image_ref, "image_ref")
-        _check_line_text(self.caption, "caption")
-        _check_line_text(self.suggested_action, "suggested_action")
-        _check_line_text(self.road_type, "road_type")
-        if not isinstance(self.risk_present, bool):
-            raise InputError("risk_present must be a boolean")
-        if not isinstance(self.extra, Mapping):
-            raise InputError("extra must be a mapping of key to text")
-        names = [f.name for f in fields(self)]
-        for key, value in self.extra.items():
-            if not _EXTRA_KEY_RE.fullmatch(key) or key in names:
-                raise InputError(f"bad extra key {echo(key)}")
-            _check_line_text(value, f"extra[{key}]")
+        check_row(self)
         # sorted, so equal annotations write equal bytes
         object.__setattr__(self, "extra", dict(sorted(self.extra.items())))
 
@@ -89,23 +127,10 @@ class QARecord:
     category: str
     pair_index: int
 
-    def __post_init__(self):
-        _check_id(self.scenario_id)
-        _check_line_text(self.image_ref, "image_ref")
-        _check_line_text(self.question, "question")
-        _check_line_text(self.answer, "answer")
-        if self.category not in CATEGORIES:
-            raise InputError(f"category {echo(self.category)} not in {CATEGORIES}")
-        if not 1 <= self.pair_index <= 5:
-            raise InputError(f"pair_index {self.pair_index} outside [1, 5]")
-
-    @staticmethod
-    def _columns_pass(c) -> bool:  # __post_init__ on columns of str and int, rule by rule
-        texts = c["scenario_id"] + c["image_ref"] + c["question"] + c["answer"]
-        return (all(map(str.strip, texts)) and " ".join(texts).isprintable()  # no line break
-                and tuple(map(str.strip, c["scenario_id"])) == c["scenario_id"]
-                and 1 <= min(c["pair_index"]) and max(c["pair_index"]) <= 5
-                and set(c["category"]) <= set(CATEGORIES))
+    _rules = (("scenario_id", _check_id), ("image_ref", _check_line_text),
+              ("question", _check_line_text), ("answer", _check_line_text),
+              ("category", _check_category), ("pair_index", _check_pair_index))
+    __post_init__ = check_row
 
 
 @dataclass(frozen=True)
@@ -186,8 +211,8 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
         answer = item.get("answer")
         category = item.get("category")
         try:  # a field no QARecord can hold (empty, multi-line) fails the grammar
-            _check_line_text(question, "question")
-            _check_line_text(answer, "answer")
+            _check_line_text((question,), "question")
+            _check_line_text((answer,), "answer")
         except InputError as exc:
             raise QAParseError(str(exc), raw_text=text) from exc
         if category not in CATEGORIES:
@@ -245,17 +270,12 @@ class MockLLMClient:
         self._attempts: dict[str, int] = {}
 
     def _malformed(self, attempt: int) -> str:
-        kind = attempt % 3
-        if kind == 0:
-            four = [{"question": f"q{i}?", "answer": "a", "category": "scene"}
-                    for i in range(4)]
-            return json.dumps(four)
-        if kind == 1:
-            five = [{"question": f"q{i}?", "answer": "a", "category": "scene"}
-                    for i in range(4)]
-            five.append({"question": "q4?", "answer": "a", "category": "weather"})
-            return json.dumps(five)
-        return "I cannot produce QA pairs for this scene."
+        if attempt % 3 == 2:
+            return "I cannot produce QA pairs for this scene."
+        pairs = [{"question": f"q{i}?", "answer": "a", "category": "scene"} for i in range(4)]
+        if attempt % 3 == 1:
+            pairs.append({"question": "q4?", "answer": "a", "category": "weather"})
+        return json.dumps(pairs)
 
     def complete(self, prompt: str) -> str:
         fields = _prompt_fields(prompt)
@@ -410,12 +430,9 @@ def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
             except QAParseError as exc:
                 last_error = f"parse failure: {exc}"
                 continue
-            records = [
-                QARecord(scenario_id=s.scenario_id, image_ref=s.image_ref,
-                         question=q, answer=a, category=c, pair_index=i + 1)
-                for i, (q, a, c) in enumerate(triples)
-            ]
-            return ("ok", records, attempt + 1)
+            return ("ok", [{"scenario_id": s.scenario_id, "image_ref": s.image_ref, "question": q,
+                            "answer": a, "category": c, "pair_index": i}
+                           for i, (q, a, c) in enumerate(triples, 1)], attempt + 1)
         return ("fail", RejectRecord(s.scenario_id, max_retries + 1, last_error),
                 max_retries + 1)
 
@@ -425,7 +442,8 @@ def generate_dataset(scenarios: Sequence[ScenarioAnnotation], client,
     else:  # threads would only hand a pure-Python client the GIL back and forth
         outcomes = list(map(run_one, scenarios))
 
-    records = [r for status, payload, _ in outcomes if status == "ok" for r in payload]
+    rows = [r for status, payload, _ in outcomes if status == "ok" for r in payload]
+    records = from_columns(QARecord, rows) or [QARecord(**row) for row in rows]
     rejects = [payload for status, payload, _ in outcomes if status != "ok"]
     attempts = sum(used for _, _, used in outcomes)
     if not records:

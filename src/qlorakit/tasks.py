@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, InputError
 from .evalharness import UNKNOWN, LabelSet, normalize_answer, normalize_text
 from .fileio import read_dataclass_jsonl
@@ -53,9 +54,9 @@ def _question_tokenizer(vocab_size: int, max_len: int):
 
 
 def synthetic_token_task(n_train: int = 2000, n_test: int = 500,
-                         vocab_size: int = 64, n_classes: int = 4,
-                         seq_len: int = 16, purity: float = 0.85,
-                         seed: int = 0):
+                         vocab_size: int = RunConfig.vocab_size,
+                         n_classes: int = RunConfig.n_classes, seq_len: int = 16,
+                         purity: float = 0.85, seed: int = 0):
     """Separable token-pattern task: class c mostly draws tokens from its
     own contiguous vocab slice, with (1 - purity) uniform noise."""
     if n_train < 1 or n_test < 1:

@@ -17,7 +17,8 @@ from qlorakit.cli import main
 from qlorakit.errors import InputError
 from qlorakit.evalharness import Prediction
 from qlorakit.fileio import atomic_write, read_dataclass_jsonl, write_jsonl
-from qlorakit.qagen import QARecord, RejectRecord, ScenarioAnnotation, read_records_jsonl
+from qlorakit.qagen import (QARecord, RejectRecord, ScenarioAnnotation, read_records_jsonl,
+                            read_scenarios_jsonl)
 from qlorakit.tasks import TokenExample
 
 
@@ -267,6 +268,24 @@ FAST_PATH_EDGES = {
     "two-faults": (QARecord, swap(VALID[QARecord], "category", "weather"),
                    swap(VALID[QARecord], "question", "")),
 }
+# each of ScenarioAnnotation's rules, broken in a row that keeps the written keys and types
+SCENARIO = VALID[ScenarioAnnotation]
+FAST_PATH_EDGES.update({
+    f"{fault}-{name}": (ScenarioAnnotation, swap(SCENARIO, name, text))
+    for name in ("scenario_id", "image_ref", "caption", "suggested_action", "road_type")
+    for fault, text in (("blank", " "), ("line-break", "a\u2028b"), ("lone-surrogate", "a\ud800"))})
+FAST_PATH_EDGES.update({
+    "scenario-id-with-trailing-space": (ScenarioAnnotation, swap(SCENARIO, "scenario_id", "s-1 ")),
+    "risk-present-not-a-bool": (ScenarioAnnotation, swap(SCENARIO, "risk_present", 1)),
+    "bad-extra-key": (ScenarioAnnotation, swap(SCENARIO, "extra", {"Agent": "cyclist"})),
+    "extra-key-names-a-field": (ScenarioAnnotation, swap(SCENARIO, "extra", {"caption": "x"})),
+    "extra-value-with-a-line-break": (ScenarioAnnotation,
+                                      swap(SCENARIO, "extra", {"agent": "cyc\nlist"})),
+    "extra-value-not-text": (ScenarioAnnotation, swap(SCENARIO, "extra", {"agent": 7})),
+    "extra-unsorted": (ScenarioAnnotation,
+                       swap(SCENARIO, "extra", {"weather": "rain", "agent": "cyclist"})),
+    "extra-tab-in-value": (ScenarioAnnotation, swap(SCENARIO, "extra", {"agent": "cyc\tlist"})),
+})
 
 
 @pytest.mark.parametrize("case", list(FAST_PATH_EDGES))
@@ -285,7 +304,8 @@ def test_reader_matches_the_reference_on_and_off_the_fast_path(tmp_path, case):
     assert got == outcome(reference_read_dataclass_jsonl)
     assert isinstance(got, list) == (case in (
         "as-written", "keys-reordered", "extra-first", "integral-float-pair-index",
-        "float-token", "extra-omitted", "tab-in-text")), got
+        "float-token", "extra-omitted", "tab-in-text", "extra-unsorted",
+        "extra-tab-in-value")), got
     if case == "two-faults":
         assert got.endswith("category 'weather' not in ('scene', 'agent', 'suggested_action', "
                             "'risk')"), got
@@ -308,9 +328,56 @@ def test_a_corpus_as_written_is_read_without_post_init(tmp_path, monkeypatch):
     assert records == reference_read_dataclass_jsonl(corpus, QARecord, "record")
     assert {type(r) for r in records} == {QARecord}
     assert {type(r.pair_index) for r in records} == {int}
-    calls.clear()
-    with open(corpus, "a", encoding="utf-8") as fh:  # a tab is accepted, but not printable
+    calls.clear()  # the reference reader's own
+    with open(corpus, "a", encoding="utf-8") as fh:  # a tab is accepted, though not printable
         fh.write(json.dumps(swap(VALID[QARecord], "question", "Risk\tahead?")) + "\n")
     again = read_records_jsonl(corpus)
-    assert again[:-1] == records and again[-1].question == "Risk\tahead?"
-    assert calls == again
+    assert again[:-1] == records and again[-1].question == "Risk\tahead?" and calls == []
+    with open(corpus, "a", encoding="utf-8") as fh:  # a row that fails a rule
+        fh.write(json.dumps(swap(VALID[QARecord], "category", "weather")) + "\n")
+    with pytest.raises(InputError, match="category 'weather' not in"):
+        read_records_jsonl(corpus)
+    assert len(calls) == 2002 and calls[:2001] == again
+
+
+def test_scenarios_as_written_are_read_without_post_init(tmp_path, monkeypatch):
+    """The demo's scenarios file is read column by column, with no
+    ScenarioAnnotation.__post_init__ call; an unsorted extra sends every row
+    through it, reads back sorted and writes the bytes a sorted one writes."""
+    scenarios = tmp_path / "scenarios.jsonl"
+    assert main(["make-scenarios", "--n", "400", "--out", str(scenarios), "--seed", "0"]) == 0
+    written = scenarios.read_bytes()
+    calls = []
+    post_init = ScenarioAnnotation.__post_init__
+    monkeypatch.setattr(ScenarioAnnotation, "__post_init__",
+                        lambda row: calls.append(row) or post_init(row))
+    rows = read_scenarios_jsonl(scenarios)
+    assert len(rows) == 400 and calls == []
+    assert rows == reference_read_dataclass_jsonl(scenarios, ScenarioAnnotation, "scenario")
+    assert {type(row) for row in rows} == {ScenarioAnnotation}
+    write_jsonl(tmp_path / "again.jsonl", rows)
+    assert (tmp_path / "again.jsonl").read_bytes() == written
+    calls.clear()  # the reference reader's own
+    extra = {"weather": "rain", "agent": "cyclist"}
+    with open(scenarios, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(swap(VALID[ScenarioAnnotation], "extra", extra)) + "\n")
+    again = read_scenarios_jsonl(scenarios)
+    assert again[:-1] == rows and calls == again
+    assert list(again[-1].extra.items()) == sorted(extra.items())
+    write_jsonl(tmp_path / "again.jsonl", again)
+    sorted_row = swap(VALID[ScenarioAnnotation], "extra", dict(sorted(extra.items())))
+    assert (tmp_path / "again.jsonl").read_bytes() == written + (
+        json.dumps(sorted_row, ensure_ascii=False) + "\n").encode()
+
+
+# ---- the row rules outside a file ----
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", None], ids=repr)
+def test_pair_index_must_be_an_int(value):
+    with pytest.raises(InputError, match=r"^pair_index must be an integer, got "):
+        QARecord("s-1", "img/1.jpg", "Risk?", "yes", "risk", value)
+
+
+def test_a_non_str_extra_key_is_a_bad_key():
+    with pytest.raises(InputError, match=r"^bad extra key 1$"):
+        ScenarioAnnotation("s-1", "img/1.jpg", "A car.", True, "brake", "urban", extra={1: "x"})
