@@ -419,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "training, evaluation, reporting, quantization inspection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=None):
+    def add_common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override (repeatable, wins over file)")
-        p.add_argument("--seed", type=int, default=seed_default,
+        p.add_argument("--seed", type=int, default=None,
                        help="run seed (overrides config)")
 
     p = sub.add_parser("make-scenarios", help="write a mock scenario JSONL")

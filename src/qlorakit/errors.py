@@ -22,14 +22,7 @@ class ConfigError(QlorakitError, ValueError):
 
 
 class QAParseError(QlorakitError, ValueError):
-    """An LLM response did not match the expected grammar.
-
-    Carries the raw response text so retry logic can log it.
-    """
-
-    def __init__(self, message: str, raw_text: str = ""):
-        super().__init__(message)
-        self.raw_text = raw_text
+    """An LLM response did not match the expected grammar; the message names the fault."""
 
 
 class TransportError(QlorakitError, RuntimeError):

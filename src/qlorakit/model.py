@@ -274,37 +274,32 @@ def _token_ids(tokens) -> np.ndarray | None:
     return arr if arr.dtype.kind in "iu" else None
 
 
-def _check_tokens(tokens, spec: ToyModelSpec) -> np.ndarray:
-    toks = _token_ids(tokens)
-    if np.size(tokens) < 1:
-        raise InputError("token sequence must be non-empty")
-    if toks is None:
-        raise InputError("token ids must be integers, not bools, floats or strings")
-    if toks.size > spec.max_seq_len:
-        raise InputError(
-            f"sequence length {toks.size} exceeds max_seq_len {spec.max_seq_len}"
-        )
-    if toks.min() < 0 or toks.max() >= spec.vocab_size:
-        bad = int(toks[(toks < 0) | (toks >= spec.vocab_size)][0])
-        raise InputError(f"token id {bad} outside [0, {spec.vocab_size})")
-    return toks.astype(np.int64, copy=False)
-
-
 def _check_batch(sequences: Sequence, spec: ToyModelSpec) -> list[np.ndarray]:
-    """_check_tokens for every sequence, as one dtype, length and min/max
-    check over their concatenation. A batch that fails reruns the per-sequence
-    check, so the error is the first bad sequence's, in input order."""
+    """Each sequence as int64 ids after four rules, in order: non-empty, integer
+    ids, at most max_seq_len, ids in [0, vocab_size). A batch that fails reruns
+    them on each sequence alone, so the first bad sequence's error wins."""
     try:
         toks = [_token_ids(tokens) for tokens in sequences]
-    except InputError:  # the per-sequence check below reports the first fault
-        toks = [None]
-    if toks and all(t is not None for t in toks):
-        lengths = np.array([t.size for t in toks])
-        if lengths.min() >= 1 and lengths.max() <= spec.max_seq_len:
+        lengths = [len(tokens) for tokens in sequences]  # 1-D, as _token_ids refused the rest
+        if 0 in lengths:
+            raise InputError("token sequence must be non-empty")
+        if any(t is None for t in toks):
+            raise InputError("token ids must be integers, not bools, floats or strings")
+        if max(lengths, default=0) > spec.max_seq_len:
+            raise InputError(
+                f"sequence length {max(lengths)} exceeds max_seq_len {spec.max_seq_len}"
+            )
+        if toks:
             flat = np.concatenate(toks)
-            if flat.min() >= 0 and flat.max() < spec.vocab_size:
-                return [t.astype(np.int64, copy=False) for t in toks]
-    return [_check_tokens(t, spec) for t in sequences]
+            if flat.min() < 0 or flat.max() >= spec.vocab_size:
+                bad = int(flat[(flat < 0) | (flat >= spec.vocab_size)][0])
+                raise InputError(f"token id {bad} outside [0, {spec.vocab_size})")
+    except InputError:
+        if len(sequences) > 1:
+            for tokens in sequences:
+                _check_batch([tokens], spec)
+        raise
+    return [t.astype(np.int64, copy=False) for t in toks]
 
 
 def check_examples(batch: Sequence[tuple], spec: ToyModelSpec) -> list[tuple]:

@@ -15,15 +15,13 @@ byte-reproducible without a network.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
 import zlib
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,9 +69,6 @@ def _check_bool(column, what: str) -> None:
 
 def _check_extra(column, what: str) -> None:
     """Each value maps keys [a-z][a-z0-9_]* that name no field to one line of text."""
-    if set(map(type, column)) == {dict} and all(map(_extra_key, set().union(*column))):
-        with contextlib.suppress(InputError):  # every value at once, or item by item below
-            return _check_line_text(list(chain.from_iterable(map(dict.values, column))), what)
     for extra in column:
         if not isinstance(extra, Mapping):
             raise InputError(f"{what} must be a mapping of key to text")
@@ -189,24 +184,24 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
     """Parse a response into exactly five (question, answer, category) triples
     covering every category at least once.
 
-    Raises QAParseError (carrying the raw text) on any grammar violation.
+    Raises QAParseError, naming the fault, on any grammar violation.
     """
     if not isinstance(text, str):
-        raise QAParseError("response is not text", raw_text=repr(text))
+        raise QAParseError("response is not text")
     start = text.find("[")
     end = text.rfind("]")
     if start == -1 or end == -1 or end < start:
-        raise QAParseError("no JSON array in response", raw_text=text)
+        raise QAParseError("no JSON array in response")
     try:
         payload = json_value(text[start:end + 1], "response", list)
     except InputError as exc:
-        raise QAParseError(str(exc), raw_text=text) from exc
+        raise QAParseError(str(exc)) from exc
     if len(payload) != 5:
-        raise QAParseError(f"expected 5 QA pairs, got {len(payload)}", raw_text=text)
+        raise QAParseError(f"expected 5 QA pairs, got {len(payload)}")
     triples = []
     for item in payload:
         if not isinstance(item, dict):
-            raise QAParseError("array item is not an object", raw_text=text)
+            raise QAParseError("array item is not an object")
         question = item.get("question")
         answer = item.get("answer")
         category = item.get("category")
@@ -214,14 +209,14 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
             _check_line_text((question,), "question")
             _check_line_text((answer,), "answer")
         except InputError as exc:
-            raise QAParseError(str(exc), raw_text=text) from exc
+            raise QAParseError(str(exc)) from exc
         if category not in CATEGORIES:
-            raise QAParseError(f"unknown category {echo(category)}", raw_text=text)
+            raise QAParseError(f"unknown category {echo(category)}")
         triples.append((question, answer, category))
     seen = {c for _, _, c in triples}
     missing = [c for c in CATEGORIES if c not in seen]
     if missing:
-        raise QAParseError(f"no QA pair for category {missing[0]!r}", raw_text=text)
+        raise QAParseError(f"no QA pair for category {missing[0]!r}")
     return triples
 
 
@@ -259,7 +254,6 @@ class MockLLMClient:
     `flaky_attempts[sid] = k` makes the first k attempts malformed.
     """
 
-    backend = "mock"
     endpoint = "mock"
 
     def __init__(self, seed: int = 0, malformed_ids: Iterable[str] = (),
@@ -281,7 +275,7 @@ class MockLLMClient:
         fields = _prompt_fields(prompt)
         sid = fields.get("scenario_id", "")
         if not sid:
-            raise QAParseError("prompt carries no scenario_id", raw_text=prompt)
+            raise QAParseError("prompt carries no scenario_id")
         attempt = self._attempts.get(sid, 0)
         self._attempts[sid] = attempt + 1
         if sid in self.malformed_ids or attempt < self.flaky_attempts.get(sid, 0):
@@ -319,8 +313,6 @@ class HttpLLMClient:
     credential comes only from the environment variable named in the
     client spec, never from config files or argv.
     """
-
-    backend = "http"
 
     def __init__(self, spec: LLMClientSpec):
         if spec.backend != "http":
@@ -361,13 +353,13 @@ class HttpLLMClient:
             raise TransportError(f"backend {self.endpoint} unreachable: {exc}") from exc
         if status != 200:
             raise TransportError(f"backend {self.endpoint} returned HTTP {status}")
-        raw_text = raw.decode("utf-8", errors="replace")
         try:
-            text = json_value(raw_text, "backend response").get("text")
+            text = json_value(raw.decode("utf-8", errors="replace"),
+                              "backend response").get("text")
         except InputError as exc:
-            raise QAParseError(str(exc), raw_text=raw_text) from exc
+            raise QAParseError(str(exc)) from exc
         if not isinstance(text, str):
-            raise QAParseError('backend response lacks a "text" string', raw_text=raw_text)
+            raise QAParseError('backend response lacks a "text" string')
         return text
 
 

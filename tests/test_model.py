@@ -69,6 +69,10 @@ def test_token_validation(small_setup):
     spec, params, adapters, _ = small_setup
     with pytest.raises(InputError, match="non-empty"):
         forward(params, spec, [], adapters)
+    # emptiness is reported before the dtype, so an empty float array is not "integers"
+    with pytest.raises(InputError, match="non-empty"):
+        forward(params, spec, np.array([]), adapters)
+    assert forward_batch(params, spec, [], adapters).shape == (0, spec.n_classes)
     with pytest.raises(InputError, match="max_seq_len"):
         forward(params, spec, [0] * (spec.max_seq_len + 1), adapters)
     with pytest.raises(InputError, match="outside"):
@@ -712,7 +716,7 @@ def test_a_batch_raises_its_first_bad_sequences_error_before_any_pass(small_setu
     seqs = [[1, 2], [0] * (spec.max_seq_len + 1), [3, spec.vocab_size], []][::order]
     with pytest.raises(InputError) as first:
         for s in seqs:
-            model._check_tokens(s, spec)
+            model._check_batch([s], spec)
     calls = _count_passes(monkeypatch)
     with pytest.raises(InputError) as batched:
         forward_batch(params, spec, seqs, adapters)

@@ -4,6 +4,7 @@ and reads what it states from the code itself: module files, dataclass
 fields, TRACE_HEADER, the dicts the code returns, the files a pipeline run
 writes and the codes cli.main returns."""
 
+import collections
 import dataclasses
 import errno
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qlorakit import cli, errors, fileio, qagen, trainer
+from qlorakit import cli, errors, evalharness, fileio, qagen, tasks, trainer
 from qlorakit.config import RunConfig, load_config, model_spec_from, train_config_from
 from qlorakit.model import init_adapters
 
@@ -193,3 +194,44 @@ def test_defaults_match_documented_values():
         value = cell.strip("`") if cell.startswith("`") else json.loads(cell)
         expected = getattr(defaults, key)
         assert (value, type(value)) == (expected, type(expected)), key
+
+
+def test_demo_overlap_and_label_conflicts_are_readmes(tmp_path):
+    """The demo split's question overlap and the training examples whose token
+    ids carry more than one label, as README states them beside the report."""
+    text = " ".join(TEXT.split())
+    number = lambda cell: int(cell.replace(",", ""))
+    overlap = re.search(r"([\d,]+) of the ([\d,]+) test records ask a question whose exact "
+                        r"text also appears in the train split \(([^)]*)\)", text)
+    conflict = re.search(r"default `vocab_size` (\d+) .*?([\d,]+) of the ([\d,]+) training "
+                         r"examples share their token ids with an example of another label, "
+                         r"so at most ([\d,]+)", text)
+    scenarios, data = tmp_path / "scenarios.jsonl", tmp_path / "data"
+    for argv in (["make-scenarios", "--n", "400", "--seed", "0", "--out", str(scenarios)],
+                 ["gen-data", "--scenarios", str(scenarios), "--out", str(data), "--seed", "0"],
+                 ["split", "--corpus", str(data / "corpus.jsonl"), "--out", str(data),
+                  "--seed", "0"]):
+        assert cli.main(argv) == 0, argv
+    records = qagen.read_records_jsonl(data / "corpus.jsonl")
+    split = {name: set(qagen.read_manifest(data / f"{name}_ids.txt")) for name in ("train", "test")}
+    train = [r for r in records if r.scenario_id in split["train"]]
+    test = [r for r in records if r.scenario_id in split["test"]]
+    asked = {r.question for r in train}
+    repeats = collections.Counter(r.category for r in test if r.question in asked)
+    per_category = {c: number(n) for c, n in
+                    (part.rsplit(" ", 1) for part in overlap.group(3).split(", "))}
+    assert (number(overlap.group(1)), number(overlap.group(2)), per_category) == (
+        sum(repeats.values()), len(test), dict(repeats))
+
+    cfg = RunConfig()
+    label_sets = evalharness.read_label_dir(data / "labels")
+    examples, skipped = tasks.corpus_to_examples(
+        train, label_sets, tasks.union_labels(label_sets), cfg.vocab_size, cfg.max_seq_len)
+    labels = collections.defaultdict(collections.Counter)  # token bytes -> label counts
+    for tokens, label in examples:
+        labels[tokens.tobytes()][label] += 1
+    shared = sum(sum(c.values()) for c in labels.values() if len(c) > 1)
+    ceiling = sum(max(c.values()) for c in labels.values())
+    assert skipped == 0
+    assert tuple(map(number, conflict.groups())) == (cfg.vocab_size, shared, len(examples),
+                                                    ceiling)
