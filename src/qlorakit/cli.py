@@ -10,6 +10,7 @@ across runs but for summary.json's wall_time_s.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import glob
@@ -178,6 +179,16 @@ def _memory(spec, adapters, tcfg, block_size: int) -> dict:
     }
 
 
+def _label_conflicts(examples) -> dict:
+    """The examples whose token ids also carry another label, and the most of all
+    examples that any classifier of the token ids can get right."""
+    labels = collections.defaultdict(collections.Counter)  # token ids -> label counts
+    for tokens, label in examples:
+        labels[tokens.tobytes()][label] += 1
+    return {"label_conflicts": sum(sum(c.values()) for c in labels.values() if len(c) > 1),
+            "accuracy_ceiling": sum(max(c.values()) for c in labels.values())}
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args, seed=args.seed,
                     qlora=("true" if args.qlora else None))
@@ -228,8 +239,13 @@ def cmd_train(args) -> int:
         "base_sha256": _base_sha256(params),
     })
     write_trace_csv(result.trace, os.path.join(args.out, TRACE_FILE))
+    conflicts = _label_conflicts(examples)
+    if conflicts["label_conflicts"]:
+        print(f"train: {conflicts['label_conflicts']} of {len(examples)} examples share their "
+              f"token ids with another label's, so at most {conflicts['accuracy_ceiling']} "
+              f"can be classified correctly")
     summary = {**result.summary, "config": dataclasses.asdict(cfg), "mode": mode,
-               "labels": labels, "memory": memory}
+               "labels": labels, "memory": memory, **conflicts}
     if mode == "token" and test_examples:
         summary["test_accuracy"] = evaluate_accuracy(params, spec, adapters,
                                                      test_examples)
@@ -264,7 +280,7 @@ def cmd_predict(args) -> int:
         args.data, TEST_IDS if args.split == "test" else TRAIN_IDS)
     records = _records(os.path.join(args.data, CORPUS_FILE), manifest)
     rows = tasks.predict_answers(params, spec, adapters, records, union)
-    write_jsonl(args.out, (ev.Prediction(*row) for row in rows))
+    write_jsonl(args.out, rows, ev.Prediction)
     print(f"predict: wrote {len(rows)} predictions to {args.out}")
     return 0
 

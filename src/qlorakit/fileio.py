@@ -20,12 +20,12 @@ are the one codec for all of them, at one decoder call per line read. A
 row type lists its rules once (_rules: field, check over a column that
 raises the first bad value's InputError), and its __post_init__ runs
 them on one row (check_row). A file of str, int, bool and dict fields is
-read column by column when every row has exactly the keys and the types
-write_jsonl writes, each int lies in int64, each dict is sorted by key
-and the rules pass on whole columns: from_columns builds the instances
-with no __init__ call. Any other file takes every check row by row, in
-field order, the only path that words a message (a dict's row type words
-its faults).
+read column by column when every row has exactly the keys (in any order)
+and the types write_jsonl writes, each int lies in int64, each dict is
+sorted by key and the rules pass on each column's distinct values:
+from_columns builds the instances with no __init__ call. Any other file
+takes every check row by row, in field order, the only path that words a
+message (a dict's row type words its faults).
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ import contextlib
 import dataclasses
 import functools
 import json
+import operator
 import os
 import re
 import secrets
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 
 from .errors import InputError
 
@@ -86,8 +87,8 @@ def json_value(text: str, where, kind=dict, line=None):
         raise InputError(f"{_at(where, line)}: invalid JSON: nested deeper than "
                          f"{MAX_JSON_DEPTH} levels")
     try:
-        value, end = _decode(text)
-    except ValueError:
+        value, end = _decode(text, 0)
+    except (ValueError, StopIteration):  # StopIteration: no JSON value starts the text
         end = None
     if end != len(text):  # json.loads allows whitespace around the value and words each fault
         try:
@@ -98,6 +99,14 @@ def json_value(text: str, where, kind=dict, line=None):
         raise InputError(f"{_at(where, line)}: expected a JSON "
                          f"{'object' if kind is dict else 'array'}")
     return value
+
+
+def _encoded(column) -> map:
+    """json.dumps(value, ensure_ascii=False) of each value: a column of str or of
+    int by json's own function for it (the encoder's set-up costs more than a
+    value), any other by the encoder."""
+    kinds = set(map(type, column))
+    return map(_quote if kinds == {str} else repr if kinds == {int} else _encode, column)
 
 
 def read_json(path) -> dict:
@@ -119,12 +128,12 @@ def json_int(value, what: str) -> int:
 # a field annotation (as written, or the class) -> the JSON type of its values
 _JSON_TYPES = {"int": int, "str": str, "bool": bool, "list[int]": list, "Mapping[str, str]": dict}
 _JSON_NAMES = {str: "string", bool: "boolean", list: "list"}
-_decode = json.JSONDecoder().raw_decode  # json.loads without its per-call checks
+_decode = json.JSONDecoder().scan_once  # json.loads without its per-call checks
 _encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps without its set-up
 _at = lambda where, line: where if line is None else f"{where}:{line}"  # for a message only
 _quote = json.encoder.encode_basestring  # what that encoder writes a str with
-_keys = functools.cache(lambda cls: [(f.name, _quote(f.name) + ": ")  # per row type
-                                     for f in dataclasses.fields(cls)])
+_line = functools.cache(lambda cls: "{" + ", ".join(  # a row type's line, one %s a field
+    _quote(f.name) + ": %s" for f in dataclasses.fields(cls)) + "}\n")
 _kinds = functools.cache(lambda cls: {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type))
                                       for f in dataclasses.fields(cls)})  # field -> JSON type
 ECHO_CHARS = 60  # a message quotes at most this much of a bad value, then "..."
@@ -135,21 +144,20 @@ _NESTING = r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"?|([][{}])'
 _STEP = {"": 0, "[": 1, "{": 1, "]": -1, "}": -1}
 
 
-def write_jsonl(path, rows) -> None:
-    """Per dataclass row, the line json.dumps(fields, ensure_ascii=False) writes: a
-    str or int value by json's own function for it (the encoder's set-up costs
-    more than a row), any other by the encoder. One writelines call streams the
-    rows, so the file's text is never held whole."""
-    def lines():
-        for row in rows:
-            parts = []
-            for name, key in _keys(type(row)):
-                value = getattr(row, name)
-                parts.append(key + (_quote(value) if type(value) is str else repr(value)
-                                    if type(value) is int else _encode(value)))
-            yield "{" + ", ".join(parts) + "}\n"
+@functools.cache
+def _values(cls):  # a row type's instance -> the tuple of its field values, in field order
+    names = list(_kinds(cls))
+    return operator.attrgetter(*names) if len(names) > 1 else lambda row: (getattr(row, names[0]),)
+
+
+def write_jsonl(path, rows, cls=None) -> None:
+    """Per row, the line json.dumps(fields, ensure_ascii=False) writes. rows are dataclass
+    instances with at least one field, or tuples of cls's field values in field order (no
+    instance needed); each run of one type is encoded a column at a time into writelines."""
     with atomic_write(path) as fh:
-        fh.writelines(lines())
+        for kind, run in [(cls, rows)] if cls else groupby(rows, type):
+            values = run if cls else map(_values(kind), run)  # tuples, one a row
+            fh.writelines(map(_line(kind).__mod__, zip(*map(_encoded, zip(*values)))))
 
 
 def read_dataclass_jsonl(path, cls, what: str) -> list:
@@ -201,16 +209,18 @@ def from_columns(cls, rows: list) -> list | None:
     """cls instances with no __init__ call, each holding one of rows (dicts of cls's
     fields) as its attributes, if rows pass the module docstring's column checks; else None."""
     kinds = _kinds(cls)
-    if (rows and {str, int, bool, dict}.issuperset(kinds.values())
-            and list(map(tuple, rows)).count(tuple(kinds)) == len(rows)):
-        columns = dict(zip(kinds, zip(*map(dict.values, rows))))  # field -> its values
-        if all(set(map(type, column)) == {kind}
-               and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
-               and (kind is not dict or list(map(list, column)) == list(map(sorted, column)))
-               for kind, column in zip(kinds.values(), columns.values())):
-            with contextlib.suppress(InputError):  # else None: a row-by-row build words it
-                for name, check in getattr(cls, "_rules", ()):
-                    check(columns[name], name)
+    if (rows and len(kinds) > 1 and {str, int, bool, dict}.issuperset(kinds.values())
+            and set(map(len, rows)) == {len(kinds)}):
+        with contextlib.suppress(KeyError, InputError):  # else None: a row-by-row build words it
+            # field -> its values; a KeyError if a row holds another key in a field's place
+            columns = dict(zip(kinds, zip(*map(operator.itemgetter(*kinds), rows))))
+            if all(set(map(type, column)) == {kind}
+                   and (kind is not int or -2**63 <= min(column) <= max(column) < 2**63)
+                   and (kind is not dict or list(map(list, column)) == list(map(sorted, column)))
+                   for kind, column in zip(kinds.values(), columns.values())):
+                for name, check in getattr(cls, "_rules", ()):  # a rule judges each value
+                    column = columns[name]  # alone, so a column's distinct values decide it
+                    check(column if kinds[name] is dict else tuple(dict.fromkeys(column)), name)
                 out = list(map(object.__new__, repeat(cls, len(rows))))
                 any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
                 return out

@@ -10,6 +10,8 @@ randomized per process and would break run determinism).
 from __future__ import annotations
 
 import functools
+import operator
+import string
 import zlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -19,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError, InputError
 from .evalharness import UNKNOWN, LabelSet, normalize_answer, normalize_text
-from .fileio import read_dataclass_jsonl
+from .fileio import from_columns, read_dataclass_jsonl
 from .model import ModelParams, ToyModelSpec, forward_batch
 from .qagen import CATEGORIES, QARecord, ScenarioAnnotation
 
@@ -34,14 +36,18 @@ DEFAULT_LABEL_SETS: dict[str, tuple] = {
     "suggested_action": RISK_ACTIONS + (CLEAR_ACTION,),
     "risk": ("yes", "no"),
 }
+_PUNCT_BYTES = bytes.maketrans(string.punctuation.encode(), b" " * len(string.punctuation))
 
 
 def tokenize(text: str, vocab_size: int, max_len: int) -> list[int]:
     """Stable word-level token ids; empty text maps to the single id 0."""
     if vocab_size < 1 or max_len < 1:
         raise ConfigError(f"bad tokenizer bounds vocab={vocab_size} max_len={max_len}")
-    # one encode per text: normalized words hold no whitespace, so bytes.split() finds them
-    words = normalize_text(text).encode("utf-8").split()[:max_len]
+    folded = str(text).casefold()
+    if folded.isascii() and folded.isprintable():  # normalize_text's words, split as bytes
+        words = folded.encode().translate(_PUNCT_BYTES).split()[:max_len]
+    else:  # normalized words hold no whitespace, so bytes.split() finds them
+        words = normalize_text(text).encode("utf-8").split()[:max_len]
     if not words:
         return [0]
     return [crc % vocab_size for crc in map(zlib.crc32, words)]
@@ -101,16 +107,11 @@ def synthetic_scenarios(n: int, seed: int = 0) -> list[ScenarioAnnotation]:
             action = CLEAR_ACTION
             caption = (f"A {agent} keeps a safe distance on the {road}; "
                        f"the ego-car can {action}.")
-        out.append(ScenarioAnnotation(
-            scenario_id=sid,
-            image_ref=f"images/{sid}.jpg",
-            caption=caption,
-            risk_present=risky,
-            suggested_action=action,
-            road_type=road,
-            extra={"agent": agent},
-        ))
-    return out
+        out.append({"scenario_id": sid, "image_ref": f"images/{sid}.jpg", "caption": caption,
+                    "risk_present": risky, "suggested_action": action, "road_type": road,
+                    "extra": {"agent": agent}})
+    # the per-row constructor only words a fault the column checks found
+    return from_columns(ScenarioAnnotation, out) or [ScenarioAnnotation(**row) for row in out]
 
 
 def union_labels(label_sets: Mapping[str, LabelSet]) -> tuple:
@@ -173,8 +174,10 @@ def predict_answers(params: ModelParams, spec: ToyModelSpec, adapters,
         raise InputError(
             f"label union size {len(union)} does not match n_classes {spec.n_classes}"
         )
-    ordered = sorted(records, key=lambda x: (x.scenario_id, x.pair_index))
+    ordered = sorted(records, key=operator.attrgetter("scenario_id", "pair_index"))
+    # one forward row per distinct question: corpora repeat templated questions
+    questions = dict.fromkeys(r.question for r in ordered)
     tokens = _question_tokenizer(spec.vocab_size, spec.max_seq_len)
-    logits = forward_batch(params, spec, [tokens(r.question) for r in ordered], adapters)
-    return [(r.scenario_id, r.pair_index, union[int(k)])
-            for r, k in zip(ordered, np.argmax(logits, axis=1))]
+    logits = forward_batch(params, spec, list(map(tokens, questions)), adapters)
+    label = dict(zip(questions, map(union.__getitem__, np.argmax(logits, axis=1).tolist())))
+    return [(r.scenario_id, r.pair_index, label[r.question]) for r in ordered]

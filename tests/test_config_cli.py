@@ -324,6 +324,34 @@ def test_train_checks_the_held_out_set_before_training(tmp_path, capsys):
     assert not run.exists() or not any(run.iterdir())
 
 
+def test_train_counts_the_examples_whose_token_ids_carry_another_label(tmp_path, capsys):
+    """At vocab_size 64 "brake" and "yield" hash to one id, so two questions that
+    differ only there are one token sequence with two labels: both examples
+    conflict, and at most one of them can be right."""
+    from qlorakit import evalharness, qagen, tasks
+    data = tmp_path / "data"
+    records = [qagen.QARecord(sid, f"images/{sid}.jpg", question, answer, category, 1)
+               for sid, question, answer, category in (
+                   ("s-1", "Should the driver brake?", "brake", "suggested_action"),
+                   ("s-2", "Should the driver yield?", "yield", "suggested_action"),
+                   ("s-3", "Should the driver brake?", "brake", "suggested_action"),
+                   ("s-4", "Is there a risk?", "yes", "risk"))]
+    write_jsonl(data / "corpus.jsonl", records)
+    evalharness.write_label_files(data / "labels", tasks.DEFAULT_LABEL_SETS)
+    small = ["--set", "batch_size=1", "--set", "grad_accum_steps=1", "--set", "warmup_steps=1"]
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + small) == 0
+    summary = read_json(tmp_path / "run" / "summary.json")
+    assert (summary["label_conflicts"], summary["accuracy_ceiling"]) == (3, 3)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "train: 3 of 4 examples share their token ids with another label's, "
+        "so at most 3 can be classified correctly")
+    write_jsonl(data / "corpus.jsonl", records[2:])  # no conflict: no line, and the keys stay
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + small) == 0
+    summary = read_json(tmp_path / "run" / "summary.json")
+    assert (summary["label_conflicts"], summary["accuracy_ceiling"]) == (0, 2)
+    assert capsys.readouterr().out.startswith("train: 2 steps")
+
+
 def test_train_summary_carries_a_deterministic_memory_block(tmp_path):
     """On the criterion-07 shapes (the CLI defaults) the block holds the
     figures perfbench's memory_breakdown reports; reruns write the summary

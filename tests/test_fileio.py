@@ -81,7 +81,7 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                              blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
                min_size=1, max_size=8).filter(str.strip)
 ID = TEXT.filter(lambda s: s == s.strip())  # a scenario_id has no surrounding whitespace
-ROWS = st.one_of(
+ROW_TYPES = [  # one strategy per row type
     st.builds(QARecord, ID, TEXT, TEXT, TEXT, st.sampled_from(["scene", "risk"]),
               st.integers(1, 5)),
     st.builds(Prediction, TEXT, st.integers(-2**63, 2**63 - 1), TEXT),
@@ -92,7 +92,8 @@ ROWS = st.one_of(
     st.builds(ScenarioAnnotation, ID, TEXT, TEXT, st.booleans(), TEXT, TEXT,
               st.dictionaries(st.from_regex(r"x[a-z0-9_]{0,4}", fullmatch=True), TEXT,
                               max_size=3)),
-)
+]
+ROWS = st.one_of(*ROW_TYPES)
 
 
 @dataclasses.dataclass
@@ -102,14 +103,21 @@ class AnyValues:
     second: object
 
 
+@dataclasses.dataclass
+class OneValue:
+    """A row type of one field."""
+    only: object
+
+
 # values the encoder writes: floats (nan and inf too), bools, None, a str or int
 # subclass, nested lists and objects
-ANY_ROWS = st.builds(AnyValues, *[
-    st.recursive(st.none() | st.booleans() | st.floats() | st.integers()
-                 | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
-                 | st.sampled_from([IntFlag.A, StrName.B]),
-                 lambda inner: st.lists(inner, max_size=3)
-                 | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)] * 2)
+ANY_VALUE = st.recursive(st.none() | st.booleans() | st.floats() | st.integers()
+                         | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+                         | st.sampled_from([IntFlag.A, StrName.B]),
+                         lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
+ANY_ROWS = st.builds(AnyValues, ANY_VALUE, ANY_VALUE)
+ONE_ROWS = st.builds(OneValue, ANY_VALUE)
 
 
 def reference_bytes(rows) -> bytes:
@@ -118,11 +126,44 @@ def reference_bytes(rows) -> bytes:
 
 
 @CODEC
-@given(rows=st.lists(ROWS | ANY_ROWS, max_size=6))
+@given(rows=st.lists(ROWS | ANY_ROWS | ONE_ROWS, max_size=6))
 def test_writer_writes_the_bytes_of_json_dumps(tmp_path, rows):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, rows)
     assert path.read_bytes() == reference_bytes(rows)
+
+
+@CODEC
+@given(data=st.data())
+def test_writer_of_field_tuples_writes_the_bytes_of_their_rows(tmp_path, data):
+    """Rows given as tuples of one type's fields write what the instances write."""
+    rows = data.draw(st.one_of(*[st.lists(rows, min_size=1, max_size=6)
+                                 for rows in ROW_TYPES + [ANY_ROWS, ONE_ROWS]]))
+    path = tmp_path / "rows.jsonl"
+    fields = [f.name for f in dataclasses.fields(rows[0])]
+    write_jsonl(path, (tuple(getattr(row, name) for name in fields) for row in rows),
+                type(rows[0]))
+    assert path.read_bytes() == reference_bytes(rows)
+
+
+def test_predict_writes_the_bytes_of_its_prediction_rows(tmp_path, monkeypatch):
+    from qlorakit import tasks
+    scenarios, data, run = tmp_path / "scenarios.jsonl", tmp_path / "data", tmp_path / "run"
+    for argv in (["make-scenarios", "--n", "12", "--out", str(scenarios)],
+                 ["gen-data", "--scenarios", str(scenarios), "--out", str(data)],
+                 ["split", "--corpus", str(data / "corpus.jsonl"), "--out", str(data)],
+                 ["train", "--data", str(data), "--out", str(run)]):
+        assert main(argv) == 0, argv
+    returned = []
+    predict_answers = tasks.predict_answers
+    monkeypatch.setattr(tasks, "predict_answers",
+                        lambda *args: returned.append(predict_answers(*args)) or returned[-1])
+    assert main(["predict", "--run", str(run), "--data", str(data),
+                 "--out", str(tmp_path / "preds.jsonl"), "--split", "all"]) == 0
+    [rows] = returned
+    assert len(rows) == 60
+    write_jsonl(tmp_path / "expected.jsonl", [Prediction(*row) for row in rows])
+    assert (tmp_path / "preds.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 def test_writer_of_no_rows_writes_an_empty_file(tmp_path):

@@ -727,6 +727,42 @@ def test_a_batch_raises_its_first_bad_sequences_error_before_any_pass(small_setu
     assert calls == []
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
+def test_a_repeated_sequence_object_keeps_the_first_error_and_its_logits(
+        small_setup, monkeypatch, order):
+    """Repeats of one array object among bad sequences keep the batch's first
+    error, and in a good batch every repeat gets the first one's logits."""
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(18)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    same = np.array([3, 1, 4, 1])
+    seqs = [same, [2, spec.vocab_size], same, [0] * (spec.max_seq_len + 1), same][::order]
+    with pytest.raises(InputError) as first:
+        for s in seqs:
+            model._check_batch([s], spec)
+    calls = _count_passes(monkeypatch)
+    with pytest.raises(InputError) as batched:
+        forward_batch(params, spec, seqs, adapters)
+    assert str(batched.value) == str(first.value) and calls == []
+    logits = forward_batch(params, spec, [same, same.copy(), [5, 9], same, same], adapters)
+    assert logits.shape == (5, spec.n_classes)
+    assert all(np.array_equal(logits[0], logits[i]) for i in (1, 3, 4))
+    assert np.array_equal(logits[[0, 2]], forward_batch(params, spec, [same, [5, 9]], adapters))
+
+
+def test_forward_batch_of_a_2d_array_is_the_call_on_its_rows(small_setup):
+    """Iterating an array makes a new row object each time, one at a time."""
+    spec, params, adapters, _ = small_setup
+    rng = np.random.default_rng(19)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    arr = rng.integers(0, spec.vocab_size, size=(9, 5))
+    arr[4] = arr[1]
+    assert np.array_equal(forward_batch(params, spec, arr, adapters),
+                          forward_batch(params, spec, list(arr), adapters))
+
+
 def test_all_distinct_forward_batch_keeps_the_undeduplicated_arithmetic(small_setup):
     spec, params, adapters, _ = small_setup
     rng = np.random.default_rng(16)

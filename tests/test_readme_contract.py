@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qlorakit import cli, errors, evalharness, fileio, qagen, tasks, trainer
+from qlorakit import cli, errors, fileio, qagen, trainer
 from qlorakit.config import RunConfig, load_config, model_spec_from, train_config_from
 from qlorakit.model import init_adapters
 
@@ -52,10 +52,10 @@ def run(tmp_path_factory):
         seen[cls.__name__] = cls
         return read(path, cls, *args)
 
-    def write_spy(path, rows):
+    def write_spy(path, rows, cls=None):  # rows are instances, or tuples of cls's fields
         rows = list(rows)
-        seen.update((type(row).__name__, type(row)) for row in rows)
-        return write(path, rows)
+        seen.update((kind.__name__, kind) for kind in ([cls] if cls else map(type, rows)))
+        return write(path, rows, cls)
 
     spies = {"read_dataclass_jsonl": (read, read_spy), "write_jsonl": (write, write_spy)}
     scenarios, data = tmp / "scenarios.jsonl", tmp / "data"
@@ -147,6 +147,20 @@ def test_run_artifacts_are_the_files_train_writes(run):
     assert files == set(os.listdir(tmp / "corpus_run")) == set(os.listdir(tmp / "token_run"))
 
 
+def test_summary_keys_are_trains(run):
+    """Each key the summary.json row names is in both runs' summary.json."""
+    tmp, _ = run
+    [row] = [row for row in table("**Run artifacts**") if row[0] == "`summary.json`"]
+    keys = set(ticked(row[1]))
+    assert {"memory", "label_conflicts", "accuracy_ceiling"} <= keys
+    for name in ("corpus_run", "token_run"):
+        summary = json.loads((tmp / name / "summary.json").read_text(encoding="utf-8"))
+        assert keys <= summary.keys(), name
+        assert 0 <= summary["label_conflicts"] <= summary["examples"]
+        assert summary["examples"] - summary["label_conflicts"] <= summary["accuracy_ceiling"]
+        assert summary["accuracy_ceiling"] <= summary["examples"]
+
+
 # an instance of every error type a subcommand may raise
 RAISED = [*(cls("raised") for cls in errors.QlorakitError.__subclasses__()),
           OSError(errno.ENOENT, "No such file or directory", "raised")]
@@ -197,8 +211,9 @@ def test_defaults_match_documented_values():
 
 
 def test_demo_overlap_and_label_conflicts_are_readmes(tmp_path):
-    """The demo split's question overlap and the training examples whose token
-    ids carry more than one label, as README states them beside the report."""
+    """The demo split's question overlap, and the training examples whose token
+    ids carry more than one label as train's summary counts them, as README
+    states both beside the report."""
     text = " ".join(TEXT.split())
     number = lambda cell: int(cell.replace(",", ""))
     overlap = re.search(r"([\d,]+) of the ([\d,]+) test records ask a question whose exact "
@@ -223,15 +238,8 @@ def test_demo_overlap_and_label_conflicts_are_readmes(tmp_path):
     assert (number(overlap.group(1)), number(overlap.group(2)), per_category) == (
         sum(repeats.values()), len(test), dict(repeats))
 
-    cfg = RunConfig()
-    label_sets = evalharness.read_label_dir(data / "labels")
-    examples, skipped = tasks.corpus_to_examples(
-        train, label_sets, tasks.union_labels(label_sets), cfg.vocab_size, cfg.max_seq_len)
-    labels = collections.defaultdict(collections.Counter)  # token bytes -> label counts
-    for tokens, label in examples:
-        labels[tokens.tobytes()][label] += 1
-    shared = sum(sum(c.values()) for c in labels.values() if len(c) > 1)
-    ceiling = sum(max(c.values()) for c in labels.values())
-    assert skipped == 0
-    assert tuple(map(number, conflict.groups())) == (cfg.vocab_size, shared, len(examples),
-                                                    ceiling)
+    assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    assert tuple(map(number, conflict.groups())) == (
+        RunConfig().vocab_size, summary["label_conflicts"], summary["examples"],
+        summary["accuracy_ceiling"])

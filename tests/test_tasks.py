@@ -38,6 +38,31 @@ def test_tokenize_edges():
         tokenize("x", 0, 8)
 
 
+def reference_tokenize(text, vocab_size, max_len):
+    """tokenize as normalize_text words it: the path every non-ASCII text takes."""
+    words = normalize_text(text).encode("utf-8").split()[:max_len]
+    return [zlib.crc32(w) % vocab_size for w in words] or [0]
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "!!!", "?.,;", "Is it safe?", "Slow down, now!", "a\tb\nc\rd\x0be\x0cf",
+    "a\x1cb\x1dc\x1ed\x1fe", "x\x7fy", "STRASSE Straße", "\u212a\u212a k", "caf\u00e9 au lait",
+    "a\u2028b\x85c", "a\u00a0b", 12345, 3.5, None, ("tuple", "input")],
+    ids=repr)
+def test_tokenize_matches_the_normalize_text_path(text):
+    for vocab_size, max_len in ((64, 32), (7, 2), (1, 1)):
+        assert tokenize(text, vocab_size, max_len) == reference_tokenize(text, vocab_size, max_len)
+
+
+def test_tokenize_refuses_a_lone_surrogate_as_the_normalize_text_path_does():
+    for text in ("q\ud800?", "\udc80"):
+        with pytest.raises(UnicodeEncodeError) as ref:
+            reference_tokenize(text, 64, 8)
+        with pytest.raises(UnicodeEncodeError) as got:
+            tokenize(text, 64, 8)
+        assert str(got.value) == str(ref.value)
+
+
 def test_synthetic_token_task_contract():
     train, test = synthetic_token_task(n_train=200, n_test=50, seed=1)
     assert len(train) == 200 and len(test) == 50
@@ -200,6 +225,27 @@ def test_each_distinct_question_is_tokenized_once_per_call(monkeypatch):
         calls.clear()
         predict_answers(params, spec, adapters, records, union)
         assert sorted(calls) == questions
+
+
+def test_predict_runs_one_sequence_per_distinct_question_with_each_records_answer(monkeypatch):
+    from qlorakit import model, tasks
+
+    spec = ToyModelSpec(vocab_size=64, d_model=8, n_layers=1, n_heads=2,
+                        d_ff=8, n_classes=14, max_seq_len=32)
+    params = init_model_params(spec, seed=0)
+    adapters = init_adapters(spec, rank=2, alpha=4.0, seed=1)
+    records = generate_dataset(synthetic_scenarios(20, seed=7), MockLLMClient(seed=7)).records
+    union = union_labels(default_label_sets())
+    ordered = sorted(records, key=lambda r: (r.scenario_id, r.pair_index))
+    every = model.forward_batch(params, spec, [tokenize(r.question, 64, 32) for r in ordered],
+                                adapters)
+    expected = [(r.scenario_id, r.pair_index, union[k])
+                for r, k in zip(ordered, np.argmax(every, axis=1))]
+    sizes = []
+    monkeypatch.setattr(tasks, "forward_batch", lambda p, s, seqs, a: sizes.append(len(seqs))
+                        or model.forward_batch(p, s, seqs, a))
+    assert predict_answers(params, spec, adapters, records[::-1], union) == expected
+    assert sizes == [len({r.question for r in records})] and sizes[0] < len(records)
 
 
 def test_prompt_for_synthetic_scenarios_feeds_the_mock():
