@@ -133,7 +133,14 @@ def cmd_split(args) -> int:
         records, cfg.test_fraction, cfgmod.derive_seed(cfg.seed, "split"))
     qagen.write_manifest(os.path.join(args.out, TRAIN_IDS), train_ids)
     qagen.write_manifest(os.path.join(args.out, TEST_IDS), test_ids)
-    print(f"split: {len(train_ids)} train / {len(test_ids)} test scenarios -> {args.out}")
+    tested = set(test_ids)  # per category, the test records asking a train question
+    asked = {r.question for r in records if r.scenario_id not in tested}
+    test = [r for r in records if r.scenario_id in tested]
+    overlap = collections.Counter(r.category for r in test if r.question in asked)
+    _write_json(os.path.join(args.out, "split_summary.json"), {
+        "test_records": len(test), "question_overlap": {c: overlap[c] for c in qagen.CATEGORIES}})
+    print(f"split: {len(train_ids)} train / {len(test_ids)} test scenarios, "
+          f"{overlap.total()} of {len(test)} test records ask a train question -> {args.out}")
     return 0
 
 

@@ -81,7 +81,8 @@ def json_value(text: str, where, kind=dict, line=None):
     where:line if a line number is given, names its source in the InputError.
     Text nested deeper than MAX_JSON_DEPTH never reaches the decoder, so no
     caller's stack depth changes an outcome."""
-    if (text.count("[") + text.count("{") > MAX_JSON_DEPTH  # bounds the depth
+    if (len(text) > MAX_JSON_DEPTH  # a shorter text cannot nest deeper: skip the count
+            and text.count("[") + text.count("{") > MAX_JSON_DEPTH  # bounds the depth
             and max(accumulate(_STEP[c] for c in re.findall(_NESTING, text)),
                     default=0) > MAX_JSON_DEPTH):
         raise InputError(f"{_at(where, line)}: invalid JSON: nested deeper than "

@@ -32,7 +32,7 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     returning and re-faulting heap pages between passes.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = z - z.max(axis=axis, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=axis, keepdims=True)  # the ufuncs z.max, e.sum call
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e

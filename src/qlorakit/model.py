@@ -333,13 +333,15 @@ def _passes(toks: Sequence[np.ndarray]):
             groups.append([])
         groups[-1].append(i)
     for idx in groups:
+        flat = np.concatenate([toks[i] for i in idx])  # the members' tokens, one after another
         lengths = np.array([toks[i].size for i in idx])
-        t = lengths[-1]
-        batch = np.zeros((len(idx), t), dtype=np.int64)
-        for row, i in zip(batch, idx):
-            row[:toks[i].size] = toks[i]
-        valid = None if lengths[0] == t else np.arange(t) < lengths[:, None]
-        yield np.array(idx), batch, valid
+        if lengths[0] == lengths[-1]:
+            yield np.array(idx), flat.reshape(len(idx), -1), None
+        else:
+            valid = np.arange(lengths[-1]) < lengths[:, None]
+            batch = np.zeros(valid.shape, dtype=np.int64)
+            batch[valid] = flat  # row-major: each member fills the head of its row
+            yield np.array(idx), batch, valid
 
 
 def _product(shape, order, left, right) -> np.ndarray:
@@ -349,81 +351,90 @@ def _product(shape, order, left, right) -> np.ndarray:
     return out
 
 
-def _forward_pass(weights, layers, spec: ToyModelSpec, toks, valid, need_tape: bool):
+def _pass_plan(layers: Mapping[str, QLoraLinear], spec: ToyModelSpec) -> tuple:
+    """(blocks, head) of the layer map, as every pass reads it: per block its six layers
+    in LAYER_ROLES order, their names for backward, whether each is adapted (the tape
+    keeps its input rows), and whether the FFN runs (an all-zero, unadapted ffn_down)."""
+    blocks = []
+    for i in range(spec.n_layers):
+        names = tuple(f"layers.{i}.{role}" for role in LAYER_ROLES)
+        roles = tuple(layers[name] for name in names)
+        adapted = tuple(layer.adapter is not None for layer in roles)
+        blocks.append((roles, names, adapted, adapted[-1] or bool(roles[-1].weight.any())))
+    return blocks, layers["head"]
+
+
+def _forward_pass(weights, plan, spec: ToyModelSpec, toks, valid, need_tape: bool):
     """Logits (B, n_classes) for a (B, T) token array, plus the backward tape.
 
     Activations are (B*T, d) rows throughout, so each projection is one
     matrix product; the (B, H, T, dh) head views exist only inside
     attention, whose scores are key-major (T_k, B, H, T_q), so the softmax
     and its Jacobian reduce over the leading axis. With a valid mask, padded
-    keys get a -inf score bias and the mean pool runs over valid positions
-    only, so no real row reads a padded one. A block whose ffn_down is all
-    zero and unadapted skips its FFN (x = x_mid). The tape holds per layer
-    the head views, the attention, the ReLU output (None if skipped) and
-    each adapted layer's input rows (None where backward reads none).
+    keys' scores are set to -inf and the mean pool runs over valid positions
+    only, so no real row reads a padded one. A block whose FFN the plan skips
+    has x = x_mid. The tape holds per layer the head views, the attention,
+    the ReLU output (None if skipped) and each adapted layer's input rows
+    (None where backward reads none).
     """
     b, t = toks.shape
     heads = (b, t, spec.n_heads, spec.head_dim)
     inv_sqrt = heads[3] ** -0.5
-    key_bias = None if valid is None else np.where(valid.T, 0.0, -np.inf)[:, :, None, None]
+    blocks, head = plan
+    padded_keys = None if valid is None else ~valid.T
     x = weights["tok_emb"][toks]
     x += weights["pos_emb"][:t]
     x = x.reshape(b * t, spec.d_model)
     tape = []
-    for i in range(spec.n_layers):
-        pre = f"layers.{i}."
+    for (q, k, v, o, up, down), _, adapted, ffn in blocks:
         x_in = x
-        qh = layers[pre + "attn_q"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
-        kh = layers[pre + "attn_k"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
-        vh = layers[pre + "attn_v"].forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
+        qh = q.forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
+        kh = k.forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
+        vh = v.forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
         scores = _product((t, b, heads[2], t), (1, 2, 0, 3), kh, qh.swapaxes(-1, -2))
         scores *= inv_sqrt
-        if key_bias is not None:
-            scores += key_bias
+        if padded_keys is not None:
+            scores[padded_keys] = -np.inf
         attn = softmax(scores, axis=0)
         ctx = _product(heads, (0, 2, 1, 3), attn.transpose(1, 2, 3, 0), vh).reshape(b * t, -1)
-        x_mid = layers[pre + "attn_o"].forward(ctx)
+        x_mid = o.forward(ctx)
         x_mid += x_in
-        down = layers[pre + "ffn_down"]
-        if down.adapter is None and not down.weight.any():
-            x, hidden = x_mid, None  # x_mid + relu(x_mid @ W_up) @ 0 is x_mid
-        else:
-            hidden = np.maximum(layers[pre + "ffn_up"].forward(x_mid), 0.0)
+        if ffn:
+            hidden = np.maximum(up.forward(x_mid), 0.0)
             x = down.forward(hidden)
             x += x_mid
+        else:
+            x, hidden = x_mid, None  # x_mid + relu(x_mid @ W_up) @ 0 is x_mid
         if need_tape:
             tape.append((qh, kh, vh, attn, hidden) + tuple(
-                rows if layers[pre + role].adapter is not None else None
-                for role, rows in zip(LAYER_ROLES, (x_in, x_in, x_in, ctx, x_mid, hidden))))
+                rows if keep else None
+                for keep, rows in zip(adapted, (x_in, x_in, x_in, ctx, x_mid, hidden))))
     x = x.reshape(b, t, spec.d_model)
-    if valid is None:
-        pooled = x.mean(axis=1)
-    else:
-        pooled = np.sum(x * valid[:, :, None], axis=1) / valid.sum(axis=1, keepdims=True)
-    return layers["head"].forward(pooled), tape
+    pooled = (np.add.reduce(x, axis=1) / t if valid is None else  # one pass, no x * valid
+              np.einsum("bt,btd->bd", valid.astype(float), x) / valid.sum(axis=1, keepdims=True))
+    return head.forward(pooled), tape
 
 
-def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
+def _backward_pass(plan, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
     """Accumulate adapter gradients into grads; padded rows get exactly zero."""
     b = dlogits.shape[0]
     heads = (b, t, spec.n_heads, spec.head_dim)
     inv_sqrt = heads[3] ** -0.5
-    dpooled = layers["head"].backward(dlogits, None, grads, "head")  # no adapter targets it
+    blocks, head = plan
+    dpooled = head.backward(dlogits, None, grads, "head")  # no adapter targets it
     counts = t if valid is None else valid.sum(axis=1, keepdims=True)
-    dx = np.repeat(dpooled / counts, t, axis=0)
-    if valid is not None:
-        dx *= valid.reshape(b * t, 1)
-    for i in reversed(range(spec.n_layers)):
-        pre = f"layers.{i}."
+    dx = np.repeat(dpooled / counts, t, axis=0) if valid is None else (
+        valid[:, :, None] * (dpooled / counts)[:, None, :]).reshape(b * t, -1)
+    for i, ((q, k, v, o, up, down), names, _, _) in reversed(list(enumerate(blocks))):
         qh, kh, vh, attn, hidden, x_q, x_k, x_v, x_o, x_up, x_down = tape[i]
         if hidden is None:  # the skipped FFN: its input gradient is dx, its factors' zero
             dx_mid = dx
         else:
-            dhidden = layers[pre + "ffn_down"].backward(dx, x_down, grads, pre + "ffn_down")
+            dhidden = down.backward(dx, x_down, grads, names[5])
             dhidden *= hidden > 0.0
-            dx_mid = layers[pre + "ffn_up"].backward(dhidden, x_up, grads, pre + "ffn_up")
+            dx_mid = up.backward(dhidden, x_up, grads, names[4])
             dx_mid += dx
-        dctx = layers[pre + "attn_o"].backward(dx_mid, x_o, grads, pre + "attn_o")
+        dctx = o.backward(dx_mid, x_o, grads, names[3])
         dctxh = dctx.reshape(heads).transpose(0, 2, 1, 3)
         # softmax jacobian over the key axis, the leading one:
         # dscores = attn * (dattn - sum_k(dattn * attn))
@@ -431,17 +442,16 @@ def _backward_pass(layers, spec: ToyModelSpec, dlogits, t: int, valid, tape, gra
         dscores -= np.einsum("kbhq,kbhq->bhq", dscores, attn)
         dscores *= attn
         dx = dx_mid
-        for role, x_role, left, right, scale in (
-                ("attn_q", x_q, dscores.transpose(1, 2, 3, 0), kh, inv_sqrt),
-                ("attn_k", x_k, dscores.transpose(1, 2, 0, 3), qh, inv_sqrt),
-                ("attn_v", x_v, attn.transpose(1, 2, 0, 3), dctxh, None)):
+        for layer, name, x_role, left, right, scale in (
+                (q, names[0], x_q, dscores.transpose(1, 2, 3, 0), kh, inv_sqrt),
+                (k, names[1], x_k, dscores.transpose(1, 2, 0, 3), qh, inv_sqrt),
+                (v, names[2], x_v, attn.transpose(1, 2, 0, 3), dctxh, None)):
             if i == 0 and x_role is None:
                 continue  # layer 0's input gradient would reach only the frozen embeddings
             dhead = _product(heads, (0, 2, 1, 3), left, right)
             if scale is not None:
                 dhead *= scale
-            dx_in = layers[pre + role].backward(dhead.reshape(b * t, -1), x_role, grads,
-                                                pre + role, need_dx=i > 0)
+            dx_in = layer.backward(dhead.reshape(b * t, -1), x_role, grads, name, need_dx=i > 0)
             if i > 0:
                 dx += dx_in
 
@@ -463,14 +473,14 @@ def forward_batch(params: ModelParams, spec: ToyModelSpec, sequences: Sequence,
 def _logits(params: ModelParams, spec: ToyModelSpec, toks: Sequence[np.ndarray],
             adapters: Mapping[str, LoraAdapter] | None) -> np.ndarray:
     """forward_batch on sequences _check_batch has already checked."""
-    layers = adapted_layers(params, spec, adapters)
+    plan = _pass_plan(adapted_layers(params, spec, adapters), spec)
     # the key holds the length too (8 bytes a token), so a prefix is its own key
     slot: dict[bytes, int] = {}
     rows = np.array([slot.setdefault(t.tobytes(), len(slot)) for t in toks], dtype=np.intp)
     distinct = [toks[i] for i in np.unique(rows, return_index=True)[1]]
     logits = np.empty((len(distinct), spec.n_classes))
     for idx, pass_toks, valid in _passes(distinct):
-        logits[idx], _ = _forward_pass(params.weights, layers, spec, pass_toks, valid,
+        logits[idx], _ = _forward_pass(params.weights, plan, spec, pass_toks, valid,
                                        need_tape=False)
     return logits[rows]
 
@@ -490,25 +500,25 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
     is validated before any compute.
     """
     examples = check_examples(batch, spec)
-    layers = adapted_layers(params, spec, adapters)
+    plan = _pass_plan(adapted_layers(params, spec, adapters), spec)
     grads = {k: np.zeros_like(v) for k, v in flatten_adapters(adapters or {}).items()}
-    return loss_and_grads_into(params, spec, examples, layers, grads)
+    return loss_and_grads_into(params, spec, examples, plan, grads)
 
 
 def loss_and_grads_into(params: ModelParams, spec: ToyModelSpec, examples: Sequence[tuple],
-                        layers: Mapping[str, QLoraLinear], grads: dict):
-    """loss_and_grads on check_examples' examples and adapted_layers' layers,
+                        plan: tuple, grads: dict):
+    """loss_and_grads on check_examples' examples and _pass_plan's plan,
     adding the gradients into grads, whose arrays the caller zeroed."""
     labels = np.array([label for _, label in examples], dtype=np.int64)
     inv_b = 1.0 / len(examples)
     nll = np.empty(len(examples))
     for idx, pass_toks, valid in _passes([toks for toks, _ in examples]):
-        logits, tape = _forward_pass(params.weights, layers, spec, pass_toks, valid,
+        logits, tape = _forward_pass(params.weights, plan, spec, pass_toks, valid,
                                      need_tape=True)
         dlogits = softmax(logits, axis=-1)
         rows, y = np.arange(idx.size), labels[idx]
         nll[idx] = -np.log(dlogits[rows, y])
         dlogits[rows, y] -= 1.0
         dlogits *= inv_b
-        _backward_pass(layers, spec, dlogits, pass_toks.shape[1], valid, tape, grads)
-    return float(np.sum(nll * inv_b)), grads
+        _backward_pass(plan, spec, dlogits, pass_toks.shape[1], valid, tape, grads)
+    return float(np.add.reduce(nll * inv_b)), grads

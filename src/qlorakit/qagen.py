@@ -15,6 +15,7 @@ byte-reproducible without a network.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -69,6 +70,10 @@ def _check_bool(column, what: str) -> None:
 
 def _check_extra(column, what: str) -> None:
     """Each value maps keys [a-z][a-z0-9_]* that name no field to one line of text."""
+    if all(isinstance(extra, Mapping) for extra in column):  # the column at once; a fault
+        with contextlib.suppress(InputError):  # is worded by the loop below, key by key
+            if all(map(_extra_key, {key for extra in column for key in extra})):
+                return _check_line_text([v for extra in column for v in extra.values()], what)
     for extra in column:
         if not isinstance(extra, Mapping):
             raise InputError(f"{what} must be a mapping of key to text")

@@ -10,6 +10,7 @@ matters; both stay because checkpoints and configs carry them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
@@ -20,8 +21,8 @@ import numpy as np
 from .errors import InputError, NumericError
 from .fileio import atomic_write
 from .lora import LoraAdapter, flatten_adapters
-from .model import (ModelParams, ToyModelSpec, _logits, adapted_layers, base_fingerprint,
-                    check_examples)
+from .model import (ModelParams, ToyModelSpec, _logits, _pass_plan, adapted_layers,
+                    base_fingerprint, check_examples)
 from .model import forward  # noqa: F401  (trainer.forward: one-sequence logits)
 from .optim import OptimizerState, TrainConfig, adamw_step, lr_at
 # loss_and_grads minus its per-call checks, named so perfbench's wrapper sees every window
@@ -75,6 +76,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     before = base_fingerprint(params)
     layers = adapted_layers(params, spec, adapters)  # a 4-bit base dequantizes here, once
     merged = [layers[name] for name in adapters]
+    plan = _pass_plan(layers, spec)
     # factors move into views of the state's flat buffer; windows add into grads
     flat, grads = state.bind(flat)
     for name, ad in adapters.items():
@@ -85,11 +87,11 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     trace: list[TraceEntry] = []
     step = seen = 0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(n).tolist()
         for start in range(0, n, window):
-            batch = [examples[int(i)] for i in order[start:start + window]]
-            loss, _ = loss_and_grads(params, spec, batch, layers, grads)
-            if not np.isfinite(loss):
+            batch = [examples[i] for i in order[start:start + window]]
+            loss, _ = loss_and_grads(params, spec, batch, plan, grads)
+            if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at optimizer step {step}")
             lr = lr_at(step, total_steps, cfg)
             grad_norm, update_norm = adamw_step(state, lr, cfg)

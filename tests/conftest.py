@@ -95,10 +95,10 @@ def factor_wise_layers(params, spec, adapters):
 def factor_wise_logits(params, spec, sequences, adapters):
     """forward_batch's logits from the factor-wise layers, every row run."""
     toks = [np.asarray(s, dtype=np.int64) for s in sequences]
-    layers = factor_wise_layers(params, spec, adapters)
+    plan = model._pass_plan(factor_wise_layers(params, spec, adapters), spec)
     logits = np.empty((len(toks), spec.n_classes))
     for idx, pass_toks, valid in model._passes(toks):
-        logits[idx], _ = model._forward_pass(params.weights, layers, spec, pass_toks,
+        logits[idx], _ = model._forward_pass(params.weights, plan, spec, pass_toks,
                                              valid, need_tape=False)
     return logits
 
@@ -107,8 +107,9 @@ def factor_wise_loss_and_grads(params, spec, batch, adapters):
     """loss_and_grads computed on the factor-wise layers."""
     grads = {k: np.zeros_like(v)
              for k, v in flatten_adapters(adapters).items()}
+    plan = model._pass_plan(factor_wise_layers(params, spec, adapters), spec)
     return model.loss_and_grads_into(params, spec, model.check_examples(batch, spec),
-                                     factor_wise_layers(params, spec, adapters), grads)
+                                     plan, grads)
 
 
 def naive_logits(params, spec, sequences, adapters):

@@ -667,6 +667,32 @@ def test_split_manifests_partition_the_corpus(tmp_path):
     assert not set(train_ids) & set(test_ids)
 
 
+def test_split_counts_the_test_records_that_repeat_a_train_question(tmp_path, capsys):
+    """split_summary.json counts, per category, the test records whose exact
+    question text a train record asks too; a question differing in case does
+    not count. Either scenario may land in the test split: both share the same
+    two questions."""
+    questions = {"s1": [("What is ahead?", "scene"), ("Who is there?", "agent"),
+                        ("What now?", "suggested_action"), ("Any risk?", "risk"),
+                        ("Brake?", "risk")],
+                 "s2": [("What is ahead?", "scene"), ("Who else?", "agent"),
+                        ("What next?", "suggested_action"), ("Any risk?", "risk"),
+                        ("any risk?", "risk")]}
+    (tmp_path / "corpus.jsonl").write_text("".join(
+        json.dumps({"scenario_id": sid, "image_ref": "img", "question": question,
+                    "answer": "a", "category": category, "pair_index": i}) + "\n"
+        for sid, pairs in questions.items() for i, (question, category) in enumerate(pairs, 1)),
+        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["split", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path),
+                 "--test-fraction", "0.5"]) == 0
+    assert capsys.readouterr().out == (f"split: 1 train / 1 test scenarios, 2 of 5 test records "
+                                       f"ask a train question -> {tmp_path}\n")
+    summary = json.loads((tmp_path / "split_summary.json").read_text(encoding="utf-8"))
+    assert summary == {"test_records": 5, "question_overlap": {
+        "scene": 1, "agent": 0, "suggested_action": 0, "risk": 1}}
+
+
 def _corpus_lines(ids):
     categories = ["scene", "agent", "suggested_action", "risk", "risk"]
     return "".join(json.dumps({"scenario_id": sid, "image_ref": "img", "question": "Risk?",

@@ -356,9 +356,9 @@ def _count_passes(monkeypatch):
     calls = []
     real = model._forward_pass
 
-    def spy(weights, layers, spec, toks, valid, need_tape):
+    def spy(weights, plan, spec, toks, valid, need_tape):
         calls.append((toks.shape[0], toks.shape[1], valid is not None))
-        return real(weights, layers, spec, toks, valid, need_tape)
+        return real(weights, plan, spec, toks, valid, need_tape)
 
     monkeypatch.setattr(model, "_forward_pass", spy)
     return calls
@@ -396,6 +396,22 @@ def test_mixed_length_window_runs_in_sorted_capped_passes(monkeypatch):
     calls.clear()
     loss_and_grads(params, spec, [(s[:16], 0) for s in seqs if s.size >= 16][:17], adapters)
     assert calls == [(16, 16, False), (1, 16, False)]
+    # each pass's members, tokens and mask are those of a row-by-row fill
+    equal = [s[:16] for s in seqs if s.size >= 16][:17]
+    for group in (seqs, equal, seqs[-8:], [seqs[0]]):
+        passes = list(model._passes(group))
+        assert [i for idx, _, _ in passes for i in idx.tolist()] == sorted(
+            range(len(group)), key=lambda i: group[i].size)
+        for idx, batch, valid in passes:
+            sizes = [group[i].size for i in idx]
+            rows = np.zeros((len(idx), max(sizes)), dtype=np.int64)
+            for row, i in zip(rows, idx):
+                row[:group[i].size] = group[i]
+            assert batch.dtype == np.int64 and np.array_equal(batch, rows)
+            if min(sizes) == max(sizes):
+                assert valid is None
+            else:
+                assert np.array_equal(valid, np.arange(max(sizes)) < np.array(sizes)[:, None])
 
 
 def test_a_pass_of_lengths_1_and_max_matches_single_sequences(small_setup, monkeypatch):
@@ -461,9 +477,10 @@ def test_forward_batch_runs_each_distinct_sequence_once(small_setup, monkeypatch
 
 
 def run_passes(params, spec, layers, seqs):
+    plan = model._pass_plan(layers, spec)
     logits = np.empty((len(seqs), spec.n_classes))
     for idx, pass_toks, valid in model._passes(seqs):
-        logits[idx], _ = model._forward_pass(params.weights, layers, spec, pass_toks,
+        logits[idx], _ = model._forward_pass(params.weights, plan, spec, pass_toks,
                                              valid, False)
     return logits
 
@@ -606,9 +623,9 @@ def test_a_zero_unadapted_ffn_down_skips_the_ffn_exactly(monkeypatch, profile, b
     calls.clear()
     short_train(params, spec, adapters, batch[:16])
     seen["train"] = set(calls)
-    layers = model.adapted_layers(params, spec, adapters)
+    plan = model._pass_plan(model.adapted_layers(params, spec, adapters), spec)
     toks = np.stack([t for t, _ in make_batch(spec, 2, seed=31)])
-    _, tape = model._forward_pass(params.weights, layers, spec, toks, None, need_tape=True)
+    _, tape = model._forward_pass(params.weights, plan, spec, toks, None, need_tape=True)
     runs = profile == "standard"
     ffn = {("forward", (32, 64)), ("forward", (64, 32))} if runs else set()
     back = {("backward", f"layers.{i}.{r}") for i in range(2) for r in ("ffn_up", "ffn_down")}
@@ -773,19 +790,96 @@ def test_all_distinct_forward_batch_keeps_the_undeduplicated_arithmetic(small_se
     assert np.array_equal(forward_batch(params, spec, seqs, adapters), expected)
 
 
+def test_the_in_place_key_mask_and_one_pass_pool_keep_the_formulas_bits():
+    """A padded pass sets padded keys' scores to -inf in place and mean-pools
+    with one einsum. On random mixed-length inputs holding -0.0, the softmax
+    of the masked scores and the pool are bit for bit those of a 0/-inf key
+    bias (whose + 0.0 turns -0.0 into 0.0) and of sum(x * valid) / counts.
+    That holds at every width d >= 2; at d == 1 einsum sums positions in
+    another order, so the pool there agrees to rounding only."""
+    rng = np.random.default_rng(33)
+    for trial in range(300):
+        b, t, h = (int(n) for n in rng.integers(1, [10, 30, 5]))
+        d = 1 if trial % 10 == 0 else int(rng.integers(2, 70))
+        lengths = rng.integers(1, t + 1, size=b)
+        lengths[-1] = t
+        valid = np.arange(t) < lengths[:, None]
+        scores = rng.normal(size=(t, b, h, t)) * 10.0 ** rng.integers(-3, 3, (t, b, h, t))
+        scores[rng.random(scores.shape) < 0.2] = -0.0
+        masked = scores.copy()
+        masked[~valid.T] = -np.inf
+        biased = scores + np.where(valid.T, 0.0, -np.inf)[:, :, None, None]
+        assert softmax(masked, axis=0).tobytes() == softmax(biased, axis=0).tobytes()
+        x = rng.normal(size=(b, t, d)) * 10.0 ** rng.integers(-3, 3, (b, t, d))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        counts = valid.sum(axis=1, keepdims=True)
+        pooled = np.einsum("bt,btd->bd", valid.astype(float), x) / counts
+        reference = np.sum(x * valid[:, :, None], axis=1) / counts
+        if d > 1:
+            assert pooled.tobytes() == reference.tobytes(), (b, t, d)
+        else:
+            assert np.allclose(pooled, reference, rtol=1e-12, atol=0.0)
+        assert (np.add.reduce(x, axis=1) / t).tobytes() == x.mean(axis=1).tobytes()
+
+
+class CountedAny(np.ndarray):
+    """An array that counts its .any() calls."""
+    calls = 0
+
+    def any(self, *args, **kwargs):
+        CountedAny.calls += 1
+        return super().any(*args, **kwargs)
+
+
+def test_block_facts_are_settled_once_per_call_and_per_run(monkeypatch):
+    """train builds the pass plan once per run, forward_batch and
+    loss_and_grads once per call. Each build reads every ffn_down with one
+    .any() call, so no pass calls .any() on it."""
+    from qlorakit import trainer
+
+    spec = crit7_spec()
+    params = init_model_params(spec, seed=1)  # adapter_friendly: every ffn_down is zero
+    for i in range(spec.n_layers):
+        params.weights[f"layers.{i}.ffn_down"] = params.weights[f"layers.{i}.ffn_down"].view(
+            CountedAny)
+    adapters = init_adapters(spec, rank=16, alpha=16.0, seed=2)
+    rng = np.random.default_rng(34)
+    batch = [(s, int(rng.integers(0, spec.n_classes)))
+             for s in mixed_length_sequences(spec, seed=35)[:40]]
+    builds, real = [], model._pass_plan
+
+    def spy(layers, spec):
+        builds.append(CountedAny.calls)
+        return real(layers, spec)
+
+    monkeypatch.setattr(model, "_pass_plan", spy)
+    monkeypatch.setattr(trainer, "_pass_plan", spy)
+    calls = _count_passes(monkeypatch)
+    for run in (lambda: forward_batch(params, spec, [s for s, _ in batch], adapters),
+                lambda: loss_and_grads(params, spec, batch, adapters),
+                lambda: train(batch, params, spec, adapters,
+                              TrainConfig(batch_size=8, epochs=2, warmup_steps=1, seed=3))):
+        builds.clear()
+        calls.clear()
+        CountedAny.calls = 0
+        run()
+        assert builds == [0] and CountedAny.calls == spec.n_layers
+        assert len(calls) > 1 and any(masked for _, _, masked in calls)
+
+
 def test_padded_positions_carry_exactly_zero_gradient(small_setup):
     spec, params, adapters, _ = small_setup
     rng = np.random.default_rng(14)
     toks = [rng.integers(0, spec.vocab_size, size=t) for t in (2, 4, spec.max_seq_len)]
     [(_, pass_toks, valid)] = list(model._passes(toks))
-    layers = model.adapted_layers(params, spec, adapters)
+    plan = model._pass_plan(model.adapted_layers(params, spec, adapters), spec)
     dlogits = rng.normal(size=(len(toks), spec.n_classes))
     results = []
     for pad_token in (0, 5):
         padded = np.where(valid, pass_toks, pad_token)
-        logits, tape = model._forward_pass(params.weights, layers, spec, padded, valid, True)
+        logits, tape = model._forward_pass(params.weights, plan, spec, padded, valid, True)
         grads = {k + s: 0.0 for k in adapters for s in ("/b", "/a")}
-        model._backward_pass(layers, spec, dlogits, padded.shape[1], valid, tape, grads)
+        model._backward_pass(plan, spec, dlogits, padded.shape[1], valid, tape, grads)
         results.append((logits, grads))
     (logits0, grads0), (logits5, grads5) = results
     assert np.array_equal(logits0, logits5)
@@ -850,7 +944,7 @@ def test_a_pass_allocates_at_most_its_pinned_peak(what, bound_kb):
     spec = model_spec_from(load_config())
     params = init_model_params(spec, 1)
     adapters = init_adapters(spec, 16, 16.0, 2)
-    layers = model.adapted_layers(params, spec, adapters)
+    plan = model._pass_plan(model.adapted_layers(params, spec, adapters), spec)
     grads = {k: np.zeros_like(v) for k, v in flatten_adapters(adapters).items()}
     rng = np.random.default_rng(0)
 
@@ -860,9 +954,9 @@ def test_a_pass_allocates_at_most_its_pinned_peak(what, bound_kb):
 
     calls = {
         "synthetic window 8 x 16": (model.loss_and_grads_into, (
-            params, spec, examples([16] * 8), layers, grads)),
+            params, spec, examples([16] * 8), plan, grads)),
         "corpus window 8 x 23-28": (model.loss_and_grads_into, (
-            params, spec, examples([23, 24, 25, 26, 27, 28, 25, 27]), layers, grads)),
+            params, spec, examples([23, 24, 25, 26, 27, 28, 25, 27]), plan, grads)),
         "forward_batch 16 x 16": (forward_batch, (
             params, spec, [rng.integers(0, spec.vocab_size, 16) for _ in range(16)], adapters)),
     }

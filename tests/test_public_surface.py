@@ -82,16 +82,31 @@ def test_every_perfbench_binding_point_resolves():
     """perfbench/tracing.py wraps the names in its BINDINGS from outside the
     package; a rename in src/ would silently zero that span's metrics. Every
     target resolves except `qlorakit.tasks:forward`, unbound since inference
-    moved to `forward_batch`."""
+    moved to `forward_batch`. Its example counter reads the window from
+    loss_and_grads' third argument: a traced train counts every window and
+    every example of every epoch."""
+    from qlorakit import trainer
+    from qlorakit.model import ToyModelSpec, init_adapters, init_model_params
+    from qlorakit.optim import TrainConfig
+
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    model_spec = ToyModelSpec(vocab_size=23, d_model=8, n_layers=1, n_heads=2, d_ff=8,
+                              n_classes=3, max_seq_len=6)
+    dataset = [([1 + i % 5] * (1 + i % 6), i % 3) for i in range(21)]
+    cfg = TrainConfig(batch_size=2, grad_accum_steps=2, epochs=3, warmup_steps=0)
     tracer = tracing.Tracer()
     try:
         tracer.install()
         bound = len(tracer._restore)
+        trainer.train(dataset, init_model_params(model_spec, 1), model_spec,
+                      init_adapters(model_spec, 2, 4.0, 2), cfg)
     finally:
         tracer.uninstall()
     assert tracer.unbound == ["qlorakit.tasks:forward"]
     assert bound + 1 == sum(map(len, tracing.BINDINGS.values()))
+    assert tracer.counts["model.loss_and_grads.examples"] == len(dataset) * cfg.epochs
+    assert tracer.aggregate()["model.loss_and_grads"]["calls"] == trainer.planned_steps(
+        len(dataset), cfg) == 18

@@ -147,6 +147,18 @@ def test_run_artifacts_are_the_files_train_writes(run):
     assert files == set(os.listdir(tmp / "corpus_run")) == set(os.listdir(tmp / "token_run"))
 
 
+def test_split_artifacts_are_the_files_split_writes(run, tmp_path):
+    tmp, _ = run
+    rows = table("**Split artifacts**")
+    assert cli.main(["split", "--corpus", str(tmp / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path)]) == 0
+    assert {name for row in rows for name in ticked(row[0])} == set(os.listdir(tmp_path))
+    [keys] = [ticked(row[1]) for row in rows if row[0] == "`split_summary.json`"]
+    written = json.loads((tmp_path / "split_summary.json").read_text(encoding="utf-8"))
+    assert sorted(keys) == sorted(written) and sorted(written["question_overlap"]) == sorted(
+        qagen.CATEGORIES)
+
+
 def test_summary_keys_are_trains(run):
     """Each key the summary.json row names is in both runs' summary.json."""
     tmp, _ = run
@@ -211,9 +223,9 @@ def test_defaults_match_documented_values():
 
 
 def test_demo_overlap_and_label_conflicts_are_readmes(tmp_path):
-    """The demo split's question overlap, and the training examples whose token
-    ids carry more than one label as train's summary counts them, as README
-    states both beside the report."""
+    """The demo split's question overlap as split_summary.json counts it, and
+    the training examples whose token ids carry more than one label as train's
+    summary counts them, as README states both beside the report."""
     text = " ".join(TEXT.split())
     number = lambda cell: int(cell.replace(",", ""))
     overlap = re.search(r"([\d,]+) of the ([\d,]+) test records ask a question whose exact "
@@ -227,16 +239,19 @@ def test_demo_overlap_and_label_conflicts_are_readmes(tmp_path):
                  ["split", "--corpus", str(data / "corpus.jsonl"), "--out", str(data),
                   "--seed", "0"]):
         assert cli.main(argv) == 0, argv
-    records = qagen.read_records_jsonl(data / "corpus.jsonl")
-    split = {name: set(qagen.read_manifest(data / f"{name}_ids.txt")) for name in ("train", "test")}
-    train = [r for r in records if r.scenario_id in split["train"]]
-    test = [r for r in records if r.scenario_id in split["test"]]
-    asked = {r.question for r in train}
-    repeats = collections.Counter(r.category for r in test if r.question in asked)
+    written = json.loads((data / "split_summary.json").read_text(encoding="utf-8"))
     per_category = {c: number(n) for c, n in
                     (part.rsplit(" ", 1) for part in overlap.group(3).split(", "))}
     assert (number(overlap.group(1)), number(overlap.group(2)), per_category) == (
-        sum(repeats.values()), len(test), dict(repeats))
+        sum(written["question_overlap"].values()), written["test_records"],
+        written["question_overlap"])
+    records = qagen.read_records_jsonl(data / "corpus.jsonl")
+    split = {name: set(qagen.read_manifest(data / f"{name}_ids.txt")) for name in ("train", "test")}
+    test = [r for r in records if r.scenario_id in split["test"]]
+    asked = {r.question for r in records if r.scenario_id in split["train"]}
+    repeats = collections.Counter(r.category for r in test if r.question in asked)
+    assert written == {"test_records": len(test),
+                       "question_overlap": {c: repeats[c] for c in qagen.CATEGORIES}}
 
     assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
