@@ -97,6 +97,16 @@ def _records(path, manifest=None) -> list:
     return records
 
 
+def _read_summary(path, what: str, keys: str, ints: str) -> dict:
+    """JSON that make-synthetic or eval wrote: no key but keys and ints, and ints are integers."""
+    summary = read_json(path)
+    if unknown := sorted(summary.keys() - {*keys.split(), *ints.split()}):
+        raise InputError(f"{path}: unknown key {echo(unknown[0])}")
+    for key in filter(summary.__contains__, ints.split()):
+        json_int(summary[key], what + key)
+    return summary
+
+
 # ---- subcommand handlers ----
 
 def cmd_make_scenarios(args) -> int:
@@ -218,7 +228,8 @@ def cmd_train(args) -> int:
         test_examples = None
     elif os.path.exists(token_path):
         mode = "token"
-        task = read_json(os.path.join(data, "task.json"))
+        task = _read_summary(os.path.join(data, "task.json"), "task.json ", "purity",
+                             "vocab_size n_classes seq_len n_train n_test seed")
         cfg = dataclasses.replace(cfg, **{key: json_int(task.get(key), f"task.json {key}")
                                           for key in ("vocab_size", "n_classes")})
         spec = cfgmod.model_spec_from(cfg)
@@ -347,7 +358,8 @@ def cmd_eval(args) -> int:
 
 def _eval_reports(path) -> tuple[str, dict]:
     """(model name, category -> MetricReport) from an eval_summary file eval wrote."""
-    summary = read_json(path)
+    summary = _read_summary(path, f"{path}: ", "model_name preds gold labels manifest mode metrics",
+                            "n seed")
     name, mode, metrics = (summary.get(key) for key in ("model_name", "mode", "metrics"))
     if not isinstance(name, str) or not _MODEL_NAME_RE.fullmatch(name):
         raise InputError(f"{path}: bad model name {echo(name)}")
@@ -391,9 +403,10 @@ def _load_weight_matrix(path) -> np.ndarray:
     try:  # numpy reports malformed text, non-npy bytes and non-numbers as ValueError
         with warnings.catch_warnings():  # and text holding no numbers as a UserWarning
             warnings.simplefilter("error", UserWarning)
-            return as_matrix(np.load(path) if path.endswith(".npy")
+            return as_matrix(np.load(path).astype(np.float64, casting="same_kind")
+                             if path.endswith(".npy")  # a TypeError unless bool, int, uint, float
                              else np.loadtxt(path, dtype=np.float64, ndmin=2), "weights")
-    except (ValueError, UserWarning, EOFError) as exc:  # EOFError: an empty .npy file
+    except (ValueError, TypeError, UserWarning, EOFError) as exc:  # EOFError: an empty .npy file
         raise InputError(f"{path}: not a weight matrix: {exc}") from exc
 
 

@@ -17,15 +17,15 @@ quotes at most 60 characters of a bad value (echo).
 Every JSONL artifact holds one dataclass row per line, keys being the
 dataclass's fields in field order: write_jsonl and read_dataclass_jsonl
 are the one codec for all of them, at one decoder call per line read. A
-row type lists its rules once (_rules: field, check over a column that
-raises the first bad value's InputError), and its __post_init__ runs
-them on one row (check_row). A file of str, int, bool and dict fields is
-read column by column when every row has exactly the keys (in any order)
-and the types write_jsonl writes, each int lies in int64, each dict is
-sorted by key and the rules pass on each column's distinct values:
-from_columns builds the instances with no __init__ call. Any other file
-takes every check row by row, in field order, the only path that words a
-message (a dict's row type words its faults).
+row type lists its rules once (_rules: field, check of one value that
+raises its InputError), and its __post_init__ runs each on its field's
+value (check_row). A file of str, int, bool and dict fields is read
+column by column when every row has exactly the keys (in any order) and
+the types write_jsonl writes, each int lies in int64, each dict is
+sorted by key and each rule passes on each distinct value of its column
+(on each row's dict): from_columns builds the instances with no __init__
+call. Any other file takes every check row by row, in field order, the
+only path that words a message.
 """
 
 from __future__ import annotations
@@ -200,10 +200,10 @@ def read_dataclass_jsonl(path, cls, what: str) -> list:
 
 
 def check_row(row) -> None:
-    """A row type's __post_init__: each of its _rules on a one-row column."""
+    """A row type's __post_init__: each of its _rules on its field's value."""
     values = vars(row)
     for name, check in row._rules:
-        check((values[name],), name)
+        check(values[name], name)
 
 
 def from_columns(cls, rows: list) -> list | None:
@@ -220,8 +220,8 @@ def from_columns(cls, rows: list) -> list | None:
                    and (kind is not dict or list(map(list, column)) == list(map(sorted, column)))
                    for kind, column in zip(kinds.values(), columns.values())):
                 for name, check in getattr(cls, "_rules", ()):  # a rule judges each value
-                    column = columns[name]  # alone, so a column's distinct values decide it
-                    check(column if kinds[name] is dict else tuple(dict.fromkeys(column)), name)
+                    for value in columns[name] if kinds[name] is dict else set(columns[name]):
+                        check(value, name)  # alone, so a column's distinct values decide it
                 out = list(map(object.__new__, repeat(cls, len(rows))))
                 any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
                 return out

@@ -139,12 +139,9 @@ def init_model_params(spec: ToyModelSpec, seed: int,
             std, region = {"tok_emb": 1.0, "pos_emb": 0.02}.get(role, shape[0] ** -0.5), every
         else:
             std, region = friendly[role]
-        if std and region is every:
-            w[name] = rng.normal(0.0, std, shape)
-        else:
-            w[name] = np.zeros(shape)
-            if std:
-                w[name][region] = rng.normal(0.0, std, w[name][region].shape)
+        w[name] = np.zeros(shape)
+        if std:
+            w[name][region] = rng.normal(0.0, std, w[name][region].shape)
     return ModelParams(weights=w)
 
 

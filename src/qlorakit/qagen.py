@@ -15,7 +15,6 @@ byte-reproducible without a network.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
@@ -37,64 +36,50 @@ _extra_key = lambda key: (isinstance(key, str) and _EXTRA_KEY_RE.fullmatch(key) 
                           and key not in ScenarioAnnotation.__dataclass_fields__)
 
 
-def _check_line_text(column, what: str) -> None:
-    """Each value of column is non-empty text on one line that UTF-8 can hold."""
-    try:  # a long column at once; a value that is not text is worded below
-        if len(column) > 1 and "".join(column).isprintable() and all(map(str.strip, column)):
-            return
-    except TypeError:
-        pass
-    for value in column:
-        if not isinstance(value, str) or not value.strip():
-            raise InputError(f"{what} must be non-empty text")
-        if not value.isprintable():  # every line break and lone surrogate is unprintable
-            if value.splitlines()[0] != value:  # a break of any kind splitlines knows
-                raise InputError(f"{what} must not contain newlines")
-            try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
+def _check_line_text(value, what: str) -> None:
+    """value is non-empty text on one line that UTF-8 can hold."""
+    if not isinstance(value, str) or not value.strip():
+        raise InputError(f"{what} must be non-empty text")
+    if not value.isprintable():  # every line break and lone surrogate is unprintable
+        if value.splitlines()[0] != value:  # a break of any kind splitlines knows
+            raise InputError(f"{what} must not contain newlines")
+        try:  # a JSON "\ud800" escape decodes to text no UTF-8 file can hold
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(f"{what} is not valid Unicode text: {exc.reason}") from exc
 
 
-def _check_id(column, what: str) -> None:  # manifests hold stripped lines, so ids must be too
-    _check_line_text(column, what)
-    for value in column:
-        if value != value.strip():
-            raise InputError(f"{what} {echo(value)} has surrounding whitespace")
+def _check_id(value, what: str) -> None:  # manifests hold stripped lines, so ids must be too
+    _check_line_text(value, what)
+    if value != value.strip():
+        raise InputError(f"{what} {echo(value)} has surrounding whitespace")
 
 
-def _check_bool(column, what: str) -> None:
-    if set(map(type, column)) != {bool}:
+def _check_bool(value, what: str) -> None:
+    if type(value) is not bool:
         raise InputError(f"{what} must be a boolean")
 
 
-def _check_extra(column, what: str) -> None:
-    """Each value maps keys [a-z][a-z0-9_]* that name no field to one line of text."""
-    if all(isinstance(extra, Mapping) for extra in column):  # the column at once; a fault
-        with contextlib.suppress(InputError):  # is worded by the loop below, key by key
-            if all(map(_extra_key, {key for extra in column for key in extra})):
-                return _check_line_text([v for extra in column for v in extra.values()], what)
-    for extra in column:
-        if not isinstance(extra, Mapping):
-            raise InputError(f"{what} must be a mapping of key to text")
-        for key, value in extra.items():
-            if not _extra_key(key):
-                raise InputError(f"bad {what} key {echo(key)}")
-            _check_line_text((value,), f"{what}[{key}]")
+def _check_extra(extra, what: str) -> None:
+    """extra maps keys [a-z][a-z0-9_]* that name no field to one line of text each."""
+    if not isinstance(extra, Mapping):
+        raise InputError(f"{what} must be a mapping of key to text")
+    for key, value in extra.items():
+        if not _extra_key(key):
+            raise InputError(f"bad {what} key {echo(key)}")
+        _check_line_text(value, f"{what}[{key}]")
 
 
-def _check_category(column, what: str) -> None:
-    for value in column:
-        if value not in CATEGORIES:
-            raise InputError(f"{what} {echo(value)} not in {CATEGORIES}")
+def _check_category(value, what: str) -> None:
+    if value not in CATEGORIES:
+        raise InputError(f"{what} {echo(value)} not in {CATEGORIES}")
 
 
-def _check_pair_index(column, what: str) -> None:
-    for value in column:
-        if type(value) is not int:
-            raise InputError(f"{what} must be an integer, got {echo(value)}")
-        if not 1 <= value <= 5:
-            raise InputError(f"{what} {value} outside [1, 5]")
+def _check_pair_index(value, what: str) -> None:
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {echo(value)}")
+    if not 1 <= value <= 5:
+        raise InputError(f"{what} {value} outside [1, 5]")
 
 
 @dataclass(frozen=True)
@@ -211,8 +196,8 @@ def parse_qa_response(text: str) -> list[tuple[str, str, str]]:
         answer = item.get("answer")
         category = item.get("category")
         try:  # a field no QARecord can hold (empty, multi-line) fails the grammar
-            _check_line_text((question,), "question")
-            _check_line_text((answer,), "answer")
+            _check_line_text(question, "question")
+            _check_line_text(answer, "answer")
         except InputError as exc:
             raise QAParseError(str(exc)) from exc
         if category not in CATEGORIES:

@@ -6,9 +6,11 @@ exit code 2 and one line on stderr. Hand-written cases pin the inputs
 that once escaped untyped or were silently coerced.
 """
 
+import io
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -219,6 +221,16 @@ def corpus_checkpoint(**changed) -> bytes:
 METRICS = {"accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5, "sample_count": 4}
 
 
+def npy(array) -> bytes:
+    """The bytes np.save writes for array."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+TASK = {"vocab_size": 64, "n_classes": 4}  # the keys train needs; make-synthetic writes more
+
+
 def eval_summary(**changed) -> bytes:
     """The bytes of model m's eval_summary file with the changed keys replaced;
     "\xff" in a value stands for a byte that is not UTF-8."""
@@ -237,6 +249,16 @@ CLI_INPUTS = {
                                      b'{"vocab_size": "x", "n_classes": 4}'),
     "train-task-json-bad-utf8": ("train", "task.json",
                                  b'{"vocab_size": 64, "n_classes": 4}\xff'),
+    "train-task-json-unknown-key": ("train", "task.json",
+                                    json.dumps({**TASK, "bogus": 1}).encode()),
+    "train-task-json-string-seq-len": ("train", "task.json",
+                                       json.dumps({**TASK, "seq_len": "x"}).encode()),
+    "train-task-json-fractional-n-train": ("train", "task.json",
+                                           json.dumps({**TASK, "n_train": 1.5}).encode()),
+    "train-task-json-bool-n-test": ("train", "task.json",
+                                    json.dumps({**TASK, "n_test": True}).encode()),
+    "train-task-json-string-seed": ("train", "task.json",
+                                    json.dumps({**TASK, "seed": "0"}).encode()),
     "report-bad-utf8": ("report", "eval_summary_m.json", eval_summary(mode="\xff")),
     "report-invalid-json": ("report", "eval_summary_m.json", eval_summary()[:-2]),
     "report-metrics-not-object": ("report", "eval_summary_m.json", eval_summary(metrics=[1])),
@@ -258,12 +280,19 @@ CLI_INPUTS = {
                                      eval_summary(model_name="m\n")),
     "report-model-twice": ("report", "eval_summary_m.json", eval_summary(model_name="a")),
     "report-unknown-mode": ("report", "eval_summary_m.json", eval_summary(mode="median")),
+    "report-unknown-key": ("report", "eval_summary_m.json", eval_summary(bogus=1)),
+    "report-string-n": ("report", "eval_summary_m.json", eval_summary(n="lots")),
+    "report-fractional-n": ("report", "eval_summary_m.json", eval_summary(n=2.5)),
+    "report-bool-seed": ("report", "eval_summary_m.json", eval_summary(seed=True)),
     "inspect-quant-words": ("inspect-quant", "w.txt", b"abc def\n"),
     "inspect-quant-empty": ("inspect-quant", "w.txt", b""),
     "inspect-quant-blank": ("inspect-quant", "w.txt", b"  \n\n"),
     "inspect-quant-ragged-rows": ("inspect-quant", "w.txt", b"1 2\n3\n"),
     "inspect-quant-not-npy": ("inspect-quant", "w.npy", b"not an npy file"),
     "inspect-quant-empty-npy": ("inspect-quant", "w.npy", b""),
+    "inspect-quant-complex-npy": ("inspect-quant", "w.npy", npy(np.full((2, 4), 1 + 2j))),
+    "inspect-quant-datetime-npy": ("inspect-quant", "w.npy",
+                                   npy(np.full((2, 4), np.datetime64("2024-01-01")))),
     "predict-meta-no-config": ("predict", "adapters.bin", corpus_checkpoint(config=None)),
     "predict-meta-no-n-classes": ("predict", "adapters.bin",
                                   corpus_checkpoint(n_classes=None)),
@@ -289,6 +318,10 @@ REPORT_FAULTS = {
     "report-newline-in-model-name": "bad model name 'm\\n'",
     "report-model-twice": "model name 'a' is also an earlier file's",
     "report-unknown-mode": "mode must be one of",
+    "report-unknown-key": "unknown key 'bogus'",
+    "report-string-n": "n must be a 64-bit integer, got 'lots'",
+    "report-fractional-n": "n must be a 64-bit integer, got 2.5",
+    "report-bool-seed": "seed must be a 64-bit integer, got True",
 }
 
 
@@ -307,3 +340,22 @@ def test_cli_on_a_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     if command == "report":
         assert err.startswith(f"error: input: {tmp_path / name}: {REPORT_FAULTS[case]}"), err
 
+
+@pytest.mark.parametrize("dtype", ["complex128", "datetime64[D]", "timedelta64[s]", "<U3"])
+def test_inspect_quant_refuses_weights_that_are_not_real_numbers(tmp_path, capsys, dtype):
+    path = tmp_path / "w.npy"
+    np.save(path, np.ones((2, 4)).astype(dtype))
+    err = _exits_2_with_one_line(capsys, ["inspect-quant", "--weights", str(path)])
+    assert err.startswith(f"error: input: {path}: not a weight matrix: ")
+    assert repr(np.dtype(dtype)) in err, err
+
+
+@pytest.mark.parametrize("dtype", ["bool", "int8", "uint16", "float16", "float32"])
+def test_inspect_quant_reads_bool_int_and_float_weights_as_float64(tmp_path, capsys, dtype):
+    weights = np.arange(-8, 8).reshape(2, 8).astype(dtype)
+    printed = []
+    for name, array in (("w.npy", weights), ("w64.npy", weights.astype(np.float64))):
+        np.save(tmp_path / name, array)
+        assert main(["inspect-quant", "--weights", str(tmp_path / name), "--block", "8"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and not printed[0].err

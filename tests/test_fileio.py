@@ -5,13 +5,16 @@ reference reader on records and on every error message."""
 
 import dataclasses
 import enum
+import importlib
 import json
 import os
+import pkgutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qlorakit
 from conftest import reference_read_dataclass_jsonl
 from qlorakit.cli import main
 from qlorakit.errors import InputError
@@ -422,3 +425,17 @@ def test_pair_index_must_be_an_int(value):
 def test_a_non_str_extra_key_is_a_bad_key():
     with pytest.raises(InputError, match=r"^bad extra key 1$"):
         ScenarioAnnotation("s-1", "img/1.jpg", "A car.", True, "brake", "urban", extra={1: "x"})
+
+
+def test_every_row_types_rules_name_its_own_fields_each_at_most_once():
+    # check_row looks each name up among the row's fields: a misspelt one would reach
+    # the user as a KeyError traceback, and a repeated one would run a rule twice
+    modules = [importlib.import_module(f"qlorakit.{m.name}")
+               for m in pkgutil.iter_modules(qlorakit.__path__)]
+    row_types = {cls for module in modules for cls in vars(module).values()
+                 if dataclasses.is_dataclass(cls) and "_rules" in vars(cls)}
+    assert row_types >= {QARecord, ScenarioAnnotation}
+    for cls in row_types:
+        names = [name for name, _ in cls._rules]
+        assert len(set(names)) == len(names), cls
+        assert set(names) <= {f.name for f in dataclasses.fields(cls)}, cls
