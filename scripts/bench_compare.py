@@ -37,6 +37,17 @@ compares them per workload (`raw_metrics`), and the summary lines of the
 four timing metrics end with the raw medians and their ratio as a
 cross-check.
 
+`--demo PAIRS` adds the demo's record (`demo` in the same file): the
+stages of `scripts/run_pipeline.py` at its defaults, each as a fresh
+`python -m qlorakit.cli` process with the same bytecode settings, in a new
+working directory per side and pair, parent and change alternating as
+above. Per stage and for their total it holds each side's median and
+quartiles of the process wall times, the pairs won, and the resolved and
+gain rules, with a bound of DEMO_BOUND. Each pair also times one
+`python -c "import numpy"` process, the start-up floor every stage pays on
+that host at that hour (`numpy_import_s`). `--runs`, `--demo` or both may
+be given.
+
 The arguments are checked before the first run: `--out-dir` must be an
 existing directory, each workload must be named in BENCHMARK.json and
 PAIRS (default 10) must be a positive integer; otherwise the script exits
@@ -46,18 +57,21 @@ PAIRS (default 10) must be a positive integer; otherwise the script exits
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
 MIN_PAIRS = 10  # fewer pairs leave every verdict unresolved
 TIMINGS = ("setup_s", "wall_s", "train_examples_per_s", "infer_examples_per_s")
+DEMO_BOUND = 0.05  # a demo stage's median may be at most this much slower
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -126,13 +140,17 @@ def git_head() -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def fresh_env(cache: str, **extra: str) -> dict:
+    """The environment of every timed process: no bytecode read or written."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache, **extra}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],
-            cwd=tree, capture_output=True, text=True,
-            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache})
+            cwd=tree, capture_output=True, text=True, env=fresh_env(cache))
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     try:
@@ -148,6 +166,61 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "raw": {k: raw[k] for k in TIMINGS}}
 
 
+def demo_stages(workdir: Path) -> list[tuple[str, list[str]]]:
+    """(name, qlorakit argv) of each stage of scripts/run_pipeline.py at its
+    defaults, working in workdir."""
+    spec = importlib.util.spec_from_file_location("run_pipeline",
+                                                  ROOT / "scripts" / "run_pipeline.py")
+    pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pipeline)
+    return pipeline.stages(pipeline.parser().parse_args(["--out", str(workdir)]))
+
+
+def timed(argv: list[str], cwd: Path, env: dict) -> float:
+    """Wall seconds of one process, which must exit 0."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"{cwd}: {' '.join(argv[1:])} exited {proc.returncode}:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return seconds
+
+
+def run_demo(tree: Path) -> dict:
+    """Stage name -> wall seconds of one demo run on tree, each stage a fresh process."""
+    with tempfile.TemporaryDirectory(prefix="bench-demo-") as tmp:
+        cache, work = Path(tmp) / "pycache", Path(tmp) / "run"
+        cache.mkdir()
+        env = fresh_env(str(cache), PYTHONPATH=str(tree / "src"))
+        return {name: timed([sys.executable, "-m", "qlorakit.cli", *argv], tree, env)
+                for name, argv in demo_stages(work)}
+
+
+def numpy_import_s() -> float:
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        return timed([sys.executable, "-c", "import numpy"], ROOT, fresh_env(cache))
+
+
+def demo_record(sides: dict, pairs: int) -> dict:
+    """The demo's record: `pairs` alternating runs of each side's tree."""
+    runs, floor = {"parent": [], "change": []}, []
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_demo(sides[side]))
+            runs[side][-1]["total"] = sum(runs[side][-1].values())
+            print(f"demo pair {i + 1}/{pairs} {side}: total {runs[side][-1]['total']:.3f} s",
+                  flush=True)
+        floor.append(numpy_import_s())
+    q1, med, q3 = quartiles(floor)
+    return {"pairs": pairs, "bound": DEMO_BOUND, "stages": list(runs["parent"][0]),
+            "numpy_import_s": {"median": med, "q1": q1, "q3": q3, "runs": floor},
+            "metrics": {name: compare([r[name] for r in runs["parent"]],
+                                      [r[name] for r in runs["change"]], "lower", DEMO_BOUND)
+                        for name in runs["parent"][0]},
+            "runs": runs}
+
+
 def summary_lines(report: dict) -> list[str]:
     """One line per workload and end-to-end metric of a report, then the
     src_lines of both trees."""
@@ -156,26 +229,43 @@ def summary_lines(report: dict) -> list[str]:
         return f"parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} {ratio}"
 
     lines = []
-    for workload, entry in report["workloads"].items():
+    for workload, entry in sections(report):
         for name, m in entry["metrics"].items():
             line = (f"{workload} {name}: {medians(m)} won {m['won']}/{m['pairs']} "
                     f"within_bound {m.get('within_bound')} gain_rule_met {m['gain_rule_met']}")
-            if name in entry["raw_metrics"]:
+            if name in entry.get("raw_metrics", {}):
                 line += f" | raw {medians(entry['raw_metrics'][name])}"
             lines.append(line)
+    if "demo" in report:
+        floor = report["demo"]["numpy_import_s"]
+        lines.append(f"demo import numpy: median {floor['median']:.6g} s "
+                     f"(q1 {floor['q1']:.6g}, q3 {floor['q3']:.6g})")
     lines.append(f"src_lines: parent {report['src_lines']['parent']} "
                  f"-> change {report['src_lines']['change']}")
     return lines
 
 
+def sections(report: dict) -> list[tuple[str, dict]]:
+    """(name, entry) of each workload of a report, then of its demo record."""
+    return list(report["workloads"].items()) + ([("demo", report["demo"])] if "demo" in report
+                                                 else [])
+
+
 def unresolved_lines(report: dict) -> list[str]:
-    """One line per workload of a report naming its unresolved end-to-end metrics."""
+    """One line per workload of a report, and for its demo record, naming
+    its unresolved end-to-end metrics or stages."""
     lines = []
-    for workload, entry in report["workloads"].items():
+    for workload, entry in sections(report):
         names = [name for name, m in entry["metrics"].items() if not m["resolved"]]
         if names:
             lines.append(f"{workload} unresolved: {' '.join(names)}")
     return lines
+
+
+def positive(pairs: str, what: str) -> int:
+    if not pairs.isdecimal() or int(pairs) < 1:
+        raise ValueError(f"PAIRS in {what!r} must be a positive integer")
+    return int(pairs)
 
 
 def parse_plan(runs: list[str], workloads: set[str], out_dir: str) -> list[tuple[str, int]]:
@@ -189,9 +279,7 @@ def parse_plan(runs: list[str], workloads: set[str], out_dir: str) -> list[tuple
         if workload not in workloads:
             raise ValueError(f"unknown workload {workload!r} in {item!r}; "
                              f"BENCHMARK.json names {', '.join(sorted(workloads))}")
-        if not pairs.isdecimal() or int(pairs) < 1:
-            raise ValueError(f"PAIRS in {item!r} must be a positive integer")
-        plan.append((workload, int(pairs)))
+        plan.append((workload, positive(pairs, item)))
     return plan
 
 
@@ -199,7 +287,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    ap.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:PAIRS")
+    ap.add_argument("--runs", nargs="+", default=[], metavar="WORKLOAD:PAIRS")
+    ap.add_argument("--demo", metavar="PAIRS", help="also record the demo's stages")
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--seed-base", type=int, default=1000)
     ap.add_argument("--out-dir", default=str(ROOT))
@@ -208,6 +297,9 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     try:
         plan = parse_plan(args.runs, {w["name"] for w in spec["workloads"]}, args.out_dir)
+        demo = None if args.demo is None else positive(args.demo, f"--demo {args.demo}")
+        if not plan and demo is None:
+            raise ValueError("give --runs, --demo or both")
     except ValueError as exc:
         ap.exit(2, f"bench_compare: {exc}\n")
 
@@ -250,6 +342,8 @@ def main(argv=None) -> int:
                     for name in TIMINGS},
                 "runs": runs,
             }
+        if demo is not None:
+            report["demo"] = demo_record(sides, demo)
     for line in unresolved_lines(report):
         print(line)
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"

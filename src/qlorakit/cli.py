@@ -228,9 +228,10 @@ def cmd_train(args) -> int:
         test_examples = None
     elif os.path.exists(token_path):
         mode = "token"
-        task = _read_summary(os.path.join(data, "task.json"), "task.json ", "purity",
+        task_path = os.path.join(data, "task.json")
+        task = _read_summary(task_path, f"{task_path}: ", "purity",
                              "vocab_size n_classes seq_len n_train n_test seed")
-        cfg = dataclasses.replace(cfg, **{key: json_int(task.get(key), f"task.json {key}")
+        cfg = dataclasses.replace(cfg, **{key: json_int(task.get(key), f"{task_path}: {key}")
                                           for key in ("vocab_size", "n_classes")})
         spec = cfgmod.model_spec_from(cfg)
         examples = tasks.read_token_examples(token_path)

@@ -23,7 +23,7 @@ value (check_row). A file of str, int, bool and dict fields is read
 column by column when every row has exactly the keys (in any order) and
 the types write_jsonl writes, each int lies in int64, each dict is
 sorted by key and each rule passes on each distinct value of its column
-(on each row's dict): from_columns builds the instances with no __init__
+(a dict by its items): from_columns builds the instances with no __init__
 call. Any other file takes every check row by row, in field order, the
 only path that words a message.
 """
@@ -212,7 +212,8 @@ def from_columns(cls, rows: list) -> list | None:
     kinds = _kinds(cls)
     if (rows and len(kinds) > 1 and {str, int, bool, dict}.issuperset(kinds.values())
             and set(map(len, rows)) == {len(kinds)}):
-        with contextlib.suppress(KeyError, InputError):  # else None: a row-by-row build words it
+        # else None, and a row-by-row build words it; a TypeError is a map value that cannot hash
+        with contextlib.suppress(KeyError, InputError, TypeError):
             # field -> its values; a KeyError if a row holds another key in a field's place
             columns = dict(zip(kinds, zip(*map(operator.itemgetter(*kinds), rows))))
             if all(set(map(type, column)) == {kind}
@@ -220,8 +221,10 @@ def from_columns(cls, rows: list) -> list | None:
                    and (kind is not dict or list(map(list, column)) == list(map(sorted, column)))
                    for kind, column in zip(kinds.values(), columns.values())):
                 for name, check in getattr(cls, "_rules", ()):  # a rule judges each value
-                    for value in columns[name] if kinds[name] is dict else set(columns[name]):
-                        check(value, name)  # alone, so a column's distinct values decide it
+                    column = columns[name]  # alone, so a column's distinct values decide it
+                    for value in ({tuple(v.items()): v for v in column}.values()
+                                  if kinds[name] is dict else set(column)):
+                        check(value, name)
                 out = list(map(object.__new__, repeat(cls, len(rows))))
                 any(map(object.__setattr__, out, repeat("__dict__"), rows))  # past a frozen guard
                 return out

@@ -123,29 +123,38 @@ class QLoraLinear:
     def __post_init__(self):
         w = (quant.dequantize_4bit(self.base) if isinstance(self.base, Q4BlockMatrix)
              else self.base)
-        self._w = w
-        self.weight = w if self.adapter is None else merge(w, self.adapter)
+        self._w, ad = w, self.adapter
+        self.weight = w if ad is None else merge(w, ad)
+        # backward's G = x^T dy (or remerge's delta), dA and dB
+        self._work = ad and (np.empty_like(w), np.empty_like(ad.a_factor),
+                             np.empty_like(ad.b_factor))
 
     def remerge(self) -> None:
         """W' from the adapter's current factors, in place; bit-identical
         to merge(W, adapter)."""
-        np.add(self._w, lora_delta(self.adapter), out=self.weight)
+        ad = self.adapter
+        delta = np.matmul(ad.b_factor, ad.a_factor, out=self._work[0])
+        np.add(self._w, np.multiply(delta, ad.scaling, out=delta), out=self.weight)
 
-    def forward(self, x):
-        """y = x @ W' for input rows x (n, d_in); backward takes x as its cache."""
-        return x @ self.weight
+    def forward(self, x, out=None):
+        """y = x @ W' for input rows x (n, d_in), into out if given; backward
+        takes x as its cache."""
+        return np.matmul(x, self.weight, out=out)
 
-    def backward(self, dy, x, grads, name: str, need_dx: bool = True):
-        """dx (n, d_in) for upstream rows dy (n, d_out), or None unless
-        need_dx. With an adapter, adds the factor gradients over all rows of
-        x into grads[name + "/a" | "/b"]: with G = x^T dy, dA = s B^T G and
-        dB = s G A^T."""
+    def backward(self, dy, x, grads, name: str, need_dx: bool = True, out=None):
+        """dx (n, d_in) for upstream rows dy (n, d_out), into out if given, or
+        None unless need_dx. With an adapter, adds the factor gradients over
+        all rows of x into grads[name + "/a" | "/b"]: with G = x^T dy, dA =
+        s B^T G and dB = s G A^T."""
         ad = self.adapter
         if ad is not None:
-            g = x.T @ dy
-            grads[name + "/a"] += ad.scaling * (ad.b_factor.T @ g)
-            grads[name + "/b"] += ad.scaling * (g @ ad.a_factor.T)
-        return dy @ self.weight.T if need_dx else None
+            g, da, db = self._work
+            np.matmul(x.T, dy, out=g)
+            grads[name + "/a"] += np.multiply(np.matmul(ad.b_factor.T, g, out=da), ad.scaling,
+                                              out=da)
+            grads[name + "/b"] += np.multiply(np.matmul(g, ad.a_factor.T, out=db), ad.scaling,
+                                              out=db)
+        return np.matmul(dy, self.weight.T, out=out) if need_dx else None
 
 
 def qlora_forward(x: Matrix, layer: QLoraLinear) -> Matrix:

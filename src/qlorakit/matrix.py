@@ -24,15 +24,12 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     return np.ascontiguousarray(arr)
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along the given axis.
-
-    Works in its one output buffer: attention scores are the largest
-    per-pass temporaries, and fewer of them keep the allocator from
-    returning and re-faulting heap pages between passes.
-    """
+def softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along the given axis, into out if given;
+    out may be z itself."""
     z = np.asarray(z, dtype=np.float64)
-    e = z - np.maximum.reduce(z, axis=axis, keepdims=True)  # the ufuncs z.max, e.sum call
+    # np.maximum.reduce and np.add.reduce are the ufuncs z.max and e.sum call
+    e = np.subtract(z, np.maximum.reduce(z, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e

@@ -19,6 +19,7 @@ attn_o|ffn_up|ffn_down", "head". Adapter gradient keys append "/b" and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -187,37 +188,6 @@ def init_adapters(spec: ToyModelSpec, rank: int, alpha: float,
 # 8 x 32 rows) each run as one pass; an inference pass holds 16 sequences at T=16
 ROWS_PER_PASS = 256
 
-# freed heap glibc keeps instead of returning it to the kernel (M_TRIM_THRESHOLD)
-HEAP_TRIM_THRESHOLD = 64 * 2**20
-_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter number
-
-
-def keep_freed_heap() -> bool:
-    """Let glibc keep up to HEAP_TRIM_THRESHOLD of freed heap; True if set.
-
-    Every pass allocates and frees numpy temporaries of 30-130 KB. glibc
-    returns the top of the heap to the kernel once more than its trim
-    threshold is free there, and the next pass faults those pages back
-    in. The default threshold is 128 KiB but rises after a large mmapped
-    block is freed, so whether passes paid for it depended on what ran
-    earlier in the process: pass times were bimodal, about 1.4x apart,
-    from one stretch of calls to the next. A fixed threshold makes them
-    steady. Setting it also fixes glibc's mmap threshold at 128 KiB, and
-    peak memory is unchanged, since only freed heap is kept. A no-op
-    without glibc.
-    """
-    import ctypes
-    import platform
-
-    if platform.libc_ver()[0] != "glibc":
-        return False
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD) == 1
-
-
-keep_freed_heap()
-
 
 def adapted_layers(params: ModelParams, spec: ToyModelSpec,
                    adapters: Mapping[str, LoraAdapter] | None) -> dict[str, QLoraLinear]:
@@ -341,27 +311,103 @@ def _passes(toks: Sequence[np.ndarray]):
             yield np.array(idx), batch, valid
 
 
-def _product(shape, order, left, right) -> np.ndarray:
-    """left @ right into a new C-contiguous `shape` array, through its `order` view."""
-    out = np.empty(shape)
-    np.matmul(left, right, out=out.transpose(order))
-    return out
+class _Workspace:
+    """The pass plan of a run (train) or call (forward_batch, loss_and_grads)
+    and the one flat buffer its passes, and AdamW between them, write through.
+    Per block: its six layers in LAYER_ROLES order, their names, whether each
+    is adapted (the tape keeps its input rows) and whether the FFN runs (an
+    all-zero, unadapted ffn_down skips it)."""
+
+    def __init__(self, blocks: list, head: QLoraLinear, spec: ToyModelSpec):
+        self.blocks, self.head, self._spec = blocks, head, spec
+        self._ffn = any(block[3] for block in blocks)
+        self._buf, self._layouts = np.empty(0), {}
+
+    def reserve(self, lengths: Sequence[int], members: int, tape: bool,
+                scratch: int = 0) -> np.ndarray:
+        """Size the buffer for every pass of at most `members` sequences of
+        these lengths, and `scratch` entries used between passes: returns those."""
+        if t := max(lengths, default=0):  # the largest such pass bounds every other
+            self.layout(-(-min(members * t, max(ROWS_PER_PASS, t)) // t), t, tape)
+        if scratch > self._buf.size:
+            self._buf, self._layouts = np.empty(scratch), {}
+        return self._buf[:scratch]
+
+    def layout(self, b: int, t: int, tape: bool) -> tuple:
+        """A (B, T) pass's views, carved once: (embedding rows (B, T, d), last
+        block's output, the pool's (B, d) rows, per block forward views, tape,
+        backward views or None). With a tape each block has its own activation
+        rows, which are the tape; else blocks share one set."""
+        views = self._layouts.get((b, t, tape))
+        while views is None:  # a carve past the buffer's end took new arrays: regrow
+            views, used = self._carve(b, t, tape)
+            if used > self._buf.size:
+                views = None
+                self._buf, self._layouts = np.empty(used), {}
+        self._layouts[(b, t, tape)] = views
+        return views
+
+    def _carve(self, b: int, t: int, tape: bool) -> tuple:
+        spec, n, used = self._spec, self._spec.n_layers, 0
+        heads, row, ff = (b, t, spec.n_heads, spec.head_dim), (b * t, spec.d_model), (
+            b * t, spec.d_ff)
+
+        def take(*shape):
+            nonlocal used
+            used += math.prod(shape)
+            return (self._buf[used - math.prod(shape):used] if used <= self._buf.size
+                    else np.empty(shape)).reshape(shape)
+
+        def split(r):  # the (B, H, T, dh) heads of (B*T, d) rows
+            return r.reshape(heads).transpose(0, 2, 1, 3)
+
+        xs = [take(*row) for _ in range(n + 1 if tape else 2)]
+        slots = [tuple(take(*row) for _ in range(4)) + (take(t, b, spec.n_heads, t),)  # key-major
+                 + ((take(*row), take(*ff)) if self._ffn else (None, None))
+                 for _ in range(n if tape else 1)]
+        fwd, tapes = [], []
+        for i, (_, _, adapted, ffn) in enumerate(self.blocks):
+            q, k, v, ctx, attn, mid, hidden = slots[i % len(slots)]
+            x_in, x = xs[i % len(xs)], xs[(i + 1) % len(xs)]
+            x_mid, hidden = (mid, hidden) if ffn else (x, None)
+            tapes.append((split(q), split(k), split(v), attn, hidden) + tuple(
+                r if keep else None
+                for keep, r in zip(adapted, (x_in, x_in, x_in, ctx, x_mid, hidden))))
+            qh, kh, vh = tapes[-1][:3]
+            fwd.append((x_in, q, k, v, kh, qh.swapaxes(-1, -2), attn.transpose(1, 2, 0, 3), attn,
+                        attn.transpose(1, 2, 3, 0), vh, split(ctx), ctx, x_mid, hidden, x))
+        pool, back = slots[0][0][:b], None  # the pool and its gradient take free rows
+        if tape:
+            dx, dctx, dhead, din = (take(*row) for _ in range(4))
+            ds = take(t, b, spec.n_heads, t)
+            pool, dctx_h, roles = dhead[:b], split(dctx), []
+            for i, ((q, k, v, *_), names, _, _) in enumerate(self.blocks):
+                qh, kh, _, attn, _, x_q, x_k, x_v = tapes[i][:8]
+                roles.append(tuple(role for role in (
+                    (q, names[0], x_q, ds.transpose(1, 2, 3, 0), kh, heads[3] ** -0.5),
+                    (k, names[1], x_k, ds.transpose(1, 2, 0, 3), qh, heads[3] ** -0.5),
+                    (v, names[2], x_v, attn.transpose(1, 2, 0, 3), dctx_h, None))
+                    # layer 0's input gradient would reach only the frozen embeddings
+                    if i > 0 or role[2] is not None))
+            back = (dx, dx.reshape(b, t, -1), dctx, dctx_h.swapaxes(-1, -2), ds,
+                    ds.transpose(1, 2, 0, 3), take(b, spec.n_heads, t), dhead, split(dhead), din,
+                    take(*ff) if self._ffn else None, roles)
+        return (xs[0].reshape(b, t, -1), x.reshape(b, t, -1), pool, fwd,
+                tapes if tape else [], back), used
 
 
-def _pass_plan(layers: Mapping[str, QLoraLinear], spec: ToyModelSpec) -> tuple:
-    """(blocks, head) of the layer map, as every pass reads it: per block its six layers
-    in LAYER_ROLES order, their names for backward, whether each is adapted (the tape
-    keeps its input rows), and whether the FFN runs (an all-zero, unadapted ffn_down)."""
+def _pass_plan(layers: Mapping[str, QLoraLinear], spec: ToyModelSpec) -> _Workspace:
+    """The workspace of the layer map, with every block's facts settled once."""
     blocks = []
     for i in range(spec.n_layers):
         names = tuple(f"layers.{i}.{role}" for role in LAYER_ROLES)
         roles = tuple(layers[name] for name in names)
         adapted = tuple(layer.adapter is not None for layer in roles)
         blocks.append((roles, names, adapted, adapted[-1] or bool(roles[-1].weight.any())))
-    return blocks, layers["head"]
+    return _Workspace(blocks, layers["head"], spec)
 
 
-def _forward_pass(weights, plan, spec: ToyModelSpec, toks, valid, need_tape: bool):
+def _forward_pass(weights, plan: _Workspace, spec: ToyModelSpec, toks, valid, need_tape: bool):
     """Logits (B, n_classes) for a (B, T) token array, plus the backward tape.
 
     Activations are (B*T, d) rows throughout, so each projection is one
@@ -370,85 +416,69 @@ def _forward_pass(weights, plan, spec: ToyModelSpec, toks, valid, need_tape: boo
     and its Jacobian reduce over the leading axis. With a valid mask, padded
     keys' scores are set to -inf and the mean pool runs over valid positions
     only, so no real row reads a padded one. A block whose FFN the plan skips
-    has x = x_mid. The tape holds per layer the head views, the attention,
-    the ReLU output (None if skipped) and each adapted layer's input rows
-    (None where backward reads none).
+    has x = x_mid. The pass writes only into plan's layout for (B, T); the
+    tape holds per layer the head views, the attention, the ReLU output (None
+    if skipped) and each adapted layer's input rows (None where backward
+    reads none).
     """
     b, t = toks.shape
-    heads = (b, t, spec.n_heads, spec.head_dim)
-    inv_sqrt = heads[3] ** -0.5
-    blocks, head = plan
+    inv_sqrt = spec.head_dim ** -0.5
     padded_keys = None if valid is None else ~valid.T
-    x = weights["tok_emb"][toks]
-    x += weights["pos_emb"][:t]
-    x = x.reshape(b * t, spec.d_model)
-    tape = []
-    for (q, k, v, o, up, down), _, adapted, ffn in blocks:
-        x_in = x
-        qh = q.forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
-        kh = k.forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
-        vh = v.forward(x_in).reshape(heads).transpose(0, 2, 1, 3)
-        scores = _product((t, b, heads[2], t), (1, 2, 0, 3), kh, qh.swapaxes(-1, -2))
-        scores *= inv_sqrt
+    emb, last, pool, fwd, tape, _ = plan.layout(b, t, need_tape)
+    np.take(weights["tok_emb"], toks, axis=0, out=emb, mode="clip")  # "raise" buffers out
+    emb += weights["pos_emb"][:t]
+    for ((q, k, v, o, up, down), _, _, ffn), (
+            x_in, q_rows, k_rows, v_rows, kh, q_t, scores, attn, attn_q, vh, ctx_h, ctx, x_mid,
+            hidden, x) in zip(plan.blocks, fwd):
+        q.forward(x_in, out=q_rows)
+        k.forward(x_in, out=k_rows)
+        v.forward(x_in, out=v_rows)
+        np.matmul(kh, q_t, out=scores)
+        attn *= inv_sqrt
         if padded_keys is not None:
-            scores[padded_keys] = -np.inf
-        attn = softmax(scores, axis=0)
-        ctx = _product(heads, (0, 2, 1, 3), attn.transpose(1, 2, 3, 0), vh).reshape(b * t, -1)
-        x_mid = o.forward(ctx)
+            attn[padded_keys] = -np.inf
+        softmax(attn, axis=0, out=attn)
+        np.matmul(attn_q, vh, out=ctx_h)
+        o.forward(ctx, out=x_mid)
         x_mid += x_in
-        if ffn:
-            hidden = np.maximum(up.forward(x_mid), 0.0)
-            x = down.forward(hidden)
+        if ffn:  # otherwise x_mid is x: x_mid + relu(x_mid @ W_up) @ 0 is x_mid
+            np.maximum(up.forward(x_mid, out=hidden), 0.0, out=hidden)
+            down.forward(hidden, out=x)
             x += x_mid
-        else:
-            x, hidden = x_mid, None  # x_mid + relu(x_mid @ W_up) @ 0 is x_mid
-        if need_tape:
-            tape.append((qh, kh, vh, attn, hidden) + tuple(
-                rows if keep else None
-                for keep, rows in zip(adapted, (x_in, x_in, x_in, ctx, x_mid, hidden))))
-    x = x.reshape(b, t, spec.d_model)
-    pooled = (np.add.reduce(x, axis=1) / t if valid is None else  # one pass, no x * valid
-              np.einsum("bt,btd->bd", valid.astype(float), x) / valid.sum(axis=1, keepdims=True))
-    return head.forward(pooled), tape
+    pooled = (np.add.reduce(last, axis=1, out=pool) if valid is None else  # one pass, no x * valid
+              np.einsum("bt,btd->bd", valid.astype(float), last, out=pool))
+    pooled /= t if valid is None else valid.sum(axis=1, keepdims=True)
+    return plan.head.forward(pooled), tape
 
 
-def _backward_pass(plan, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
+def _backward_pass(plan: _Workspace, spec: ToyModelSpec, dlogits, t: int, valid, tape, grads):
     """Accumulate adapter gradients into grads; padded rows get exactly zero."""
-    b = dlogits.shape[0]
-    heads = (b, t, spec.n_heads, spec.head_dim)
-    inv_sqrt = heads[3] ** -0.5
-    blocks, head = plan
-    dpooled = head.backward(dlogits, None, grads, "head")  # no adapter targets it
-    counts = t if valid is None else valid.sum(axis=1, keepdims=True)
-    dx = np.repeat(dpooled / counts, t, axis=0) if valid is None else (
-        valid[:, :, None] * (dpooled / counts)[:, None, :]).reshape(b * t, -1)
-    for i, ((q, k, v, o, up, down), names, _, _) in reversed(list(enumerate(blocks))):
-        qh, kh, vh, attn, hidden, x_q, x_k, x_v, x_o, x_up, x_down = tape[i]
-        if hidden is None:  # the skipped FFN: its input gradient is dx, its factors' zero
-            dx_mid = dx
-        else:
-            dhidden = down.backward(dx, x_down, grads, names[5])
+    _, _, pool, _, _, back = plan.layout(dlogits.shape[0], t, True)
+    dx, dx3, dctx, dctx_t, ds, ds_k, dsum, dhead, dhead_h, din, dhidden, roles = back
+    dpooled = plan.head.backward(dlogits, None, grads, "head", out=pool)  # no adapter targets it
+    dpooled /= t if valid is None else valid.sum(axis=1, keepdims=True)
+    if valid is None:
+        np.copyto(dx3, dpooled[:, None, :])
+    else:
+        np.multiply(valid[:, :, None], dpooled[:, None, :], out=dx3)
+    for i in range(len(plan.blocks) - 1, -1, -1):
+        (q, k, v, o, up, down), names, _, _ = plan.blocks[i]
+        _, _, vh, attn, hidden, _, _, _, x_o, x_up, x_down = tape[i]
+        if hidden is not None:  # else the skipped FFN's input gradient is dx, its factors' zero
+            down.backward(dx, x_down, grads, names[5], out=dhidden)
             dhidden *= hidden > 0.0
-            dx_mid = up.backward(dhidden, x_up, grads, names[4])
-            dx_mid += dx
-        dctx = o.backward(dx_mid, x_o, grads, names[3])
-        dctxh = dctx.reshape(heads).transpose(0, 2, 1, 3)
+            dx += up.backward(dhidden, x_up, grads, names[4], out=din)
+        o.backward(dx, x_o, grads, names[3], out=dctx)
         # softmax jacobian over the key axis, the leading one:
         # dscores = attn * (dattn - sum_k(dattn * attn))
-        dscores = _product(attn.shape, (1, 2, 0, 3), vh, dctxh.swapaxes(-1, -2))
-        dscores -= np.einsum("kbhq,kbhq->bhq", dscores, attn)
-        dscores *= attn
-        dx = dx_mid
-        for layer, name, x_role, left, right, scale in (
-                (q, names[0], x_q, dscores.transpose(1, 2, 3, 0), kh, inv_sqrt),
-                (k, names[1], x_k, dscores.transpose(1, 2, 0, 3), qh, inv_sqrt),
-                (v, names[2], x_v, attn.transpose(1, 2, 0, 3), dctxh, None)):
-            if i == 0 and x_role is None:
-                continue  # layer 0's input gradient would reach only the frozen embeddings
-            dhead = _product(heads, (0, 2, 1, 3), left, right)
+        np.matmul(vh, dctx_t, out=ds_k)
+        ds -= np.einsum("kbhq,kbhq->bhq", ds, attn, out=dsum)
+        ds *= attn
+        for layer, name, x_role, left, right, scale in roles[i]:
+            np.matmul(left, right, out=dhead_h)
             if scale is not None:
                 dhead *= scale
-            dx_in = layer.backward(dhead.reshape(b * t, -1), x_role, grads, name, need_dx=i > 0)
+            dx_in = layer.backward(dhead, x_role, grads, name, need_dx=i > 0, out=din)
             if i > 0:
                 dx += dx_in
 
@@ -475,6 +505,7 @@ def _logits(params: ModelParams, spec: ToyModelSpec, toks: Sequence[np.ndarray],
     slot: dict[bytes, int] = {}
     rows = np.array([slot.setdefault(t.tobytes(), len(slot)) for t in toks], dtype=np.intp)
     distinct = [toks[i] for i in np.unique(rows, return_index=True)[1]]
+    plan.reserve([t.size for t in distinct], len(distinct), tape=False)
     logits = np.empty((len(distinct), spec.n_classes))
     for idx, pass_toks, valid in _passes(distinct):
         logits[idx], _ = _forward_pass(params.weights, plan, spec, pass_toks, valid,
@@ -498,12 +529,13 @@ def loss_and_grads(params: ModelParams, spec: ToyModelSpec,
     """
     examples = check_examples(batch, spec)
     plan = _pass_plan(adapted_layers(params, spec, adapters), spec)
+    plan.reserve([toks.size for toks, _ in examples], len(examples), tape=True)
     grads = {k: np.zeros_like(v) for k, v in flatten_adapters(adapters or {}).items()}
     return loss_and_grads_into(params, spec, examples, plan, grads)
 
 
 def loss_and_grads_into(params: ModelParams, spec: ToyModelSpec, examples: Sequence[tuple],
-                        plan: tuple, grads: dict):
+                        plan: _Workspace, grads: dict):
     """loss_and_grads on check_examples' examples and _pass_plan's plan,
     adding the gradients into grads, whose arrays the caller zeroed."""
     labels = np.array([label for _, label in examples], dtype=np.int64)
@@ -512,7 +544,7 @@ def loss_and_grads_into(params: ModelParams, spec: ToyModelSpec, examples: Seque
     for idx, pass_toks, valid in _passes([toks for toks, _ in examples]):
         logits, tape = _forward_pass(params.weights, plan, spec, pass_toks, valid,
                                      need_tape=True)
-        dlogits = softmax(logits, axis=-1)
+        dlogits = softmax(logits, axis=-1, out=logits)
         rows, y = np.arange(idx.size), labels[idx]
         nll[idx] = -np.log(dlogits[rows, y])
         dlogits[rows, y] -= 1.0

@@ -174,7 +174,8 @@ class OptimizerState:
                         scales=m.scales[start // bs:-(-(start + size) // bs)])
 
 
-def adamw_step(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple[float, float]:
+def adamw_step(state: OptimizerState, lr: float, cfg: TrainConfig,
+               work: np.ndarray | None = None) -> tuple[float, float]:
     """One Adam step with decoupled decay over the flat buffers of
     OptimizerState.bind; mutates them and the state in place, and zeroes the
     gradients after use, ready for the next step's. The decay
@@ -182,9 +183,14 @@ def adamw_step(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple[floa
     so it never flows through the moments. Returns the L2 norms of the
     gradient and of the adaptive update (the step before weight decay). A
     gradient entry that is NaN or beyond GRAD_LIMIT in magnitude raises
-    NumericError before anything is mutated."""
+    NumericError before anything is mutated. The step's temporaries (at 8
+    bits the dequantized moments first) go to `work`, if given: float64
+    scratch of at least 4 x len(state._grad) entries."""
     g = state._grad
-    if not np.abs(g).max(initial=0.0) <= GRAD_LIMIT:  # a NaN compares False
+    rows = 4 if state.state_bits == 8 else 2
+    work = np.empty((rows, g.size)) if work is None else work[:rows * g.size].reshape(rows, -1)
+    tmp, step = work[-2:]
+    if not np.abs(g, out=tmp).max(initial=0.0) <= GRAD_LIMIT:  # a NaN compares False
         bad = next(name for name, size, off in state.layout
                    if not np.abs(g[off:off + size]).max(initial=0.0) <= GRAD_LIMIT)
         raise NumericError(f"non-finite or huge gradient for parameter {bad!r}")
@@ -193,24 +199,27 @@ def adamw_step(state: OptimizerState, lr: float, cfg: TrainConfig) -> tuple[floa
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    # m and v: rows of a dequantized copy at 8 bits, of the state itself at 32
+    # m and v: rows of the dequantized moments at 8 bits, of the state itself at 32
     if state.state_bits == 8:
-        m, v = mv = dequantize_8bit(state.moments).reshape(2, -1)
+        m, v = mv = dequantize_8bit(state.moments, out=work[:2]).reshape(2, -1)
         v *= v
     else:
         m, v = state.moments.reshape(2, -1)
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=tmp)
     v *= b2
-    v += (1.0 - b2) * g * g
-    step = lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
-    if state.state_bits == 8:
-        np.sqrt(v, out=v)
-        state.moments = quantize_8bit(mv.reshape(-1), state.block_size)
+    v += np.multiply(np.multiply(g, 1.0 - b2, out=tmp), g, out=tmp)
+    # step = lr * ((m / bias1) / (sqrt(v / bias2) + eps)), operation by operation
+    np.add(np.sqrt(np.divide(v, bias2, out=tmp), out=tmp), eps, out=tmp)
+    np.multiply(np.divide(np.divide(m, bias1, out=step), tmp, out=step), lr, out=step)
     if cfg.weight_decay:
         state._param *= 1.0 - lr * cfg.weight_decay
     state._param -= step
     grad_norm = float(np.sqrt(np.dot(g, g)))
+    update_norm = float(np.sqrt(np.dot(step, step)))
+    if state.state_bits == 8:  # the update is spent, so the quantizer works in its rows
+        np.sqrt(v, out=v)
+        state.moments = quantize_8bit(mv.reshape(-1), state.block_size, work=work[2:])
     g.fill(0.0)
     state.step_count = t
-    return grad_norm, float(np.sqrt(np.dot(step, step)))
+    return grad_norm, update_norm

@@ -57,11 +57,13 @@ def _blocks(flat: np.ndarray, block_size: int) -> np.ndarray:
     return out
 
 
-def _absmax_quantize(flat: np.ndarray, block_size: int, top: int):
+def _absmax_quantize(flat: np.ndarray, block_size: int, top: int, work=None):
     """Shared absmax core; returns (codes int8, scales float32). A non-finite
-    input or a scale beyond float32 is an InputError."""
+    input or a scale beyond float32 is an InputError. `work`, a float64 array
+    of the padded input's size other than the input, holds the magnitudes
+    instead of a new array."""
     blocks = _blocks(flat, block_size)
-    mag = np.abs(blocks)
+    mag = np.abs(blocks, out=None if work is None else work.reshape(blocks.shape))
     # reduceat at the block starts runs about twice as fast as max(axis=1)
     absmax = np.maximum.reduceat(mag.reshape(-1), np.arange(0, mag.size, block_size))
     # an overflowing scale becomes inf here, without a numpy warning
@@ -83,13 +85,17 @@ def _absmax_quantize(flat: np.ndarray, block_size: int, top: int):
     codes = mag.astype(np.int8)
     # where w < 0, -c = (c ^ -1) + 1 in two's complement
     neg = np.signbit(blocks).view(np.int8)
-    codes ^= -neg
-    codes += neg
+    np.negative(neg, out=neg)
+    codes ^= neg
+    codes -= neg
     return codes.reshape(-1)[:flat.size], scales
 
 
-def _blockwise_dequantize(codes: np.ndarray, scales: np.ndarray, block_size: int) -> np.ndarray:
-    deq = _blocks(codes, block_size) * scales.astype(np.float64)[:, None]
+def _blockwise_dequantize(codes: np.ndarray, scales: np.ndarray, block_size: int,
+                          out=None) -> np.ndarray:
+    """Into out, a whole number of blocks long, if given."""
+    deq = np.multiply(_blocks(codes, block_size), scales.astype(np.float64)[:, None],
+                      out=None if out is None else out.reshape(-1, block_size))
     return deq.reshape(-1)[:codes.size]
 
 
@@ -219,14 +225,14 @@ def dequantize_4bit(q: Q4BlockMatrix) -> np.ndarray:
     return np.ascontiguousarray(flat.reshape(q.rows, q.cols))
 
 
-def quantize_8bit(v, block_size: int = DEFAULT_BLOCK_SIZE) -> Q8Vector:
+def quantize_8bit(v, block_size: int = DEFAULT_BLOCK_SIZE, work=None) -> Q8Vector:
     v = np.asarray(v, dtype=np.float64).ravel()
-    codes, scales = _absmax_quantize(v, block_size, Q8_TOP)
+    codes, scales = _absmax_quantize(v, block_size, Q8_TOP, work)
     return Q8Vector._from_quantizer(codes, scales, block_size)
 
 
-def dequantize_8bit(q: Q8Vector) -> np.ndarray:
-    return _blockwise_dequantize(q.codes, q.scales, q.block_size)
+def dequantize_8bit(q: Q8Vector, out=None) -> np.ndarray:
+    return _blockwise_dequantize(q.codes, q.scales, q.block_size, out)
 
 
 def footprint_report(q: Q4BlockMatrix) -> dict:

@@ -76,12 +76,15 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
     before = base_fingerprint(params)
     layers = adapted_layers(params, spec, adapters)  # a 4-bit base dequantizes here, once
     merged = [layers[name] for name in adapters]
+    window = cfg.batch_size * cfg.grad_accum_steps
+    # the run's one workspace: every pass, then AdamW between passes, writes through it
     plan = _pass_plan(layers, spec)
+    work = plan.reserve([tokens.size for tokens, _ in examples], window, tape=True,
+                        scratch=4 * state._grad.size)
     # factors move into views of the state's flat buffer; windows add into grads
     flat, grads = state.bind(flat)
     for name, ad in adapters.items():
         ad.b_factor, ad.a_factor = flat[name + "/b"], flat[name + "/a"]
-    window = cfg.batch_size * cfg.grad_accum_steps
 
     t0 = time.perf_counter()
     trace: list[TraceEntry] = []
@@ -94,7 +97,7 @@ def train(dataset: Sequence[tuple], params: ModelParams, spec: ToyModelSpec,
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at optimizer step {step}")
             lr = lr_at(step, total_steps, cfg)
-            grad_norm, update_norm = adamw_step(state, lr, cfg)
+            grad_norm, update_norm = adamw_step(state, lr, cfg, work)
             for layer in merged:
                 layer.remerge()
             seen += len(batch)

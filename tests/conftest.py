@@ -64,14 +64,14 @@ class FactorWiseLinear:
     def __init__(self, weight, adapter):
         self.weight, self.adapter = weight, adapter
 
-    def forward(self, x):
-        y = x @ self.weight
+    def forward(self, x, out=None):
+        y = np.matmul(x, self.weight, out=out)
         ad = self.adapter
         if ad is not None:
             y += ad.scaling * ((x @ ad.b_factor) @ ad.a_factor)
         return y
 
-    def backward(self, dy, x, grads, name, need_dx=True):
+    def backward(self, dy, x, grads, name, need_dx=True, out=None):
         ad = self.adapter
         if ad is not None:
             s = ad.scaling
@@ -80,7 +80,7 @@ class FactorWiseLinear:
             grads[name + "/b"] += s * (x.T @ t)
         if not need_dx:
             return None
-        dx = dy @ self.weight.T
+        dx = np.matmul(dy, self.weight.T, out=out)
         if ad is not None:
             dx += s * (t @ ad.b_factor.T)
         return dx

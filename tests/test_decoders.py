@@ -339,6 +339,8 @@ def test_cli_on_a_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     err = _exits_2_with_one_line(capsys, argv[command])
     if command == "report":
         assert err.startswith(f"error: input: {tmp_path / name}: {REPORT_FAULTS[case]}"), err
+    if case.startswith("train-task-json-"):  # every task.json message names its path
+        assert err.startswith(f"error: input: {tmp_path / name}: "), err
 
 
 @pytest.mark.parametrize("dtype", ["complex128", "datetime64[D]", "timedelta64[s]", "<U3"])

@@ -414,6 +414,36 @@ def test_scenarios_as_written_are_read_without_post_init(tmp_path, monkeypatch):
         json.dumps(sorted_row, ensure_ascii=False) + "\n").encode()
 
 
+
+def test_the_scenarios_reader_judges_each_distinct_extra_map_once(tmp_path, monkeypatch):
+    """Reading the demo's scenarios runs the extra rule once per distinct
+    map, not once per row. A map holding a list cannot hash, so its file
+    takes the row-by-row build, whose message is the per-line reference's."""
+    scenarios = tmp_path / "scenarios.jsonl"
+    assert main(["make-scenarios", "--n", "400", "--out", str(scenarios), "--seed", "0"]) == 0
+    judged = []
+
+    def spy(check):
+        return lambda value, what: judged.append(dict(value)) or check(value, what)
+
+    monkeypatch.setattr(ScenarioAnnotation, "_rules", tuple(
+        (name, spy(check) if name == "extra" else check)
+        for name, check in ScenarioAnnotation._rules))
+    rows = read_scenarios_jsonl(scenarios)
+    distinct = {tuple(row.extra.items()) for row in rows}
+    assert len(rows) == 400 and 1 < len(distinct) < 400
+    assert sorted(tuple(extra.items()) for extra in judged) == sorted(distinct)
+    with open(scenarios, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(swap(VALID[ScenarioAnnotation], "extra", {"agent": ["a"]})) + "\n")
+    messages = []
+    for read in (read_scenarios_jsonl,
+                 lambda path: reference_read_dataclass_jsonl(path, ScenarioAnnotation, "scenario")):
+        with pytest.raises(InputError) as err:
+            read(scenarios)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "extra[agent]" in messages[0], messages
+
+
 # ---- the row rules outside a file ----
 
 @pytest.mark.parametrize("value", [True, 2.0, "2", None], ids=repr)

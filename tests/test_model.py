@@ -2,6 +2,7 @@
 adapter-friendly init, gradient coverage of every adapted role, base
 freezing, and quantization of the base."""
 
+import dataclasses
 import os
 import platform
 import re
@@ -572,15 +573,15 @@ def ffn_spy(monkeypatch):
     calls = []
     real_forward, real_backward = QLoraLinear.forward, QLoraLinear.backward
 
-    def forward_spy(self, x):
+    def forward_spy(self, x, out=None):
         if 64 in self.weight.shape:
             calls.append(("forward", self.weight.shape))
-        return real_forward(self, x)
+        return real_forward(self, x, out)
 
-    def backward_spy(self, dy, x, grads, name, need_dx=True):
+    def backward_spy(self, dy, x, grads, name, need_dx=True, out=None):
         if ".ffn_" in name:
             calls.append(("backward", name))
-        return real_backward(self, dy, x, grads, name, need_dx)
+        return real_backward(self, dy, x, grads, name, need_dx, out)
 
     monkeypatch.setattr(QLoraLinear, "forward", forward_spy)
     monkeypatch.setattr(QLoraLinear, "backward", backward_spy)
@@ -675,9 +676,9 @@ def test_attention_scores_reach_the_softmax_key_major(small_setup, monkeypatch, 
     spec, params, adapters, _ = small_setup
     calls = []
 
-    def softmax_spy(z, axis=-1):
+    def softmax_spy(z, axis=-1, out=None):
         calls.append((z.shape, z.flags.c_contiguous, axis))
-        return softmax(z, axis=axis)
+        return softmax(z, axis=axis, out=out)
 
     monkeypatch.setattr(model, "softmax", softmax_spy)
     rng = np.random.default_rng(25)
@@ -702,13 +703,13 @@ def test_adapted_layers_see_only_row_matrices(small_setup, monkeypatch, lengths)
     ndims = []
     real_forward, real_backward = QLoraLinear.forward, QLoraLinear.backward
 
-    def forward_spy(self, x):
-        y = real_forward(self, x)
+    def forward_spy(self, x, out=None):
+        y = real_forward(self, x, out)
         ndims.append((x.ndim, y.ndim))
         return y
 
-    def backward_spy(self, dy, x, grads, name, need_dx=True):
-        dx = real_backward(self, dy, x, grads, name, need_dx)
+    def backward_spy(self, dy, x, grads, name, need_dx=True, out=None):
+        dx = real_backward(self, dy, x, grads, name, need_dx, out)
         assert (x is None) == (self.adapter is None), name
         ndims.append((dy.ndim,) + (() if x is None else (x.ndim,))
                      + (() if dx is None else (dx.ndim,)))
@@ -897,8 +898,8 @@ class Mallinfo2(ctypes.Structure):
 
 libc = ctypes.CDLL(None)
 libc.mallinfo2.restype = Mallinfo2
-if sys.argv[1] == "model":
-    import qlorakit.model
+if sys.argv[1] == "qlorakit":
+    import qlorakit
 held = [np.ones(8192) for _ in range(64)]  # 64 KiB each: heap, not mmap
 before = libc.mallinfo2().arena
 del held
@@ -907,9 +908,9 @@ print(before - libc.mallinfo2().arena)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
-def test_importing_the_model_keeps_freed_heap():
-    """Freed pass temporaries stay in the heap instead of going back to the
-    kernel, so the next pass does not fault them in again."""
+def test_importing_qlorakit_leaves_heap_trimming_at_its_default():
+    """The kit sets no allocator option: after importing qlorakit, glibc
+    still returns freed heap to the kernel, as it does without the import."""
     import ctypes
 
     if not hasattr(ctypes.CDLL(None), "mallinfo2"):
@@ -922,20 +923,61 @@ def test_importing_the_model_keeps_freed_heap():
         return int(out.stdout)
 
     assert returned_bytes("plain") > 2**20  # glibc's default trims the heap
-    assert returned_bytes("model") == 0
-    assert model.keep_freed_heap()
+    assert returned_bytes("qlorakit") > 2**20
 
 
-# (name, KB bound): a bound sits about 2.5% above the peak read when it was set
-PASS_PEAKS = [("synthetic window 8 x 16", 720), ("corpus window 8 x 23-28", 1600),
-              ("forward_batch 16 x 16", 860)]
+@pytest.mark.parametrize("targets", [("attn_q", "attn_v"), LAYER_ROLES], ids=["q-v", "all-six"])
+def test_one_workspace_serves_every_pass_shape_like_a_fresh_one(targets):
+    """One holder runs windows of (B, T) = (8, 28), (8, 23) masked, (3, 16)
+    and (8, 28) again, and each loss and gradient is bit-identical to a fresh
+    holder's, so no buffer or view of another shape leaks into a pass. The
+    first window's layout sizes the buffer; the smaller ones reuse it. On a
+    standard base with all six roles adapted the FFN runs too."""
+    from qlorakit.config import load_config, model_spec_from
+    from qlorakit.lora import flatten_adapters
+
+    spec = dataclasses.replace(model_spec_from(load_config()), adapter_targets=targets)
+    params = init_model_params(spec, 1, profile="standard" if len(targets) > 2 else
+                               model.DEFAULT_INIT_PROFILE)
+    adapters = init_adapters(spec, 16, 16.0, 2)
+    rng = np.random.default_rng(36)
+    for ad in adapters.values():
+        ad.a_factor += rng.normal(0, 0.05, ad.a_factor.shape)
+    layers = model.adapted_layers(params, spec, adapters)
+
+    def window(lengths):
+        return model.check_examples([(rng.integers(0, spec.vocab_size, t),
+                                      int(rng.integers(0, spec.n_classes))) for t in lengths], spec)
+
+    def run(plan, examples):
+        grads = {k: np.zeros_like(v) for k, v in flatten_adapters(adapters).items()}
+        return model.loss_and_grads_into(params, spec, examples, plan, grads)
+
+    first = window([28] * 8)
+    shared, buffers = model._pass_plan(layers, spec), set()
+    for examples in (first, window([23, 17, 23, 9, 21, 23, 1, 12]), window([16] * 3), first):
+        loss, grads = run(shared, examples)
+        fresh_loss, fresh_grads = run(model._pass_plan(layers, spec), examples)
+        buffers.add(id(shared._buf))
+        assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
+        assert all(grads[k].tobytes() == fresh_grads[k].tobytes() for k in grads)
+    assert len(buffers) == 1
+
+
+# (name, KB bound): a bound sits about 2.5% above the peak read when it was set. A
+# training window writes through its holder's workspace, so what is left is numpy's
+# 64 KB buffer for a broadcasting ufunc, a softmax's column maxima and the window's
+# tokens and labels; forward_batch builds its holder, so its peak holds the workspace.
+PASS_PEAKS = [("synthetic window 8 x 16", 76), ("corpus window 8 x 23-28", 126),
+              ("forward_batch 16 x 16", 735)]
 
 
 @pytest.mark.parametrize("what, bound_kb", PASS_PEAKS, ids=[name for name, _ in PASS_PEAKS])
 def test_a_pass_allocates_at_most_its_pinned_peak(what, bound_kb):
     """The tracemalloc peak of one pass on the default config's spec, with
-    rank-16 adapters, layers and zeroed gradients built before tracing, read
-    on the second of two calls; KB is 1,000 B."""
+    rank-16 adapters, the holder (layers, plan and workspace) and zeroed
+    gradients built before tracing, read on the second of two calls; KB is
+    1,000 B."""
     import tracemalloc
 
     from qlorakit.config import load_config, model_spec_from

@@ -144,8 +144,12 @@ def test_bench_compare_counts_src_lines_per_tree(tmp_path):
     ["--runs", "train-lora:0"],
     ["--runs", "corpus-pipeline:-1"],
     ["--runs", "train-qlora:x"],
+    ["--demo", "0"],
+    ["--demo", "x", "--runs", "train-lora:2"],
+    [],
 ], ids=["out-abbrev-to-a-file", "missing-out-dir", "unknown-workload", "zero-pairs",
-        "negative-pairs", "non-integer-pairs"])
+        "negative-pairs", "non-integer-pairs", "zero-demo-pairs", "non-integer-demo-pairs",
+        "neither-runs-nor-demo"])
 def test_bench_compare_checks_its_arguments_before_any_run(tmp_path, monkeypatch, capsys,
                                                            args):
     module = load_bench_compare()
@@ -155,6 +159,7 @@ def test_bench_compare_checks_its_arguments_before_any_run(tmp_path, monkeypatch
 
     monkeypatch.setattr(module, "export_parent", never)
     monkeypatch.setattr(module, "run_once", never)
+    monkeypatch.setattr(module, "run_demo", never)
     argv = ["--label", "x"] + [a.format(tmp=tmp_path) for a in args]
     if "--out" not in args and "--out-dir" not in args:
         argv += ["--out-dir", str(tmp_path)]
@@ -225,3 +230,47 @@ def test_bench_compare_runs_without_bytecode_and_keeps_the_raw_rates(tmp_path, m
     assert not seen["cache"].exists()  # one new directory per run, removed after it
     assert run["raw"] == {name: raw[name] for name in module.TIMINGS}
     assert run["metrics"] == {name: 1.0 for name in END_TO_END} and run["env"] == {"python": "3"}
+
+
+def test_bench_compare_demo_record_reads_won_lost_and_unresolved_stages(tmp_path, monkeypatch,
+                                                                       capsys):
+    """The demo record times run_pipeline.py's ten stages per side and pair
+    and compares each, and their total, under the bound DEMO_BOUND; one
+    `import numpy` process per pair gives the start-up floor."""
+    module = load_bench_compare()
+    names = [name for name, _ in module.demo_stages(tmp_path)]
+    assert names == ["make-scenarios", "gen-data", "split", "train lora", "predict lora",
+                     "eval lora", "train qlora", "predict qlora", "eval qlora", "report"]
+    calls = {"parent": 0, "change": 0}
+
+    def fake_demo(tree):
+        side = "change" if tree == module.ROOT else "parent"
+        i = calls[side] = calls[side] + 1
+        seconds = {name: 1.0 + 0.001 * i for name in names}
+        if side == "change":
+            seconds["train lora"] *= 0.8  # faster in every pair: won
+            seconds["report"] *= 1.2  # slower in every pair, beyond the bound: lost
+        else:
+            seconds["eval lora"] = 1.0 + 0.2 * (i % 2)  # a parent spread wider than the bound
+        return seconds
+
+    monkeypatch.setattr(module, "export_parent", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(module, "run_demo", fake_demo)
+    monkeypatch.setattr(module, "numpy_import_s", lambda: 0.15)
+    assert module.main(["--label", "t", "--demo", "10", "--out-dir", str(tmp_path)]) == 0
+    demo = json.loads((tmp_path / "BENCH_t.json").read_text())["demo"]
+    m = demo["metrics"]
+    assert demo["stages"] == names + ["total"] and calls == {"parent": 10, "change": 10}
+    assert set(m) == set(demo["stages"])
+    assert demo["numpy_import_s"]["median"] == 0.15 and len(demo["numpy_import_s"]["runs"]) == 10
+    won, lost, noisy = m["train lora"], m["report"], m["eval lora"]
+    assert won["won"] == 10 and won["gain_rule_met"] and won["resolved"] and won["within_bound"]
+    assert lost["lost"] == 10 and lost["resolved"] and not lost["within_bound"]
+    assert not noisy["resolved"] and all(m[name]["resolved"] for name in names[:3])
+    assert all(run["total"] == sum(run[name] for name in names)
+               for side in ("parent", "change") for run in demo["runs"][side])
+    out = capsys.readouterr().out.splitlines()
+    assert "demo unresolved: eval lora" in out
+    assert out[-2] == "demo import numpy: median 0.15 s (q1 0.15, q3 0.15)"
+    assert [line.split(":")[0] for line in out[-len(names) - 3:-2]] == [
+        f"demo {name}" for name in names + ["total"]]
